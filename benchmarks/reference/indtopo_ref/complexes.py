@@ -1,0 +1,412 @@
+"""Simplicial complexes, chiefly independence complexes of graphs.
+
+Faces are stored per dimension as sorted tuples of vertex indices (indices
+into the canonical vertex order), with the empty face at dimension -1.
+The empty face is always present, so the complex of a graph whose every
+vertex is looped is {[]}, the empty complex.
+"""
+
+from itertools import combinations
+
+from .graphs import Graph, label_key
+
+DEFAULT_FACE_BUDGET = 50_000_000
+
+
+class FaceBudgetError(RuntimeError):
+    """Raised when an enumeration would exceed the face budget; never truncates."""
+
+
+def _check_budget(count: int, budget: int) -> None:
+    if count > budget:
+        raise FaceBudgetError(f"face budget exceeded: {count} > {budget}")
+
+
+class SimplicialComplex:
+    """Immutable simplicial complex on an ordered vertex universe."""
+
+    __slots__ = ("vertices", "_faces", "_face_sets", "source")
+
+    def __init__(self, vertices, faces_by_dim, source=None):
+        self.vertices = tuple(sorted(vertices, key=label_key))
+        n = len(self.vertices)
+        faces = {-1: ((),)}
+        for d, fs in faces_by_dim.items():
+            if d == -1:
+                continue
+            norm = sorted({tuple(sorted(f)) for f in fs})
+            if not norm:
+                continue
+            for f in norm:
+                if len(f) != d + 1:
+                    raise ValueError(f"face {f} filed under dimension {d}")
+                if any(not 0 <= i < n for i in f) or len(set(f)) != len(f):
+                    raise ValueError(f"bad vertex indices in face {f}")
+            faces[d] = tuple(norm)
+        self._faces = faces
+        self._face_sets = {}
+        self.source = source
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return max(self._faces)
+
+    def dims(self):
+        return tuple(sorted(self._faces))
+
+    def index_faces(self, d):
+        """Faces of dimension d as sorted index tuples (canonical order)."""
+        return self._faces.get(d, ())
+
+    def faces(self, d):
+        """Faces of dimension d as label tuples."""
+        vs = self.vertices
+        return tuple(tuple(vs[i] for i in f) for f in self.index_faces(d))
+
+    def face_count(self, d) -> int:
+        return len(self._faces.get(d, ()))
+
+    def f_vector(self):
+        """(f_-1, f_0, ..., f_dim); f_-1 = 1 for the empty face."""
+        return tuple(self.face_count(d) for d in range(-1, self.dim + 1))
+
+    @property
+    def total_faces(self) -> int:
+        return sum(len(v) for v in self._faces.values())
+
+    def _face_set(self, d):
+        if d not in self._face_sets:
+            self._face_sets[d] = frozenset(self._faces.get(d, ()))
+        return self._face_sets[d]
+
+    def index_of(self, label) -> int:
+        try:
+            return self.vertices.index(label)
+        except ValueError:
+            raise ValueError(f"not a vertex of the complex: {label!r}") from None
+
+    def _to_index_face(self, labels):
+        return tuple(sorted(self.index_of(v) for v in labels))
+
+    def has_face(self, labels) -> bool:
+        try:
+            f = self._to_index_face(labels)
+        except ValueError:
+            return False
+        return f in self._face_set(len(f) - 1)
+
+    # -- derived complexes ---------------------------------------------------
+
+    def link(self, v) -> "SimplicialComplex":
+        """lk(v): faces sigma with v not in sigma and sigma + v a face."""
+        i = self.index_of(v)
+        out = {}
+        for d in self.dims():
+            if d + 1 > self.dim:
+                continue
+            upper = self._face_set(d + 1)
+            kept = []
+            for f in self.index_faces(d):
+                if i in f:
+                    continue
+                if tuple(sorted(f + (i,))) in upper:
+                    kept.append(f)
+            if kept:
+                out[d] = kept
+        return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"link({v!r})"))
+
+    def star(self, face_labels) -> "SimplicialComplex":
+        """st(sigma): faces tau with sigma union tau a face (tau need not contain sigma)."""
+        base = self._to_index_face(face_labels)
+        if base not in self._face_set(len(base) - 1):
+            raise ValueError(f"not a face: {face_labels!r}")
+        bset = set(base)
+        out = {}
+        for d in self.dims():
+            kept = []
+            for f in self.index_faces(d):
+                u = tuple(sorted(bset | set(f)))
+                if u in self._face_set(len(u) - 1):
+                    kept.append(f)
+            if kept:
+                out[d] = kept
+        return SimplicialComplex(self.vertices, out, source=_tag(self.source, "star"))
+
+    def star_cluster(self, face_labels) -> "SimplicialComplex":
+        """SC(sigma): union of the stars of sigma's vertices."""
+        base = self._to_index_face(face_labels)
+        if base not in self._face_set(len(base) - 1):
+            raise ValueError(f"not a face: {face_labels!r}")
+        if not base:
+            raise ValueError("star_cluster needs a nonempty face")
+        out = {}
+        for d in self.dims():
+            kept = []
+            for f in self.index_faces(d):
+                for i in base:
+                    u = tuple(sorted(set(f) | {i}))
+                    if u in self._face_set(len(u) - 1):
+                        kept.append(f)
+                        break
+            if kept:
+                out[d] = kept
+        return SimplicialComplex(self.vertices, out, source=_tag(self.source, "star_cluster"))
+
+    def without_vertex(self, v) -> "SimplicialComplex":
+        """The deletion: all faces not containing v."""
+        i = self.index_of(v)
+        out = {}
+        for d in self.dims():
+            kept = [f for f in self.index_faces(d) if i not in f]
+            if kept:
+                out[d] = kept
+        return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"delete({v!r})"))
+
+    # -- invariants ----------------------------------------------------------
+
+    def euler_characteristic_reduced(self) -> int:
+        """Sum of (-1)^dim over all faces, the empty face contributing -1."""
+        # (-1) ** -1 is a float, so branch on parity instead
+        return sum((-1 if d % 2 else 1) * self.face_count(d) for d in self.dims())
+
+    def facets(self):
+        """Maximal faces, as label tuples in canonical order."""
+        out = []
+        for d in self.dims():
+            upper = self.index_faces(d + 1)
+            non_max = set()
+            for f in upper:
+                for k in range(len(f)):
+                    non_max.add(f[:k] + f[k + 1:])
+            out.extend(f for f in self.index_faces(d) if f not in non_max)
+        vs = self.vertices
+        return [tuple(vs[i] for i in f) for f in sorted(out, key=lambda f: (len(f), f))]
+
+    def is_cone(self):
+        """A vertex lying in every facet, or None. The empty complex is not a cone."""
+        facets = self.facets()
+        if not facets or facets == [()]:
+            return None
+        common = set(facets[0])
+        for f in facets[1:]:
+            common &= set(f)
+            if not common:
+                return None
+        return min(common, key=label_key) if common else None
+
+    def __eq__(self, other):
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return self.vertices == other.vertices and self._faces == other._faces
+
+    def __hash__(self):
+        return hash((self.vertices, tuple(sorted((d, fs) for d, fs in self._faces.items()))))
+
+    def __repr__(self):
+        tag = f" from {self.source}" if self.source else ""
+        return f"<SimplicialComplex{tag}: dim {self.dim}, {self.total_faces} faces>"
+
+
+def _tag(source, op):
+    return f"{op} of {source}" if source else op
+
+
+# -- independence complexes -------------------------------------------------
+
+def _independence_masks(G: Graph):
+    """Non-looped vertices in canonical order, plus one adjacency bitmask each."""
+    verts = [v for v in G.vertices if not G.is_looped(v)]
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * len(verts)
+    for u, v in G.edges:
+        iu, iv = index.get(u), index.get(v)
+        if iu is not None and iv is not None:
+            nbr[iu] |= 1 << iv
+            nbr[iv] |= 1 << iu
+    return verts, nbr
+
+
+def _enumerate_independent(nbr, min_size, max_size, budget):
+    """All independent index sets with min_size <= size <= max_size, grouped by size.
+
+    Visits every independent set of size <= max_size once; the visit count
+    is charged against the budget.
+    """
+    n = len(nbr)
+    out = {k: [] for k in range(min_size, max_size + 1)}
+    visited = 0
+
+    def rec(face, start, forbidden):
+        nonlocal visited
+        k = len(face)
+        if k >= min_size:
+            out[k].append(face)
+        if k == max_size:
+            return
+        for i in range(start, n):
+            if forbidden >> i & 1:
+                continue
+            visited += 1
+            _check_budget(visited, budget)
+            rec(face + (i,), i + 1, forbidden | nbr[i])
+
+    rec((), 0, 0)
+    return out
+
+
+def independence_complex(G: Graph, max_dim: int | None = None,
+                         face_budget: int | None = None) -> SimplicialComplex:
+    """The complex of independent sets of G (faces avoid edges and looped vertices).
+
+    With max_dim set, returns the dimension-<=max_dim skeleton.
+    """
+    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
+    verts, nbr = _independence_masks(G)
+    cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
+    by_size = _enumerate_independent(nbr, 0, cap, budget)
+    faces = {k - 1: fs for k, fs in by_size.items() if fs and k >= 1}
+    return SimplicialComplex(verts, faces, source=G.name or repr(G))
+
+
+class FaceWindow:
+    """Faces of an independence complex in a dimension window only.
+
+    Holds dimensions d_lo-1 .. d_hi+1 (sizes d_lo .. d_hi+2), exactly what
+    the boundary maps for Betti numbers in [d_lo, d_hi] need.
+    """
+
+    __slots__ = ("vertices", "window", "_faces", "source")
+
+    def __init__(self, vertices, window, faces_by_dim, source=None):
+        self.vertices = tuple(vertices)
+        self.window = window
+        self._faces = {d: tuple(sorted(fs)) for d, fs in faces_by_dim.items()}
+        self.source = source
+
+    def index_faces(self, d):
+        return self._faces.get(d, ())
+
+    def face_count(self, d) -> int:
+        return len(self._faces.get(d, ()))
+
+    def dims(self):
+        return tuple(sorted(self._faces))
+
+
+def faces_in_window(G: Graph, d_lo: int, d_hi: int,
+                    face_budget: int | None = None) -> FaceWindow:
+    """Independent sets of sizes d_lo..d_hi+2 without materializing the rest."""
+    if d_lo < 0 or d_hi < d_lo:
+        raise ValueError(f"bad window ({d_lo}, {d_hi})")
+    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
+    verts, nbr = _independence_masks(G)
+    by_size = _enumerate_independent(nbr, d_lo, min(d_hi + 2, len(verts)), budget)
+    faces = {k - 1: fs for k, fs in by_size.items()}
+    return FaceWindow(verts, (d_lo, d_hi), faces, source=G.name or repr(G))
+
+
+def independence_facets(G: Graph):
+    """Maximal independent sets, via pivoting Bron-Kerbosch on the complement."""
+    verts, nbr = _independence_masks(G)
+    n = len(verts)
+    full = (1 << n) - 1
+    conbr = [full & ~nbr[i] & ~(1 << i) for i in range(n)]  # complement adjacency
+    out = []
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def bk(r, p, x):
+        if not p and not x:
+            out.append(tuple(sorted(bits(r))))
+            return
+        pivot, best = -1, -1
+        for u in bits(p | x):
+            score = (p & conbr[u]).bit_count()
+            if score > best:
+                pivot, best = u, score
+        for v in bits(p & ~conbr[pivot]):
+            bit = 1 << v
+            bk(r | bit, p & conbr[v], x & conbr[v])
+            p &= ~bit
+            x |= bit
+
+    if n:
+        bk(0, full, 0)
+    else:
+        out.append(())
+    return [tuple(verts[i] for i in f) for f in sorted(out, key=lambda f: (len(f), f))]
+
+
+def from_facets(vertices, facet_labels, face_budget: int | None = None,
+                source=None) -> SimplicialComplex:
+    """Downward closure of the given facets over the given vertex universe."""
+    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
+    vs = tuple(sorted(vertices, key=label_key))
+    index = {v: i for i, v in enumerate(vs)}
+    seen = set()
+    count = 0
+    for facet in facet_labels:
+        f = tuple(sorted(index[v] for v in facet))
+        for k in range(len(f) + 1):
+            for sub in combinations(f, k):
+                if sub not in seen:
+                    count += 1
+                    _check_budget(count, budget)
+                    seen.add(sub)
+    faces = {}
+    for f in seen:
+        faces.setdefault(len(f) - 1, []).append(f)
+    faces.pop(-1, None)
+    return SimplicialComplex(vs, faces, source=source)
+
+
+# -- module-level wrappers (spec-named ops) ----------------------------------
+
+def link(K: SimplicialComplex, v) -> SimplicialComplex:
+    return K.link(v)
+
+
+def star(K: SimplicialComplex, face_labels) -> SimplicialComplex:
+    return K.star(face_labels)
+
+
+def star_cluster(K: SimplicialComplex, face_labels) -> SimplicialComplex:
+    return K.star_cluster(face_labels)
+
+
+def euler_characteristic_reduced(K: SimplicialComplex) -> int:
+    return K.euler_characteristic_reduced()
+
+
+def is_cone(K: SimplicialComplex):
+    return K.is_cone()
+
+
+# -- serialization ------------------------------------------------------------
+
+def complex_to_json_dict(K: SimplicialComplex) -> dict:
+    from .graphs import _encode_label
+    return {
+        "vertices": [_encode_label(v) for v in K.vertices],
+        "facets": [[_encode_label(v) for v in f] for f in K.facets()],
+    }
+
+
+def complex_from_json_dict(d: dict) -> SimplicialComplex:
+    from .graphs import _decode_label
+    vertices = [_decode_label(v) for v in d["vertices"]]
+    facets = [[_decode_label(v) for v in f] for f in d["facets"]]
+    return from_facets(vertices, facets)
+
+
+def f_vector_csv(K: SimplicialComplex) -> str:
+    lines = ["dimension,faces"]
+    for d in range(-1, K.dim + 1):
+        lines.append(f"{d},{K.face_count(d)}")
+    return "\n".join(lines) + "\n"

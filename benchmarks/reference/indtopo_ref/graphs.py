@@ -1,0 +1,522 @@
+"""Finite labeled graphs with optional self-loops.
+
+Vertex labels are structured tokens: integers, short identifier strings,
+or tuples of tokens (grid coordinates like ``(2, 1)``, tagged copies like
+``("L", 3)``).  Every graph keeps its vertices in a canonical order, sorted
+by the rendered token string, so iteration, serialization and everything
+built on top of a graph is deterministic.  Graphs are immutable: all
+surgery returns a new graph.
+"""
+
+import json
+import re
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_TOKEN_RE = re.compile(r"-?\d+|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def validate_label(label):
+    """Check that ``label`` is a legal vertex token and return it."""
+    if isinstance(label, bool):
+        raise ValueError(f"booleans are not vertex labels: {label!r}")
+    if isinstance(label, int):
+        return label
+    if isinstance(label, str):
+        if not _NAME_RE.match(label):
+            raise ValueError(f"string labels must look like identifiers, got {label!r}")
+        return label
+    if isinstance(label, tuple):
+        # 1-tuples would render ambiguously, so require arity >= 2
+        if len(label) < 2:
+            raise ValueError(f"tuple labels need at least two entries: {label!r}")
+        for part in label:
+            validate_label(part)
+        return label
+    raise ValueError(f"unsupported label type: {label!r}")
+
+
+def render_label(label) -> str:
+    """Canonical string form of a label; parse_label inverts this."""
+    if isinstance(label, tuple):
+        return "(" + ",".join(render_label(p) for p in label) + ")"
+    return str(label)
+
+
+def label_key(label) -> str:
+    return render_label(label)
+
+
+def _parse_prefix(text):
+    if text.startswith("("):
+        rest = text[1:]
+        parts = []
+        while True:
+            part, rest = _parse_prefix(rest)
+            parts.append(part)
+            if rest.startswith(","):
+                rest = rest[1:]
+                continue
+            if rest.startswith(")"):
+                return tuple(parts), rest[1:]
+            raise ValueError(f"malformed tuple label near {text!r}")
+    m = _TOKEN_RE.match(text)
+    if not m:
+        raise ValueError(f"cannot parse label from {text!r}")
+    token = m.group()
+    rest = text[m.end():]
+    if token[0] == "-" or token[0].isdigit():
+        return int(token), rest
+    return token, rest
+
+
+def parse_label(text: str):
+    """Inverse of render_label."""
+    label, rest = _parse_prefix(text.strip())
+    if rest:
+        raise ValueError(f"trailing junk after label in {text!r}")
+    return validate_label(label)
+
+
+class Graph:
+    """Immutable labeled graph; ``loops`` lists the self-adjacent vertices."""
+
+    __slots__ = ("vertices", "edges", "loops", "name", "_adj", "_vset")
+
+    def __init__(self, vertices, edges=(), loops=(), name=None):
+        verts = [validate_label(v) for v in vertices]
+        rendered = [render_label(v) for v in verts]
+        if len(set(rendered)) != len(rendered):
+            raise ValueError("duplicate vertex labels (after rendering)")
+        order = sorted(range(len(verts)), key=lambda i: rendered[i])
+        vs = tuple(verts[i] for i in order)
+        vset = frozenset(vs)
+
+        edge_set = set()
+        for e in edges:
+            u, v = e
+            if u not in vset or v not in vset:
+                raise ValueError(f"edge endpoint not a vertex: {e!r}")
+            if u == v:
+                raise ValueError(f"self-pair {e!r} in edge list; loops go in loops=")
+            a, b = sorted((u, v), key=label_key)
+            edge_set.add((a, b))
+
+        loop_set = set()
+        for v in loops:
+            if v not in vset:
+                raise ValueError(f"loop at non-vertex: {v!r}")
+            loop_set.add(v)
+
+        self.vertices = vs
+        self.edges = tuple(sorted(edge_set, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+        self.loops = tuple(sorted(loop_set, key=label_key))
+        self.name = name
+        self._vset = vset
+        adj = {v: set() for v in vs}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        for v in self.loops:
+            adj[v].add(v)
+        self._adj = {v: frozenset(s) for v, s in adj.items()}
+
+    # -- basic queries ----------------------------------------------------
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    @property
+    def loop_count(self) -> int:
+        return len(self.loops)
+
+    def __contains__(self, label) -> bool:
+        return label in self._vset
+
+    def neighbors(self, v) -> frozenset:
+        """Open neighborhood N(v); contains v itself exactly when v is looped."""
+        return self._adj[v]
+
+    def closed_neighborhood(self, v) -> frozenset:
+        return self._adj[v] | {v}
+
+    def closed_neighborhood_set(self, labels) -> frozenset:
+        out = set()
+        for v in labels:
+            out |= self.closed_neighborhood(v)
+        return frozenset(out)
+
+    def has_edge(self, u, v) -> bool:
+        """Adjacency test; has_edge(v, v) is True exactly for looped v."""
+        return v in self._adj[u]
+
+    def is_looped(self, v) -> bool:
+        return v in self._adj[v]
+
+    def isolated_vertices(self):
+        """Vertices with empty open neighborhood (a looped vertex is never isolated)."""
+        return tuple(v for v in self.vertices if not self._adj[v])
+
+    def unlooped_vertices(self):
+        return tuple(v for v in self.vertices if v not in self._adj[v])
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.vertices, self.edges, self.loops) == (other.vertices, other.edges, other.loops)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.loops))
+
+    def __repr__(self):
+        tag = f" {self.name!r}" if self.name else ""
+        loops = f", {self.loop_count} loops" if self.loops else ""
+        return f"<Graph{tag}: {self.vertex_count} vertices, {self.edge_count} edges{loops}>"
+
+
+def is_simplicial_vertex(G: Graph, v) -> bool:
+    """True when N(v) is nonempty, loop-free, and induces a complete subgraph."""
+    nbrs = sorted(G.neighbors(v), key=label_key)
+    if v in nbrs:
+        return False
+    if not nbrs:
+        return False
+    # a looped neighbor is in no independent set, so the split decomposition
+    # over N(v) would miscount; rule it out here
+    if any(G.is_looped(w) for w in nbrs):
+        return False
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if not G.has_edge(a, b):
+                return False
+    return True
+
+
+# -- module-level neighborhood ops (thin functional wrappers) --------------
+
+def neighborhood(G: Graph, v) -> frozenset:
+    return G.neighbors(v)
+
+
+def closed_neighborhood(G: Graph, v) -> frozenset:
+    return G.closed_neighborhood(v)
+
+
+def closed_neighborhood_set(G: Graph, labels) -> frozenset:
+    return G.closed_neighborhood_set(labels)
+
+
+# -- family constructors ---------------------------------------------------
+
+def complete(n: int) -> Graph:
+    """Complete graph on vertices 1..n."""
+    if n < 1:
+        raise ValueError(f"complete(n) needs n >= 1, got {n}")
+    vs = range(1, n + 1)
+    return Graph(vs, [(i, j) for i in vs for j in vs if i < j], name=f"K{n}")
+
+
+def path(n: int) -> Graph:
+    """Path on vertices 1..n."""
+    if n < 1:
+        raise ValueError(f"path(n) needs n >= 1, got {n}")
+    return Graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)], name=f"P{n}")
+
+
+def cycle(n: int) -> Graph:
+    """Cycle on vertices 1..n."""
+    if n < 3:
+        raise ValueError(f"cycle(n) needs n >= 3, got {n}")
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    return Graph(range(1, n + 1), edges, name=f"C{n}")
+
+
+def looped_path(r: int) -> Graph:
+    """Path on vertices 0..r with a loop at 0; looped_path(0) is one looped vertex."""
+    if r < 0:
+        raise ValueError(f"looped_path(r) needs r >= 0, got {r}")
+    return Graph(range(r + 1), [(i, i + 1) for i in range(r)], loops=[0], name=f"L{r}")
+
+
+def categorical_product(G: Graph, H: Graph) -> Graph:
+    """Categorical (tensor) product: (g,h) ~ (g',h') iff g ~ g' and h ~ h'."""
+    if not G.vertices or not H.vertices:
+        raise ValueError("categorical_product needs nonempty factors")
+    verts = [(g, h) for g in G.vertices for h in H.vertices]
+    edges = []
+    loops = []
+    for i, (g, h) in enumerate(verts):
+        if G.has_edge(g, g) and H.has_edge(h, h):
+            loops.append((g, h))
+        for (g2, h2) in verts[i + 1:]:
+            if G.has_edge(g, g2) and H.has_edge(h, h2):
+                edges.append(((g, h), (g2, h2)))
+    name = None
+    if G.name and H.name:
+        name = f"{G.name}x{H.name}"
+    return Graph(verts, edges, loops, name=name)
+
+
+APEX = "w"
+
+
+def generalized_mycielskian(G: Graph, r: int) -> Graph:
+    """Level-r Mycielskian: quotient of G x looped_path(r) identifying level r to one apex.
+
+    Vertices are (v, j) for 0 <= j < r plus the apex "w".  The apex is
+    adjacent to (v, r-1) exactly when v is non-isolated in G.
+    """
+    if r < 1:
+        raise ValueError(f"generalized_mycielskian needs r >= 1, got {r}")
+    if G.loops:
+        raise ValueError("generalized_mycielskian needs a simple (loop-free) graph")
+    prod = categorical_product(G, looped_path(r))
+
+    def collapse(v):
+        return APEX if v[1] == r else v
+
+    verts = {collapse(v) for v in prod.vertices}
+    edges = set()
+    for u, v in prod.edges:
+        cu, cv = collapse(u), collapse(v)
+        if cu == cv:
+            continue  # a would-be loop at the apex is discarded
+        edges.add((cu, cv))
+    name = f"M{r}({G.name})" if G.name else None
+    return Graph(verts, edges, name=name)
+
+
+def tower_gadget(n: int, i: int, j: int) -> Graph:
+    """Levels 0..j-1 of the Mycielskian tower over K_n, plus the lone vertex (i, j).
+
+    For j = 0 this is just the isolated vertex (i, 0).
+    """
+    if n < 3:
+        raise ValueError(f"tower_gadget needs n >= 3, got {n}")
+    if not 1 <= i <= n:
+        raise ValueError(f"tower_gadget needs 1 <= i <= n, got i={i}")
+    if j < 0:
+        raise ValueError(f"tower_gadget needs j >= 0, got {j}")
+    tower = generalized_mycielskian(complete(n), j + 1)
+    keep = [v for v in tower.vertices if v != APEX and v[1] < j] + [(i, j)]
+    g = induced_subgraph(tower, keep)
+    return Graph(g.vertices, g.edges, g.loops, name=f"gadget(n={n},i={i},t={j})")
+
+
+def cycle_ladder(n: int, i: int) -> Graph:
+    """Cycle on 1..n with the two edges at vertex 1 replaced by an i-rung ladder.
+
+    The rungs are x_1..x_i and y_1..y_i; for i = 0 this is just cycle(n).
+    """
+    if n < 3:
+        raise ValueError(f"cycle_ladder needs n >= 3, got {n}")
+    if i < 0:
+        raise ValueError(f"cycle_ladder needs i >= 0, got {i}")
+    if i == 0:
+        g = cycle(n)
+        return Graph(g.vertices, g.edges, name=f"C{n}^0")
+    xs = [f"x{k}" for k in range(1, i + 1)]
+    ys = [f"y{k}" for k in range(1, i + 1)]
+    verts = list(range(1, n + 1)) + xs + ys
+    edges = [(a, a + 1) for a in range(2, n)]  # cycle minus (1,2) and (1,n)
+    edges += [(xs[k], ys[k]) for k in range(i)]
+    edges += [(xs[k], xs[k + 1]) for k in range(i - 1)]
+    edges += [(ys[k], ys[k + 1]) for k in range(i - 1)]
+    edges += [(1, xs[-1]), (1, ys[-1]), (2, xs[0]), (n, ys[0])]
+    return Graph(verts, edges, name=f"C{n}^{i}")
+
+
+def _fresh_labels(G: Graph, bases):
+    taken = {render_label(v) for v in G.vertices}
+    out = []
+    for base in bases:
+        cand = base
+        k = 1
+        while cand in taken:
+            k += 1
+            cand = f"{base}{k}"
+        taken.add(cand)
+        out.append(cand)
+    return out
+
+
+def ladder_replace_crossing(G: Graph, v1, v2, v3, v4) -> Graph:
+    """Replace the crossing edges (v1,v4), (v2,v3) by a 2-rung ladder.
+
+    Requires v1..v4 distinct and edges (v1,v4), (v2,v3), (v1,v2) present.
+    Four fresh vertices a, b, c, d are added with edges
+    (v1,a),(a,b),(b,v3),(v2,c),(c,d),(d,v4),(a,c),(b,d).
+    """
+    quad = (v1, v2, v3, v4)
+    if len(set(quad)) != 4:
+        raise ValueError("crossing replacement needs four distinct vertices")
+    for v in quad:
+        if v not in G:
+            raise ValueError(f"not a vertex: {v!r}")
+    for u, v in [(v1, v4), (v2, v3), (v1, v2)]:
+        if not G.has_edge(u, v):
+            raise ValueError(f"required edge missing: ({u!r}, {v!r})")
+    a, b, c, d = _fresh_labels(G, "abcd")
+    drop = {tuple(sorted((v1, v4), key=label_key)), tuple(sorted((v2, v3), key=label_key))}
+    edges = [e for e in G.edges if e not in drop]
+    edges += [(v1, a), (a, b), (b, v3), (v2, c), (c, d), (d, v4), (a, c), (b, d)]
+    return Graph(list(G.vertices) + [a, b, c, d], edges, G.loops)
+
+
+def ladder_replace_triangle(G: Graph, v1, v2, v3) -> Graph:
+    """Degenerate (v3 = v4) variant: detach v3 from the triangle v1,v2,v3 via a ladder.
+
+    Requires the triangle edges (v1,v2), (v1,v3), (v2,v3) present; removes
+    (v1,v3) and (v2,v3) and adds the same 8-edge ladder with both ladder
+    ends glued to v3.
+    """
+    tri = (v1, v2, v3)
+    if len(set(tri)) != 3:
+        raise ValueError("triangle replacement needs three distinct vertices")
+    for v in tri:
+        if v not in G:
+            raise ValueError(f"not a vertex: {v!r}")
+    for u, v in [(v1, v2), (v1, v3), (v2, v3)]:
+        if not G.has_edge(u, v):
+            raise ValueError(f"required edge missing: ({u!r}, {v!r})")
+    a, b, c, d = _fresh_labels(G, "abcd")
+    drop = {tuple(sorted((v1, v3), key=label_key)), tuple(sorted((v2, v3), key=label_key))}
+    edges = [e for e in G.edges if e not in drop]
+    edges += [(v1, a), (a, b), (b, v3), (v2, c), (c, d), (d, v3), (a, c), (b, d)]
+    return Graph(list(G.vertices) + [a, b, c, d], edges, G.loops)
+
+
+# -- surgery ---------------------------------------------------------------
+
+def induced_subgraph(G: Graph, labels) -> Graph:
+    keep = set()
+    for v in labels:
+        if v not in G:
+            raise ValueError(f"not a vertex: {v!r}")
+        keep.add(v)
+    edges = [e for e in G.edges if e[0] in keep and e[1] in keep]
+    loops = [v for v in G.loops if v in keep]
+    return Graph(keep, edges, loops)
+
+
+def delete_vertices(G: Graph, labels) -> Graph:
+    drop = set(labels)
+    for v in drop:
+        if v not in G:
+            raise ValueError(f"not a vertex: {v!r}")
+    return induced_subgraph(G, [v for v in G.vertices if v not in drop])
+
+
+def disjoint_union(G1: Graph, G2: Graph) -> Graph:
+    """Disjoint union; vertices are tagged ("L", v) and ("R", v) to avoid collisions."""
+    verts = [("L", v) for v in G1.vertices] + [("R", v) for v in G2.vertices]
+    edges = [(("L", u), ("L", v)) for u, v in G1.edges]
+    edges += [(("R", u), ("R", v)) for u, v in G2.edges]
+    loops = [("L", v) for v in G1.loops] + [("R", v) for v in G2.loops]
+    return Graph(verts, edges, loops)
+
+
+def add_edge(G: Graph, u, v) -> Graph:
+    if u not in G or v not in G:
+        raise ValueError(f"edge endpoints must be vertices: ({u!r}, {v!r})")
+    if u == v:
+        raise ValueError("add_edge rejects self-pairs; use add_loop")
+    return Graph(G.vertices, list(G.edges) + [(u, v)], G.loops, name=G.name)
+
+
+def add_loop(G: Graph, v) -> Graph:
+    if v not in G:
+        raise ValueError(f"not a vertex: {v!r}")
+    return Graph(G.vertices, G.edges, list(G.loops) + [v], name=G.name)
+
+
+# -- serialization ---------------------------------------------------------
+
+def _encode_label(label):
+    if isinstance(label, tuple):
+        return [_encode_label(p) for p in label]
+    return label
+
+
+def _decode_label(obj):
+    if isinstance(obj, list):
+        return tuple(_decode_label(p) for p in obj)
+    return validate_label(obj)
+
+
+def graph_to_json_dict(G: Graph) -> dict:
+    d = {
+        "vertices": [_encode_label(v) for v in G.vertices],
+        "edges": [[_encode_label(u), _encode_label(v)] for u, v in G.edges],
+        "loops": [_encode_label(v) for v in G.loops],
+    }
+    if G.name:
+        d["name"] = G.name
+    return d
+
+
+def graph_from_json_dict(d: dict) -> Graph:
+    return Graph(
+        [_decode_label(v) for v in d["vertices"]],
+        [(_decode_label(u), _decode_label(v)) for u, v in d.get("edges", [])],
+        [_decode_label(v) for v in d.get("loops", [])],
+        name=d.get("name"),
+    )
+
+
+def write_edgelist(G: Graph, fh) -> None:
+    """Text format: header "n m l", n vertex lines, m edge lines, l loop lines."""
+    fh.write(f"{G.vertex_count} {G.edge_count} {G.loop_count}\n")
+    for v in G.vertices:
+        fh.write(render_label(v) + "\n")
+    for u, v in G.edges:
+        fh.write(f"{render_label(u)} {render_label(v)}\n")
+    for v in G.loops:
+        fh.write(render_label(v) + "\n")
+
+
+def read_edgelist(fh) -> Graph:
+    lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty edge-list input")
+    try:
+        n, m, l = (int(x) for x in lines[0].split())
+    except Exception as exc:
+        raise ValueError(f"bad edge-list header {lines[0]!r}") from exc
+    if len(lines) != 1 + n + m + l:
+        raise ValueError(f"edge-list body has {len(lines) - 1} lines, expected {n + m + l}")
+    verts = [parse_label(ln) for ln in lines[1:1 + n]]
+    edges = []
+    for ln in lines[1 + n:1 + n + m]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad edge line {ln!r}")
+        edges.append((parse_label(parts[0]), parse_label(parts[1])))
+    loops = [parse_label(ln) for ln in lines[1 + n + m:]]
+    return Graph(verts, edges, loops)
+
+
+def save_graph(G: Graph, path: str, fmt: str | None = None) -> None:
+    fmt = fmt or ("json" if str(path).endswith(".json") else "edgelist")
+    with open(path, "w") as fh:
+        if fmt == "json":
+            json.dump(graph_to_json_dict(G), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        elif fmt == "edgelist":
+            write_edgelist(G, fh)
+        else:
+            raise ValueError(f"unknown graph format: {fmt!r}")
+
+
+def load_graph(path: str, fmt: str | None = None) -> Graph:
+    fmt = fmt or ("json" if str(path).endswith(".json") else "edgelist")
+    with open(path) as fh:
+        if fmt == "json":
+            return graph_from_json_dict(json.load(fh))
+        if fmt == "edgelist":
+            return read_edgelist(fh)
+        raise ValueError(f"unknown graph format: {fmt!r}")

@@ -1,0 +1,359 @@
+"""Exact reduced simplicial homology.
+
+Reduced throughout: the augmentation map sends every vertex to the empty
+face, so a complex of n isolated points has betti_0 = n - 1 and the empty
+complex {[]} has betti_-1 = 1.  Mod-2 ranks use python-int bitsets; the
+integer path uses a sparse unit-pivot elimination with a dense Smith
+normal form fallback, all in arbitrary precision (overflow is impossible).
+
+>>> smith_normal_form([[2, 4], [6, 8]]).factors
+(2, 4)
+"""
+
+from dataclasses import dataclass, field
+
+from .complexes import SimplicialComplex
+
+
+@dataclass(frozen=True)
+class Boundary:
+    """Sparse boundary matrix: columns of (row_index, sign) pairs."""
+    n_rows: int
+    columns: tuple
+
+
+def boundary_matrix(cx, d: int) -> Boundary:
+    """The boundary map from d-faces to (d-1)-faces; d = 0 is the augmentation."""
+    if d < 0:
+        raise ValueError(f"boundary_matrix needs d >= 0, got {d}")
+    rows = cx.index_faces(d - 1)
+    cols = cx.index_faces(d)
+    row_index = {f: i for i, f in enumerate(rows)}
+    columns = []
+    for face in cols:
+        entries = []
+        for k in range(len(face)):
+            sub = face[:k] + face[k + 1:]
+            entries.append((row_index[sub], -1 if k % 2 else 1))
+        columns.append(tuple(entries))
+    return Boundary(len(rows), tuple(columns))
+
+
+# -- GF(2) ------------------------------------------------------------------
+
+def gf2_columns(boundary: Boundary):
+    """Columns as bitsets; signs vanish mod 2."""
+    return [sum(1 << r for r, _ in col) for col in boundary.columns]
+
+
+def gf2_rank(columns) -> int:
+    """Rank over GF(2); pivots on the lowest-index nonzero row, columns in order."""
+    pivots = {}
+    rank = 0
+    for col in columns:
+        while col:
+            low = col & -col
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                rank += 1
+                break
+            col ^= other
+    return rank
+
+
+# -- integer Smith normal form ------------------------------------------------
+
+@dataclass
+class SmithNormalForm:
+    factors: tuple
+    rank: int
+    left: list | None = None   # U with U*A*V = diag(factors)
+    right: list | None = None  # V
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(matrix, include_transforms: bool = False) -> SmithNormalForm:
+    """Dense Smith normal form over the integers.
+
+    Returns the invariant factors (positive, each dividing the next) and the
+    rank; with include_transforms, also unimodular U and V with U A V = D.
+    """
+    A = [[int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
+    U = _identity(m) if include_transforms else None
+    V = _identity(n) if include_transforms else None
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        if U:
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        if V:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):  # row dst += q * row src
+        Ad, As = A[dst], A[src]
+        for k in range(n):
+            Ad[k] += q * As[k]
+        if U:
+            Ud, Us = U[dst], U[src]
+            for k in range(m):
+                Ud[k] += q * Us[k]
+
+    def add_col(dst, src, q):
+        for row in A:
+            row[dst] += q * row[src]
+        if V:
+            for row in V:
+                row[dst] += q * row[src]
+
+    def negate_row(i):
+        A[i] = [-x for x in A[i]]
+        if U:
+            U[i] = [-x for x in U[i]]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        # locate the smallest nonzero entry in the remaining block
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(A[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        swap_rows(t, bi)
+        swap_cols(t, bj)
+        if A[t][t] < 0:
+            negate_row(t)
+        # clear row and column t, restarting whenever a remainder survives
+        while True:
+            p = A[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // p
+                    add_row(i, t, -q)
+                    if A[i][t]:
+                        swap_rows(t, i)
+                        if A[t][t] < 0:
+                            negate_row(t)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // p
+                    add_col(j, t, -q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        if A[t][t] < 0:
+                            negate_row(t)
+                        dirty = True
+                        break
+            if not dirty:
+                break
+        # enforce divisibility of the remaining block by the pivot
+        p = A[t][t]
+        culprit = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % p:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            add_row(t, culprit, 1)
+            continue
+        t += 1
+
+    factors = tuple(A[i][i] for i in range(limit) if A[i][i])
+    return SmithNormalForm(factors, len(factors), U, V)
+
+
+def _sparse_integer_reduce(boundary: Boundary):
+    """(rank, invariant factors) of a sparse integer boundary matrix.
+
+    Splits off unit pivots with Markowitz-style selection (boundary matrices
+    are almost always fully reducible this way); whatever is left goes to the
+    dense Smith normal form.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
+    for c, col in enumerate(boundary.columns):
+        for r, v in col:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+
+    unit_pivots = 0
+    while True:
+        best = None
+        for r, row in rows.items():
+            rcost = len(row) - 1
+            for c, v in row.items():
+                if v in (1, -1):
+                    cost = rcost * (len(cols[c]) - 1)
+                    key = (cost, r, c)
+                    if best is None or key < best[0]:
+                        best = (key, r, c, v)
+        if best is None:
+            break
+        _, pr, pc, pv = best
+        # clear column pc with row ops, then drop row pr and column pc
+        prow = rows[pr]
+        for r, a in list(cols[pc].items()):
+            if r == pr:
+                continue
+            mult = -a * pv  # pv in {1,-1} so this subtracts a/pv times the pivot row
+            rrow = rows[r]
+            for c, v in prow.items():
+                new = rrow.get(c, 0) + mult * v
+                if new:
+                    rrow[c] = new
+                    cols[c][r] = new
+                else:
+                    rrow.pop(c, None)
+                    cols[c].pop(r, None)
+            if not rrow:
+                del rows[r]
+        for c in list(prow):
+            cols[c].pop(pr, None)
+            if not cols[c]:
+                del cols[c]
+        del rows[pr]
+        unit_pivots += 1
+
+    factors = [1] * unit_pivots
+    rank = unit_pivots
+    if rows:
+        row_ids = sorted(rows)
+        col_ids = sorted({c for row in rows.values() for c in row})
+        dense = [[rows[r].get(c, 0) for c in col_ids] for r in row_ids]
+        snf = smith_normal_form(dense)
+        factors.extend(snf.factors)
+        rank += snf.rank
+    return rank, tuple(factors)
+
+
+# -- Betti tables ---------------------------------------------------------------
+
+@dataclass
+class BettiTable:
+    """Reduced Betti numbers, optionally restricted to a dimension window."""
+    betti: dict
+    coefficients: str                     # "z2" or "int"
+    torsion: dict = field(default_factory=dict)
+    window: tuple | None = None
+
+    def value(self, d: int) -> int:
+        if self.window is not None:
+            lo, hi = self.window
+            if not lo <= d <= hi:
+                raise ValueError(f"dimension {d} outside window {self.window}")
+        return self.betti.get(d, 0)
+
+    def asserted_dims(self):
+        if self.window is not None:
+            lo, hi = self.window
+            return range(lo, hi + 1)
+        dims = set(self.betti)
+        return sorted(dims)
+
+    def nonzero(self) -> dict:
+        return {d: v for d, v in sorted(self.betti.items()) if v}
+
+    def euler(self) -> int:
+        if self.window is not None:
+            raise ValueError("Euler characteristic needs a full-range table")
+        return sum((-1) ** d * v for d, v in self.betti.items())
+
+    def matches(self, expected: dict) -> bool:
+        """Equality against a dim -> multiplicity map on all asserted dimensions."""
+        if self.window is not None:
+            lo, hi = self.window
+            return all(self.betti.get(d, 0) == expected.get(d, 0) for d in range(lo, hi + 1))
+        dims = set(self.betti) | set(expected)
+        return all(self.betti.get(d, 0) == expected.get(d, 0) for d in dims)
+
+    def to_json_dict(self) -> dict:
+        d = {
+            "coefficients": self.coefficients,
+            "window": list(self.window) if self.window else None,
+            "betti": {str(k): v for k, v in sorted(self.betti.items())},
+        }
+        if self.coefficients == "int":
+            d["torsion"] = {str(k): list(v) for k, v in sorted(self.torsion.items()) if v}
+        return d
+
+    def csv_rows(self):
+        rows = ["dimension,betti,torsion"]
+        for d in sorted(self.betti):
+            tor = ";".join(str(t) for t in self.torsion.get(d, ()))
+            rows.append(f"{d},{self.betti[d]},{tor}")
+        return rows
+
+    def render(self) -> str:
+        nz = self.nonzero()
+        if not nz:
+            return "all zero"
+        return ", ".join(f"b{d}={v}" for d, v in nz.items())
+
+
+def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
+    """Full-range reduced Betti numbers of a complex."""
+    if coefficients not in ("z2", "int"):
+        raise ValueError(f"unknown coefficients {coefficients!r}")
+    top = K.dim
+    ranks = {}
+    factors = {}
+    for d in range(0, top + 1):
+        b = boundary_matrix(K, d)
+        if coefficients == "z2":
+            ranks[d] = gf2_rank(gf2_columns(b))
+        else:
+            ranks[d], factors[d] = _sparse_integer_reduce(b)
+    betti = {}
+    torsion = {}
+    for d in range(-1, top + 1):
+        betti[d] = K.face_count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if coefficients == "int":
+            tor = tuple(f for f in factors.get(d + 1, ()) if f > 1)
+            if tor:
+                torsion[d] = tor
+    return BettiTable(betti, coefficients, torsion)
+
+
+def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None,
+                 faces=None) -> BettiTable:
+    """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only.
+
+    ``faces`` may carry a prebuilt window enumeration for the same (G, d_lo, d_hi).
+    """
+    from .complexes import faces_in_window
+    fw = faces if faces is not None else faces_in_window(G, d_lo, d_hi, face_budget=face_budget)
+    ranks = {}
+    for d in range(d_lo, d_hi + 2):
+        if fw.face_count(d) == 0 or (d >= 1 and fw.face_count(d - 1) == 0):
+            # no columns, or a missing row block that can only happen above the top dim
+            ranks[d] = 0
+            continue
+        ranks[d] = gf2_rank(gf2_columns(boundary_matrix(fw, d)))
+    betti = {d: fw.face_count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+             for d in range(d_lo, d_hi + 1)}
+    return BettiTable(betti, "z2", window=(d_lo, d_hi))

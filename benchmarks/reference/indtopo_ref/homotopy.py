@@ -1,0 +1,421 @@
+"""Symbolic homotopy types (wedges of spheres) and homotopy-preserving reductions.
+
+A HomotopyType is either contractible (the empty wedge) or a finite wedge
+of spheres, stored as a dim -> multiplicity map.  Dimension -1 encodes the
+empty complex {[]}, which is the join identity; it can only appear alone.
+The join is bilinear (a p-sphere joined with a q-sphere is a (p+q+1)-sphere),
+which makes "contractible absorbs joins" fall out of the empty product.
+"""
+
+from dataclasses import dataclass, field
+
+from . import graphs as gr
+from .complexes import SimplicialComplex
+from .families import FamilySpec
+from .graphs import Graph, label_key, render_label
+
+
+class HomotopyType:
+    """A finite wedge of spheres; the empty wedge means contractible."""
+
+    __slots__ = ("spheres",)
+
+    def __init__(self, spheres=()):
+        items = dict(spheres)
+        clean = {}
+        for d, c in items.items():
+            if not isinstance(d, int) or not isinstance(c, int):
+                raise ValueError(f"bad sphere entry {d!r}: {c!r}")
+            if c < 0:
+                raise ValueError(f"negative multiplicity for S^{d}")
+            if d < -1:
+                raise ValueError(f"sphere dimension below -1: {d}")
+            if c:
+                clean[d] = c
+        if -1 in clean and clean != {-1: 1}:
+            raise ValueError("the empty complex S^-1 cannot appear in a bigger wedge")
+        self.spheres = tuple(sorted(clean.items()))
+
+    @classmethod
+    def contractible(cls) -> "HomotopyType":
+        return cls()
+
+    @classmethod
+    def sphere(cls, dim: int, mult: int = 1) -> "HomotopyType":
+        return cls({dim: mult})
+
+    @classmethod
+    def empty_complex(cls) -> "HomotopyType":
+        return cls({-1: 1})
+
+    @property
+    def is_contractible(self) -> bool:
+        return not self.spheres
+
+    def betti(self) -> dict:
+        """Implied reduced Betti numbers (dimension -> multiplicity)."""
+        return dict(self.spheres)
+
+    def render(self) -> str:
+        if not self.spheres:
+            return "point"
+        parts = []
+        for d, c in self.spheres:
+            parts.append(f"S^{d}" if c == 1 else f"wedge({c}, S^{d})")
+        return " v ".join(parts)
+
+    def __eq__(self, other):
+        if not isinstance(other, HomotopyType):
+            return NotImplemented
+        return self.spheres == other.spheres
+
+    def __hash__(self):
+        return hash(self.spheres)
+
+    def __repr__(self):
+        return f"<HomotopyType {self.render()}>"
+
+
+def suspend(t: HomotopyType) -> HomotopyType:
+    """Suspension shifts every sphere up one dimension; same as join with S^0."""
+    return HomotopyType({d + 1: c for d, c in t.spheres})
+
+
+def join(a: HomotopyType, b: HomotopyType) -> HomotopyType:
+    """Bilinear join; S^-1 is the identity and contractible absorbs everything."""
+    out = {}
+    for p, cp in a.spheres:
+        for q, cq in b.spheres:
+            d = p + q + 1
+            out[d] = out.get(d, 0) + cp * cq
+    return HomotopyType(out)
+
+
+def wedge(a: HomotopyType, b: HomotopyType) -> HomotopyType:
+    """Wedge sum; contractible is the identity."""
+    out = dict(a.spheres)
+    for d, c in b.spheres:
+        out[d] = out.get(d, 0) + c
+    return HomotopyType(out)
+
+
+def wedge_all(types) -> HomotopyType:
+    out = HomotopyType.contractible()
+    for t in types:
+        out = wedge(out, t)
+    return out
+
+
+# -- closed-form predictors ----------------------------------------------------
+
+@dataclass(frozen=True)
+class Prediction:
+    homotopy: HomotopyType
+    conjectural: bool = False
+    source: str = "closed-form"
+
+
+def predict_product(m: int, n: int) -> HomotopyType:
+    """Product of two complete graphs: (m-1)(n-1) circles."""
+    if m < 2 or n < 2:
+        raise ValueError(f"product predictor needs m, n >= 2, got ({m}, {n})")
+    return HomotopyType.sphere(1, (m - 1) * (n - 1))
+
+
+def predict_multi_k2_product(r: int, n: int) -> HomotopyType:
+    """Product of r-1 copies of K_2 with K_n: (n-1)^(2^(r-2)) spheres S^(2^(r-1)-1)."""
+    if r < 2 or n < 2:
+        raise ValueError(f"multi_k2_product predictor needs r, n >= 2, got ({r}, {n})")
+    copies = 2 ** (r - 2)
+    return HomotopyType.sphere(2 ** (r - 1) - 1, (n - 1) ** copies)
+
+
+def predict_kn_lr(n: int, r: int) -> HomotopyType:
+    """K_n times the looped path L_r; contractible in the middle residue."""
+    if n < 2 or r < 0:
+        raise ValueError(f"kn_lr predictor needs n >= 2, r >= 0, got ({n}, {r})")
+    k, t = divmod(r, 3)
+    if t == 0:
+        return HomotopyType.sphere(2 * k, (n - 1) ** (k + 1))
+    if t == 1:
+        return HomotopyType.contractible()
+    return HomotopyType.sphere(2 * k + 1, (n - 1) ** (k + 1))
+
+
+def predict_gadget(n: int, t: int) -> HomotopyType:
+    """Truncated-tower gadget over K_n with top parameter t."""
+    if n < 3 or t < 0:
+        raise ValueError(f"gadget predictor needs n >= 3, t >= 0, got ({n}, {t})")
+    k, s = divmod(t, 3)
+    if s == 0:
+        return HomotopyType.contractible()
+    if s == 1:
+        return HomotopyType.sphere(2 * k, (n - 1) ** (k + 1))
+    return HomotopyType.sphere(2 * k + 1, (n - 1) ** (k + 1))
+
+
+def predict_path(n: int) -> HomotopyType:
+    """Path on n vertices: point or a single sphere by n mod 3."""
+    if n < 1:
+        raise ValueError(f"path predictor needs n >= 1, got {n}")
+    k, t = divmod(n, 3)
+    if t == 0:
+        return HomotopyType.sphere(k - 1)
+    if t == 1:
+        return HomotopyType.contractible()
+    return HomotopyType.sphere(k)
+
+
+def predict_cycle(n: int) -> HomotopyType:
+    """Cycle on n vertices; two spheres when 3 divides n, else one."""
+    if n < 3:
+        raise ValueError(f"cycle predictor needs n >= 3, got {n}")
+    k, t = divmod(n, 3)
+    if t == 0:
+        return HomotopyType.sphere(k - 1, 2)
+    if t == 1:
+        return HomotopyType.sphere(k - 1)
+    return HomotopyType.sphere(k)
+
+
+def predict_mycielskian(n: int, r: int) -> HomotopyType:
+    """Level-r Mycielskian of K_n for r >= 2; n = 2 routes to the cycle formula."""
+    if n < 2 or r < 2:
+        raise ValueError(f"mycielskian predictor needs n >= 2, r >= 2, got ({n}, {r})")
+    if n == 2:
+        return predict_cycle(2 * r + 1)
+    k, t = divmod(r, 3)
+    if t == 0:
+        return HomotopyType.sphere(2 * k - 1, (n - 1) ** k)
+    if t == 1:
+        return HomotopyType.sphere(2 * k, n * (n - 1) ** k)
+    return HomotopyType.sphere(2 * k + 1, (n - 1) ** (k + 1))
+
+
+def predict_cycle_ladder(n: int, i: int) -> HomotopyType:
+    """Cycle with an i-rung ladder at one vertex; i = 0 is the plain cycle."""
+    if n < 3 or i < 0:
+        raise ValueError(f"cycle_ladder predictor needs n >= 3, i >= 0, got ({n}, {i})")
+    if i == 0:
+        return predict_cycle(n)
+    r, t = divmod(n, 3)
+    if t == 0:
+        if i % 2 == 0:
+            return HomotopyType.sphere(r - 1 + i // 2, 2)
+        return HomotopyType.contractible()
+    if t == 1:
+        if i % 2 == 1:
+            return HomotopyType.sphere(r - 1 + (i + 1) // 2, 2)
+        return HomotopyType.contractible()
+    if i == 1:
+        return HomotopyType.sphere(r, 2)
+    return HomotopyType.sphere(r + i // 2, 2)
+
+
+def predict_conjecture_k2k3kn(n: int) -> HomotopyType:
+    """Conjectured type for K_2 x K_3 x K_n: (n-1)(3n-2) three-spheres."""
+    if n < 2:
+        raise ValueError(f"conjecture predictor needs n >= 2, got {n}")
+    return HomotopyType.sphere(3, (n - 1) * (3 * n - 2))
+
+
+def predict(spec: FamilySpec) -> Prediction:
+    """Closed-form prediction for a family instance, with provenance flags."""
+    fam, p = spec.family, spec.params
+    if fam == "product":
+        return Prediction(predict_product(*p))
+    if fam == "multi_k2_product":
+        return Prediction(predict_multi_k2_product(*p))
+    if fam == "kn_lr":
+        return Prediction(predict_kn_lr(*p))
+    if fam == "gadget":
+        return Prediction(predict_gadget(*p))
+    if fam == "mycielskian":
+        n, r = p
+        if n == 2:
+            return Prediction(predict_mycielskian(n, r), source="literature")
+        return Prediction(predict_mycielskian(n, r))
+    if fam == "path":
+        return Prediction(predict_path(*p))
+    if fam == "cycle":
+        return Prediction(predict_cycle(*p), source="literature")
+    if fam == "cycle_ladder":
+        n, i = p
+        src = "literature" if i == 0 else "closed-form"
+        return Prediction(predict_cycle_ladder(n, i), source=src)
+    if fam == "conjecture_k2k3kn":
+        return Prediction(predict_conjecture_k2k3kn(*p), conjectural=True, source="conjecture")
+    raise ValueError(f"no predictor for family {fam!r}")
+
+
+# -- homotopy-preserving graph reductions ---------------------------------------
+
+def _fold_step(G: Graph):
+    """First dominated pair (u, u2) with N(u) <= N(u2) in canonical scan order."""
+    verts = G.vertices
+    for u in verts:
+        nu = G.neighbors(u)
+        for u2 in verts:
+            if u2 == u:
+                continue
+            if nu <= G.neighbors(u2):
+                return u, u2
+    return None
+
+
+def fold_reduce(G: Graph, budget: int | None = None):
+    """Drop looped vertices, then repeatedly delete dominated vertices.
+
+    A vertex u2 is deleted when some other u has N(u) <= N(u2); looped
+    vertices never appear in a face, so dropping them changes nothing.
+    Returns (residual graph, trace).
+    """
+    trace = []
+    g = G
+    if g.loops:
+        for v in g.loops:
+            trace.append({"rule": "drop-looped", "vertex": render_label(v)})
+        g = gr.delete_vertices(g, g.loops)
+    steps = 0
+    while True:
+        if budget is not None and steps >= budget:
+            break
+        found = _fold_step(g)
+        if found is None:
+            break
+        u, u2 = found
+        trace.append({"rule": "fold", "kept": render_label(u), "deleted": render_label(u2)})
+        g = gr.delete_vertices(g, [u2])
+        steps += 1
+    return g, trace
+
+
+def simplicial_split(G: Graph, v):
+    """Subproblems G - N[w] for each neighbor w of a simplicial vertex v."""
+    if v not in G:
+        raise ValueError(f"not a vertex: {v!r}")
+    if not gr.is_simplicial_vertex(G, v):
+        raise ValueError(f"vertex {v!r} is not simplicial (or is isolated/looped)")
+    out = []
+    for w in sorted(G.neighbors(v), key=label_key):
+        out.append(gr.delete_vertices(G, G.closed_neighborhood(w)))
+    return out
+
+
+def edge_add_if_cone(G: Graph, a, b):
+    """Add edge (a, b) when G - N[{a,b}] visibly cones (has an isolated unlooped vertex).
+
+    {a, b} must be independent: non-adjacent with neither endpoint looped.
+    Returns the bigger graph, or None when the certificate fails.  An empty
+    residual does NOT certify: the empty complex is not collapsible.
+    """
+    if a not in G or b not in G:
+        raise ValueError(f"not vertices: {a!r}, {b!r}")
+    if a == b or G.has_edge(a, b) or G.is_looped(a) or G.is_looped(b):
+        raise ValueError(f"{{{a!r}, {b!r}}} is not independent in the graph")
+    resid = gr.delete_vertices(G, G.closed_neighborhood_set([a, b]))
+    if resid.isolated_vertices():
+        return gr.add_edge(G, a, b)
+    return None
+
+
+def link_delete_if_cone(K: SimplicialComplex, v):
+    """Delete vertex v from the complex when lk(v) is a cone; else None."""
+    lk = K.link(v)
+    if lk.is_cone() is None:
+        return None
+    return K.without_vertex(v)
+
+
+@dataclass(frozen=True)
+class Stuck:
+    """Reduction gave up; carries the residual graph and why."""
+    graph: Graph
+    reason: str
+
+
+def _first_cone_edge(G: Graph):
+    verts = G.unlooped_vertices()
+    for i, a in enumerate(verts):
+        na = G.neighbors(a)
+        for b in verts[i + 1:]:
+            if b in na:
+                continue
+            resid = gr.delete_vertices(G, G.closed_neighborhood_set([a, b]))
+            iso = resid.isolated_vertices()
+            if iso:
+                return a, b, iso[0]
+    return None
+
+
+def reduce(G: Graph, budget: int = 10_000):
+    """Drive the reduction lemmas to a homotopy type, or report Stuck.
+
+    Rules, in order per pass: drop looped vertices; empty graph => S^-1;
+    isolated vertex => contractible cone; fold a dominated vertex; split at
+    the first simplicial vertex (recursing on each piece and wedging the
+    suspensions); as a last resort, add a cone-certified edge.  The budget
+    caps total lemma applications; every step lands in the trace.
+    """
+    counter = [budget]
+
+    def go(g):
+        trace = []
+        while True:
+            if counter[0] <= 0:
+                return Stuck(g, "budget exhausted"), trace
+            if g.loops:
+                for v in g.loops:
+                    trace.append({"rule": "drop-looped", "vertex": render_label(v)})
+                counter[0] -= len(g.loops)
+                g = gr.delete_vertices(g, g.loops)
+                continue
+            if not g.vertices:
+                trace.append({"rule": "empty-graph"})
+                return HomotopyType.empty_complex(), trace
+            iso = g.isolated_vertices()
+            if iso:
+                trace.append({"rule": "cone-isolated", "vertex": render_label(iso[0])})
+                return HomotopyType.contractible(), trace
+            fold = _fold_step(g)
+            if fold is not None:
+                u, u2 = fold
+                counter[0] -= 1
+                trace.append({"rule": "fold", "kept": render_label(u),
+                              "deleted": render_label(u2)})
+                g = gr.delete_vertices(g, [u2])
+                continue
+            split_v = None
+            for v in g.vertices:
+                if gr.is_simplicial_vertex(g, v):
+                    split_v = v
+                    break
+            if split_v is not None:
+                counter[0] -= 1
+                subs = simplicial_split(g, split_v)
+                branches = []
+                parts = []
+                for sub in subs:
+                    res, sub_trace = go(sub)
+                    branches.append(sub_trace)
+                    if isinstance(res, Stuck):
+                        trace.append({"rule": "split",
+                                      "vertex": render_label(split_v),
+                                      "branches": branches})
+                        return res, trace
+                    parts.append(suspend(res))
+                trace.append({"rule": "split", "vertex": render_label(split_v),
+                              "branches": branches})
+                return wedge_all(parts), trace
+            cone_edge = _first_cone_edge(g)
+            if cone_edge is not None:
+                a, b, witness = cone_edge
+                counter[0] -= 1
+                trace.append({"rule": "add-edge-cone",
+                              "edge": [render_label(a), render_label(b)],
+                              "isolated_witness": render_label(witness)})
+                g = gr.add_edge(g, a, b)
+                continue
+            return Stuck(g, "no rule fired"), trace
+
+    return go(G)

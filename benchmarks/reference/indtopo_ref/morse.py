@@ -1,0 +1,209 @@
+"""Discrete Morse matchings built by processing elements in a fixed order.
+
+The matching pairs each face sigma in the current pool with sigma + {x}
+whenever both are still unpaired, sweeping x through the given order.
+Within one sweep the pairing is an involution on the pool, so the result
+does not depend on the iteration order inside a step.  The empty face
+participates like any other face.
+"""
+
+import bisect
+from dataclasses import dataclass
+
+from .complexes import SimplicialComplex
+from .graphs import label_key, render_label
+from .homotopy import HomotopyType
+
+
+class MatchingError(ValueError):
+    """A matching failed validation or an acyclicity precondition."""
+
+
+@dataclass(frozen=True)
+class Matching:
+    """Pairs (sigma, sigma + {x}) of label tuples, plus the unpaired critical cells."""
+    order: tuple
+    pairs: tuple
+    critical: tuple
+
+    @property
+    def empty_face_matched(self) -> bool:
+        return any(small == () for small, _ in self.pairs)
+
+    def critical_by_dimension(self) -> dict:
+        out = {}
+        for f in self.critical:
+            out.setdefault(len(f) - 1, []).append(f)
+        return {d: tuple(fs) for d, fs in sorted(out.items())}
+
+    def critical_counts(self) -> dict:
+        return {d: len(fs) for d, fs in self.critical_by_dimension().items()}
+
+    def to_json_dict(self) -> dict:
+        def face(f):
+            return [render_label(v) for v in f]
+        return {
+            "order": [render_label(v) for v in self.order],
+            "pairs": [[face(a), face(b)] for a, b in self.pairs],
+            "critical": [face(f) for f in self.critical],
+            "critical_counts": {str(d): c for d, c in self.critical_counts().items()},
+            "empty_face_matched": self.empty_face_matched,
+        }
+
+
+def element_matching(K: SimplicialComplex, order) -> Matching:
+    """Run the ordered sweep over the given elements (a duplicate-free subset of V(K))."""
+    order = tuple(order)
+    if len(set(order)) != len(order):
+        raise MatchingError("duplicate elements in the order")
+    idx = []
+    for v in order:
+        idx.append(K.index_of(v))  # raises on foreign labels
+
+    pool = set()
+    for d in K.dims():
+        pool.update(K.index_faces(d))
+
+    pairs = []
+    for x in idx:
+        candidates = []
+        for sigma in pool:
+            if x in sigma:
+                continue
+            k = bisect.bisect_left(sigma, x)
+            bigger = sigma[:k] + (x,) + sigma[k:]
+            if bigger in pool:
+                candidates.append((sigma, bigger))
+        candidates.sort(key=lambda p: (len(p[0]), p[0]))
+        for sigma, bigger in candidates:
+            pool.discard(sigma)
+            pool.discard(bigger)
+            pairs.append((sigma, bigger))
+
+    vs = K.vertices
+
+    def labels(f):
+        return tuple(vs[i] for i in f)
+
+    return Matching(
+        order=order,
+        pairs=tuple((labels(a), labels(b)) for a, b in sorted(pairs, key=lambda p: (len(p[0]), p[0]))),
+        critical=tuple(labels(f) for f in sorted(pool, key=lambda f: (len(f), f))),
+    )
+
+
+def _validate(matching: Matching, K: SimplicialComplex):
+    """Check the pairing is a genuine partial matching by covers on K's faces."""
+    seen = set()
+    for small, big in matching.pairs:
+        if len(big) != len(small) + 1 or not set(small) < set(big):
+            raise MatchingError(f"pair is not a cover: {small} - {big}")
+        if not K.has_face(small) or not K.has_face(big):
+            raise MatchingError(f"pair uses a non-face: {small} - {big}")
+        for f in (small, big):
+            if f in seen:
+                raise MatchingError(f"face matched twice: {f}")
+            seen.add(f)
+    for f in matching.critical:
+        if f in seen:
+            raise MatchingError(f"face both matched and critical: {f}")
+        seen.add(f)
+
+
+def verify_acyclic(matching: Matching, K: SimplicialComplex):
+    """Certify the matching has no alternating cycle.
+
+    Covers run downward except matched covers, which run upward.  Returns
+    (True, None) or (False, witness) where the witness is the face cycle.
+    """
+    _validate(matching, K)
+    matched_up = {}
+    for small, big in matching.pairs:
+        matched_up[small] = big
+
+    succ = {}
+
+    def edges_from(face):
+        if face in succ:
+            return succ[face]
+        out = []
+        up = matched_up.get(face)
+        if up is not None:
+            out.append(up)
+        if len(face) >= 1:
+            for k in range(len(face)):
+                sub = face[:k] + face[k + 1:]
+                if matched_up.get(sub) != face:
+                    out.append(sub)
+        succ[face] = out
+        return out
+
+    all_faces = []
+    for d in K.dims():
+        all_faces.extend(K.faces(d))
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {}
+    for start in all_faces:
+        if color.get(start, WHITE) != WHITE:
+            continue
+        stack = [(start, iter(edges_from(start)))]
+        color[start] = GRAY
+        trail = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                c = color.get(nxt, WHITE)
+                if c == GRAY:
+                    # found a cycle; cut the trail at the repeated face
+                    k = trail.index(nxt)
+                    return False, list(trail[k:]) + [nxt]
+                if c == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(edges_from(nxt))))
+                    trail.append(nxt)
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+                trail.pop()
+    return True, None
+
+
+def critical_cells(matching: Matching) -> dict:
+    """Critical cells grouped by dimension (the empty face counts at dimension -1)."""
+    return matching.critical_by_dimension()
+
+
+def wedge_conclusion(matching: Matching, K: SimplicialComplex):
+    """Read a wedge-of-spheres conclusion off an acyclic matching, if one applies.
+
+    Needs the empty face matched; then all critical cells in one dimension i
+    give a wedge of that many i-spheres, and no critical cells at all give a
+    contractible conclusion.  Returns None when the shape does not apply.
+    """
+    ok, witness = verify_acyclic(matching, K)
+    if not ok:
+        raise MatchingError(f"matching is not acyclic; witness cycle: {witness}")
+    if not matching.empty_face_matched:
+        return None
+    counts = matching.critical_counts()
+    if not counts:
+        return HomotopyType.contractible()
+    if len(counts) == 1:
+        ((d, c),) = counts.items()
+        return HomotopyType.sphere(d, c)
+    return None
+
+
+def product_matching_order(m: int, n: int):
+    """The sweep order that certifies Ind(K_m x K_n): first row, then first column.
+
+    (1,1) < (1,2) < ... < (1,n) < (2,1) < (3,1) < ... < (m,1); with this order
+    the critical cells are exactly the pairs {(i,1),(i,j)} with i, j >= 2.
+    """
+    if m < 2 or n < 2:
+        raise ValueError(f"product order needs m, n >= 2, got ({m}, {n})")
+    return [(1, j) for j in range(1, n + 1)] + [(i, 1) for i in range(2, m + 1)]
