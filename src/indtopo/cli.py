@@ -91,7 +91,8 @@ def _build_parser() -> _Parser:
     add_common(p_verify, with_window=False, with_coeff=False)
     p_verify.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for suite instances")
+                          help="worker processes for suite instances "
+                               "(capped at the processor count)")
     p_verify.add_argument("--count", type=int, default=None,
                           help="sample count override for randomized suites")
     p_verify.add_argument("--strict-conjectures", action="store_true",
@@ -306,11 +307,7 @@ def _cmd_verify(args) -> int:
         _emit(report.render_table())
     if report.ok:
         return EXIT_PASS
-    gating = [r for s in report.suites for r in s.records
-              if not r.match and (not r.conjectural or args.strict_conjectures)]
-    if gating and all("budget" in r.note for r in gating):
-        return EXIT_RESOURCE
-    return EXIT_MISMATCH
+    return EXIT_RESOURCE if report.resource_trouble else EXIT_MISMATCH
 
 
 def main(argv=None) -> int:

@@ -366,28 +366,6 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
     return SimplicialComplex(vs, faces, source=source)
 
 
-# -- module-level wrappers (spec-named ops) ----------------------------------
-
-def link(K: SimplicialComplex, v) -> SimplicialComplex:
-    return K.link(v)
-
-
-def star(K: SimplicialComplex, face_labels) -> SimplicialComplex:
-    return K.star(face_labels)
-
-
-def star_cluster(K: SimplicialComplex, face_labels) -> SimplicialComplex:
-    return K.star_cluster(face_labels)
-
-
-def euler_characteristic_reduced(K: SimplicialComplex) -> int:
-    return K.euler_characteristic_reduced()
-
-
-def is_cone(K: SimplicialComplex):
-    return K.is_cone()
-
-
 # -- serialization ------------------------------------------------------------
 
 def complex_to_json_dict(K: SimplicialComplex) -> dict:

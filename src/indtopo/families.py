@@ -40,13 +40,11 @@ _DOMAINS = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One family instance: name, integer parameters, optional window/coefficients."""
+    """One family instance: name and integer parameters, or a graph file path."""
 
     family: str
     params: tuple = ()
     path: str | None = None
-    window: tuple | None = None
-    coefficients: str = "z2"
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))

@@ -196,20 +196,6 @@ def is_simplicial_vertex(G: Graph, v) -> bool:
     return True
 
 
-# -- module-level neighborhood ops (thin functional wrappers) --------------
-
-def neighborhood(G: Graph, v) -> frozenset:
-    return G.neighbors(v)
-
-
-def closed_neighborhood(G: Graph, v) -> frozenset:
-    return G.closed_neighborhood(v)
-
-
-def closed_neighborhood_set(G: Graph, labels) -> frozenset:
-    return G.closed_neighborhood_set(labels)
-
-
 # -- family constructors ---------------------------------------------------
 
 def complete(n: int) -> Graph:

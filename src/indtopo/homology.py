@@ -281,7 +281,8 @@ class BettiTable:
     def euler(self) -> int:
         if self.window is not None:
             raise ValueError("Euler characteristic needs a full-range table")
-        return sum((-1) ** d * v for d, v in self.betti.items())
+        # (-1) ** -1 is a float, so branch on parity instead
+        return sum(-v if d % 2 else v for d, v in self.betti.items())
 
     def matches(self, expected: dict) -> bool:
         """Equality against a dim -> multiplicity map on all asserted dimensions."""
@@ -315,28 +316,34 @@ class BettiTable:
         return ", ".join(f"b{d}={v}" for d, v in nz.items())
 
 
+def _betti_table(store, lo: int, hi: int, coefficients: str,
+                 window: tuple | None = None) -> BettiTable:
+    """Betti numbers of dimensions lo..hi from a face store holding dims lo-1..hi+1."""
+    ranks = {}
+    factors = {}
+    for d in range(max(lo, 0), hi + 2):
+        if store.face_count(d) == 0:
+            continue
+        # nested calls, so each Boundary is freed before its elimination runs
+        if coefficients == "z2":
+            ranks[d] = gf2_rank(gf2_columns(boundary_matrix(store, d)))
+        else:
+            ranks[d], factors[d] = _sparse_integer_reduce(boundary_matrix(store, d))
+    betti = {}
+    torsion = {}
+    for d in range(lo, hi + 1):
+        betti[d] = store.face_count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        tor = tuple(f for f in factors.get(d + 1, ()) if f > 1)
+        if tor:
+            torsion[d] = tor
+    return BettiTable(betti, coefficients, torsion, window)
+
+
 def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
     """Full-range reduced Betti numbers of a complex."""
     if coefficients not in ("z2", "int"):
         raise ValueError(f"unknown coefficients {coefficients!r}")
-    top = K.dim
-    ranks = {}
-    factors = {}
-    for d in range(0, top + 1):
-        b = boundary_matrix(K, d)
-        if coefficients == "z2":
-            ranks[d] = gf2_rank(gf2_columns(b))
-        else:
-            ranks[d], factors[d] = _sparse_integer_reduce(b)
-    betti = {}
-    torsion = {}
-    for d in range(-1, top + 1):
-        betti[d] = K.face_count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if coefficients == "int":
-            tor = tuple(f for f in factors.get(d + 1, ()) if f > 1)
-            if tor:
-                torsion[d] = tor
-    return BettiTable(betti, coefficients, torsion)
+    return _betti_table(K, -1, K.dim, coefficients)
 
 
 def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None,
@@ -347,13 +354,4 @@ def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None,
     """
     from .complexes import faces_in_window
     fw = faces if faces is not None else faces_in_window(G, d_lo, d_hi, face_budget=face_budget)
-    ranks = {}
-    for d in range(d_lo, d_hi + 2):
-        if fw.face_count(d) == 0 or (d >= 1 and fw.face_count(d - 1) == 0):
-            # no columns, or a missing row block that can only happen above the top dim
-            ranks[d] = 0
-            continue
-        ranks[d] = gf2_rank(gf2_columns(boundary_matrix(fw, d)))
-    betti = {d: fw.face_count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-             for d in range(d_lo, d_hi + 1)}
-    return BettiTable(betti, "z2", window=(d_lo, d_hi))
+    return _betti_table(fw, d_lo, d_hi, "z2", (d_lo, d_hi))

@@ -31,6 +31,7 @@ class Matching:
         return any(small == () for small, _ in self.pairs)
 
     def critical_by_dimension(self) -> dict:
+        """Critical cells grouped by dimension (the empty face counts at dimension -1)."""
         out = {}
         for f in self.critical:
             out.setdefault(len(f) - 1, []).append(f)
@@ -170,11 +171,6 @@ def verify_acyclic(matching: Matching, K: SimplicialComplex):
                 stack.pop()
                 trail.pop()
     return True, None
-
-
-def critical_cells(matching: Matching) -> dict:
-    """Critical cells grouped by dimension (the empty face counts at dimension -1)."""
-    return matching.critical_by_dimension()
 
 
 def wedge_conclusion(matching: Matching, K: SimplicialComplex):

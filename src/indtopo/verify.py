@@ -7,6 +7,7 @@ into jobs; jobs are picklable (kind, args) pairs so a worker pool can chew
 through instances; report assembly is single-threaded and deterministic.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -86,11 +87,6 @@ class SuiteResult:
     def gating_failures(self) -> int:
         return sum(1 for r in self.records if not r.match and not r.conjectural)
 
-    @property
-    def resource_failures(self) -> int:
-        return sum(1 for r in self.records
-                   if not r.match and "budget" in r.note)
-
     def to_json_dict(self, deterministic: bool = False) -> dict:
         return {
             "suite": self.name,
@@ -111,16 +107,20 @@ class VerificationReport:
     seed: int
     strict_conjectures: bool = False
 
+    def _gating(self) -> list:
+        """Failed records that gate: all but conjectural ones, unless strict."""
+        return [r for s in self.suites for r in s.records
+                if not r.match and (self.strict_conjectures or not r.conjectural)]
+
     @property
     def ok(self) -> bool:
-        bad = sum(s.gating_failures for s in self.suites)
-        if self.strict_conjectures:
-            bad += sum(s.failed - s.gating_failures for s in self.suites)
-        return bad == 0
+        return not self._gating()
 
     @property
     def resource_trouble(self) -> bool:
-        return any(s.resource_failures for s in self.suites)
+        """True when there are gating failures and every one of them hit a budget."""
+        gating = self._gating()
+        return bool(gating) and all("budget" in r.note for r in gating)
 
     def to_json_dict(self, deterministic: bool = False) -> dict:
         total = sum(len(s.records) for s in self.suites)
@@ -178,8 +178,36 @@ def _auto_window(pred: HomotopyType, G) -> tuple | None:
     return (max(0, min(dims) - 1), max(dims) + 1)
 
 
-def _window_faces(fw) -> int:
-    return sum(fw.face_count(d) for d in fw.dims())
+def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
+                 window: tuple | None, face_budget: int | None,
+                 conjectural: bool) -> InstanceRecord:
+    """Compare the Betti numbers of Ind(G), full-range or in a window, with a homotopy type."""
+    want = expected.betti()
+    rec = InstanceRecord(
+        instance=instance, predicted=expected.render(), predicted_betti=want,
+        computed_betti={}, coefficients=coefficients,
+        window=None if window is None else tuple(window), match=False,
+        conjectural=conjectural)
+    t0 = time.perf_counter()
+    try:
+        if window is None:
+            K = independence_complex(G, face_budget=face_budget)
+            rec.faces = K.total_faces
+            bt = betti_reduced(K, coefficients)
+            rec.computed_betti = bt.nonzero()
+        else:
+            fw = faces_in_window(G, window[0], window[1], face_budget=face_budget)
+            rec.faces = sum(fw.face_count(d) for d in fw.dims())
+            bt = betti_window(G, window[0], window[1], faces=fw)
+            rec.computed_betti = dict(bt.betti)
+        rec.torsion = dict(bt.torsion)
+        rec.match = bt.matches(want) and not rec.torsion
+        if rec.torsion:
+            rec.note = "unexpected torsion"
+    except FaceBudgetError as e:
+        rec.note = str(e)
+    rec.seconds = time.perf_counter() - t0
+    return rec
 
 
 def check_family_instance(family: str, params: tuple, coefficients: str = "z2",
@@ -188,43 +216,12 @@ def check_family_instance(family: str, params: tuple, coefficients: str = "z2",
     """Compare the closed-form prediction with computed homology for one instance."""
     spec = FamilySpec(family, params)
     pr = predict(spec)
-    expected = pr.homotopy.betti()
     G = build_graph(spec)
     if window == "auto":
         window = _auto_window(pr.homotopy, G)
-    t0 = time.perf_counter()
-    note = ""
-    torsion = {}
-    try:
-        if window is None:
-            K = independence_complex(G, face_budget=face_budget)
-            bt = betti_reduced(K, coefficients=coefficients)
-            computed = bt.nonzero()
-            torsion = dict(bt.torsion)
-            match = bt.matches(expected) and not torsion
-            faces = K.total_faces
-        else:
-            fw = faces_in_window(G, window[0], window[1], face_budget=face_budget)
-            faces = _window_faces(fw)
-            bt = betti_window(G, window[0], window[1], faces=fw)
-            computed = {d: bt.value(d) for d in bt.asserted_dims()}
-            match = bt.matches(expected)
-    except FaceBudgetError as e:
-        return InstanceRecord(
-            instance=spec.describe(), predicted=pr.homotopy.render(),
-            predicted_betti=expected, computed_betti={}, coefficients=coefficients,
-            window=None if window is None else tuple(window), match=False,
-            conjectural=pr.conjectural, seconds=time.perf_counter() - t0,
-            note=f"face budget exceeded: {e}")
-    seconds = time.perf_counter() - t0
-    if torsion:
-        note = "unexpected torsion"
-    return InstanceRecord(
-        instance=spec.describe(), predicted=pr.homotopy.render(),
-        predicted_betti=expected, computed_betti=computed,
-        coefficients=coefficients, window=None if window is None else tuple(window),
-        match=match, conjectural=pr.conjectural, seconds=seconds,
-        faces=faces, torsion=torsion, note=note)
+    return _check_betti(spec.describe(), pr.homotopy, G, coefficients, window,
+                        face_budget, pr.conjectural)
+
 
 def check_family_int(family: str, params: tuple,
                      face_budget: int | None = None) -> InstanceRecord:
@@ -240,46 +237,13 @@ def check_table1_row(n: int, kind: str = "window",
     kind "window": mod-2 in the fixed window (2, 4), expecting (0, row, 0).
     kind "int": full-range integer homology, expecting only b3 = row, no torsion.
     """
-    row = TABLE1_ROWS[n]
-    t0 = time.perf_counter()
     G = build_graph(FamilySpec("conjecture_k2k3kn", (n,)))
-    try:
-        if kind == "window":
-            lo, hi = TABLE1_WINDOW
-            fw = faces_in_window(G, lo, hi, face_budget=face_budget)
-            faces = _window_faces(fw)
-            bt = betti_window(G, lo, hi, faces=fw)
-            computed = {d: bt.value(d) for d in bt.asserted_dims()}
-            match = computed == {2: 0, 3: row, 4: 0}
-            torsion = {}
-            window = TABLE1_WINDOW
-            coeff = "z2"
-        else:
-            K = independence_complex(G, face_budget=face_budget)
-            faces = K.total_faces
-            bt = betti_reduced(K, coefficients="int")
-            computed = bt.nonzero()
-            torsion = dict(bt.torsion)
-            match = computed == {3: row} and not torsion
-            window = None
-            coeff = "int"
-    except FaceBudgetError as e:
-        return InstanceRecord(instance=f"table1 n={n} ({kind})",
-                              predicted=f"wedge({row}, S^3)", predicted_betti={3: row},
-                              computed_betti={}, coefficients="z2", window=None,
-                              match=False, note=f"face budget exceeded: {e}")
-    return InstanceRecord(
-        instance=f"table1 n={n} ({kind})",
-        predicted=f"wedge({row}, S^3)",
-        predicted_betti={3: row},
-        computed_betti=computed,
-        coefficients=coeff,
-        window=window,
-        match=match,
-        seconds=time.perf_counter() - t0,
-        faces=faces,
-        torsion=torsion,
-        note="published row reproduced" if match else "mismatch with published row")
+    window, coefficients = (TABLE1_WINDOW, "z2") if kind == "window" else (None, "int")
+    rec = _check_betti(f"table1 n={n} ({kind})", HomotopyType.sphere(3, TABLE1_ROWS[n]),
+                       G, coefficients, window, face_budget, False)
+    if not rec.note:
+        rec.note = "published row reproduced" if rec.match else "mismatch with published row"
+    return rec
 
 
 def check_morse_product(m: int, n: int) -> InstanceRecord:
@@ -347,7 +311,7 @@ def check_suspension_shift(kind: str, tag: str, G, H,
         return InstanceRecord(instance=f"{kind} {tag}", predicted=None,
                               predicted_betti=None, computed_betti={},
                               coefficients="z2", window=None, match=False,
-                              note=f"face budget exceeded: {e}")
+                              note=str(e))
     want = {d + 1: v for d, v in base.items()}
     return InstanceRecord(
         instance=f"{kind} {tag}",
@@ -378,7 +342,7 @@ def check_morse_homology_batch(n: int, graphs_orders: list) -> InstanceRecord:
             bad.append(f"#{idx}: Morse inequality fails ({counts} vs {betti})")
         # counts includes dim -1 when the empty face is critical, so the plain
         # alternating sum is the reduced Euler characteristic (pairs cancel)
-        morse_euler = sum((-1) ** d * c for d, c in counts.items())
+        morse_euler = sum(-c if d % 2 else c for d, c in counts.items())
         if morse_euler != K.euler_characteristic_reduced():
             bad.append(f"#{idx}: Euler sum {morse_euler} != chi")
         if len(bad) >= 3:
@@ -605,7 +569,10 @@ SUITES = {
 def run_suites(names, seed: int = 7, jobs: int = 1,
                face_budget: int | None = None, overrides: dict | None = None,
                strict_conjectures: bool = False) -> VerificationReport:
-    """Run the named suites ("all" for every one) and assemble a report."""
+    """Run the named suites ("all" for every one) and assemble a report.
+
+    ``jobs`` worker processes are used, at most one per processor.
+    """
     if names == "all" or names == ["all"]:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -617,12 +584,15 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
     opts.setdefault("seed", seed)
     opts["face_budget"] = face_budget
 
+    jobs = min(jobs, os.cpu_count() or 1)
+
     results = []
     table1_window_rows = {}
     for name in names:
         criterion, builder, _ = SUITES[name]
         if name == "conjecture" and table1_window_rows:
-            records = [_conjecture_from_table1(rec) for _, rec in sorted(table1_window_rows.items())]
+            records = [_conjecture_from_table1(n, rec)
+                       for n, rec in sorted(table1_window_rows.items())]
             results.append(SuiteResult(name, criterion, records))
             continue
         job_list = builder(opts)
@@ -632,7 +602,8 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
         else:
             records = [_run_job(j) for j in job_list]
         if name == "conjecture":
-            records = [_conjecture_from_table1(r) for r in records]
+            records = [_conjecture_from_table1(job[1][0], r)
+                       for job, r in zip(job_list, records)]
         results.append(SuiteResult(name, criterion, records))
         if name == "table1":
             for job, rec in zip(job_list, records):
@@ -641,9 +612,8 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
     return VerificationReport(results, seed, strict_conjectures)
 
 
-def _conjecture_from_table1(rec: InstanceRecord) -> InstanceRecord:
-    """Re-badge a published-row record as conjecture evidence (same numbers)."""
-    n = int(rec.instance.split("n=")[1].split()[0])
+def _conjecture_from_table1(n: int, rec: InstanceRecord) -> InstanceRecord:
+    """Re-badge the published-row record of K_2 x K_3 x K_n as conjecture evidence."""
     pred = predict(FamilySpec("conjecture_k2k3kn", (n,)))
     expected = pred.homotopy.betti()
     match = rec.match and all(rec.computed_betti.get(d, 0) == c for d, c in expected.items())

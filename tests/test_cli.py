@@ -6,7 +6,14 @@ import pytest
 
 from indtopo import cli
 from indtopo import graphs as gr
-from indtopo.verify import InstanceRecord, SuiteResult, VerificationReport
+from indtopo import verify
+from indtopo.verify import (
+    InstanceRecord,
+    SuiteResult,
+    VerificationReport,
+    check_family_instance,
+    check_table1_row,
+)
 
 
 def run(capsys, *argv):
@@ -220,6 +227,47 @@ def test_verify_resource_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suites", lambda *a, **k: report)
     code, _, _ = run(capsys, "verify", "fake")
     assert code == 2
+
+
+@pytest.mark.parametrize("check, args, suite, overrides, coefficients, window", [
+    (check_table1_row, (3, "window"), "table1", ("--n", "3"), "z2", (2, 4)),
+    (check_table1_row, (3, "int"), "table1", ("--n", "3"), "int", None),
+    (check_family_instance, ("mycielskian", (3, 7)), "mycielskian",
+     ("--n", "3", "--r", "7"), "z2", (3, 5)),
+])
+def test_face_budget_failure_records(capsys, check, args, suite, overrides,
+                                     coefficients, window):
+    rec = check(*args, face_budget=100)
+    assert rec.match is False and not rec.conjectural
+    assert rec.coefficients == coefficients and rec.window == window
+    assert rec.note == "face budget exceeded: 101 > 100"
+    code, _, _ = run(capsys, "verify", suite, *overrides, "--budget-faces", "100")
+    assert code == 2
+
+
+def test_verify_jobs_capped_at_processor_count(monkeypatch):
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    report = verify.run_suites(["paths_cycles"], jobs=64, overrides={"n": [3]})
+    assert seen == [2] and report.ok
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    verify.run_suites(["paths_cycles"], jobs=64, overrides={"n": [3]})
+    assert seen == [2]
 
 
 def test_verify_conjectural_failure_gates_only_when_strict(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from indtopo.homology import betti_reduced
 from indtopo.morse import (
     Matching,
     MatchingError,
-    critical_cells,
     element_matching,
     product_matching_order,
     verify_acyclic,
@@ -166,7 +165,7 @@ def test_critical_counts_conserve_euler_and_bound_betti():
 def test_critical_cells_grouping():
     K = independence_complex(gr.complete(3))
     m = element_matching(K, [1])
-    by_dim = critical_cells(m)
+    by_dim = m.critical_by_dimension()
     assert by_dim == {0: ((2,), (3,))}
 
 
