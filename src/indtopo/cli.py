@@ -16,7 +16,7 @@ from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph
 from .homology import betti_reduced, betti_window
 from .homotopy import HomotopyType, Stuck, predict, reduce as reduce_graph
-from .morse import element_matching, product_matching_order, verify_acyclic, wedge_conclusion
+from .morse import _wedge_from_critical, element_matching, product_matching_order, verify_acyclic
 from .verify import SUITES, run_suites
 
 EXIT_PASS = 0
@@ -202,7 +202,7 @@ def _cmd_morse(args) -> int:
         order = _default_order(spec, G)
     matching = element_matching(K, order)
     acyclic, witness = verify_acyclic(matching, K)
-    wedge = wedge_conclusion(matching, K) if acyclic else None
+    wedge = _wedge_from_critical(matching) if acyclic else None
     counts = matching.critical_counts()
     if args.format == "json":
         out = {

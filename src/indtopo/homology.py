@@ -2,9 +2,11 @@
 
 Reduced throughout: the augmentation map sends every vertex to the empty
 face, so a complex of n isolated points has betti_0 = n - 1 and the empty
-complex {[]} has betti_-1 = 1.  Mod-2 ranks use python-int bitsets; the
-integer path uses a sparse unit-pivot elimination with a dense Smith
-normal form fallback, all in arbitrary precision (overflow is impossible).
+complex {[]} has betti_-1 = 1.  Mod-2 ranks use python-int bitsets.  The
+integer path is one sparse column reduction on +-1 pivots; only the block
+it cannot reduce that way goes to a dense Smith normal form, whose factors
+above 1 are the torsion.  All arithmetic is arbitrary precision (overflow is
+impossible).
 
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
@@ -68,60 +70,37 @@ def gf2_rank(columns) -> int:
 class SmithNormalForm:
     factors: tuple
     rank: int
-    left: list | None = None   # U with U*A*V = diag(factors)
-    right: list | None = None  # V
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(matrix, include_transforms: bool = False) -> SmithNormalForm:
+def smith_normal_form(matrix) -> SmithNormalForm:
     """Dense Smith normal form over the integers.
 
-    Returns the invariant factors (positive, each dividing the next) and the
-    rank; with include_transforms, also unimodular U and V with U A V = D.
+    Returns the invariant factors (positive, each dividing the next) and the rank.
     """
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = _identity(m) if include_transforms else None
-    V = _identity(n) if include_transforms else None
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        if U:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if V:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):  # row dst += q * row src
         Ad, As = A[dst], A[src]
         for k in range(n):
             Ad[k] += q * As[k]
-        if U:
-            Ud, Us = U[dst], U[src]
-            for k in range(m):
-                Ud[k] += q * Us[k]
 
     def add_col(dst, src, q):
         for row in A:
             row[dst] += q * row[src]
-        if V:
-            for row in V:
-                row[dst] += q * row[src]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
-        if U:
-            U[i] = [-x for x in U[i]]
 
     t = 0
     limit = min(m, n)
@@ -184,71 +163,62 @@ def smith_normal_form(matrix, include_transforms: bool = False) -> SmithNormalFo
         t += 1
 
     factors = tuple(A[i][i] for i in range(limit) if A[i][i])
-    return SmithNormalForm(factors, len(factors), U, V)
+    return SmithNormalForm(factors, len(factors))
 
 
-def _sparse_integer_reduce(boundary: Boundary):
-    """(rank, invariant factors) of a sparse integer boundary matrix.
+def _integer_reduce(boundary: Boundary):
+    """(rank, invariant factors of the residual block) of an integer boundary matrix.
 
-    Splits off unit pivots with Markowitz-style selection (boundary matrices
-    are almost always fully reducible this way); whatever is left goes to the
-    dense Smith normal form.
+    Column reduction in the loop shape of gf2_rank: each column is reduced on
+    its highest row ("low") against earlier columns whose entry there is +-1.
+    A column left with a unit low becomes that row's pivot; one left with a
+    non-unit low goes to a residual list.  Afterwards every unit-pivot row is
+    cleared from the residual columns, highest row first, and only that
+    residual block goes to the dense Smith normal form.
+
+    Why this is exact: all of the above are unimodular column operations.
+    The unit-pivot columns are unit-triangular on their pivot rows, and the
+    cleared residual is zero on those rows, so row operations from the pivot
+    rows split the pivots off as a direct summand of unit factors.  The rank
+    is therefore (number of unit pivots) + (residual rank), and the torsion
+    is the residual's factors > 1.  The pivots' factors, all 1, are not
+    returned; callers read torsion as the factors > 1.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, dict[int, int]] = {}
-    for c, col in enumerate(boundary.columns):
-        for r, v in col:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, {})[r] = v
-
-    unit_pivots = 0
-    while True:
-        best = None
-        for r, row in rows.items():
-            rcost = len(row) - 1
-            for c, v in row.items():
-                if v in (1, -1):
-                    cost = rcost * (len(cols[c]) - 1)
-                    key = (cost, r, c)
-                    if best is None or key < best[0]:
-                        best = (key, r, c, v)
-        if best is None:
-            break
-        _, pr, pc, pv = best
-        # clear column pc with row ops, then drop row pr and column pc
-        prow = rows[pr]
-        for r, a in list(cols[pc].items()):
-            if r == pr:
-                continue
-            mult = -a * pv  # pv in {1,-1} so this subtracts a/pv times the pivot row
-            rrow = rows[r]
-            for c, v in prow.items():
-                new = rrow.get(c, 0) + mult * v
-                if new:
-                    rrow[c] = new
-                    cols[c][r] = new
+    pivots = {}      # low row -> reduced column whose entry there is +-1
+    residual = []
+    for entries in boundary.columns:
+        col = dict(entries)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                if col[low] in (1, -1):
+                    pivots[low] = col
                 else:
-                    rrow.pop(c, None)
-                    cols[c].pop(r, None)
-            if not rrow:
-                del rows[r]
-        for c in list(prow):
-            cols[c].pop(pr, None)
-            if not cols[c]:
-                del cols[c]
-        del rows[pr]
-        unit_pivots += 1
+                    residual.append(col)
+                break
+            _subtract(col, other, col[low] * other[low])
+    if residual:
+        for low in sorted(pivots, reverse=True):
+            other = pivots[low]
+            for col in residual:
+                if low in col:
+                    _subtract(col, other, col[low] * other[low])
+    rows = sorted({r for col in residual for r in col})
+    if not rows:
+        return len(pivots), ()
+    snf = smith_normal_form([[col.get(r, 0) for col in residual] for r in rows])
+    return len(pivots) + snf.rank, snf.factors
 
-    factors = [1] * unit_pivots
-    rank = unit_pivots
-    if rows:
-        row_ids = sorted(rows)
-        col_ids = sorted({c for row in rows.values() for c in row})
-        dense = [[rows[r].get(c, 0) for c in col_ids] for r in row_ids]
-        snf = smith_normal_form(dense)
-        factors.extend(snf.factors)
-        rank += snf.rank
-    return rank, tuple(factors)
+
+def _subtract(col: dict, other: dict, q: int):
+    """col -= q * other, dropping zeros, in place."""
+    for r, v in other.items():
+        new = col.get(r, 0) - q * v
+        if new:
+            col[r] = new
+        else:
+            del col[r]
 
 
 # -- Betti tables ---------------------------------------------------------------
@@ -328,7 +298,7 @@ def _betti_table(store, lo: int, hi: int, coefficients: str,
         if coefficients == "z2":
             ranks[d] = gf2_rank(gf2_columns(boundary_matrix(store, d)))
         else:
-            ranks[d], factors[d] = _sparse_integer_reduce(boundary_matrix(store, d))
+            ranks[d], factors[d] = _integer_reduce(boundary_matrix(store, d))
     betti = {}
     torsion = {}
     for d in range(lo, hi + 1):

@@ -7,6 +7,7 @@ The join is bilinear (a p-sphere joined with a q-sphere is a (p+q+1)-sphere),
 which makes "contractible absorbs joins" fall out of the empty product.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import graphs as gr
@@ -313,10 +314,19 @@ def edge_add_if_cone(G: Graph, a, b):
         raise ValueError(f"not vertices: {a!r}, {b!r}")
     if a == b or G.has_edge(a, b) or G.is_looped(a) or G.is_looped(b):
         raise ValueError(f"{{{a!r}, {b!r}}} is not independent in the graph")
-    resid = gr.delete_vertices(G, G.closed_neighborhood_set([a, b]))
-    if resid.isolated_vertices():
-        return gr.add_edge(G, a, b)
-    return None
+    if _cone_witness(G, a, b) is None:
+        return None
+    return gr.add_edge(G, a, b)
+
+
+def _cone_witness(G: Graph, a, b):
+    """First isolated unlooped vertex of G - N[{a,b}], or None.
+
+    That vertex is a cone apex, so edge (a, b) can be added to G without
+    changing the homotopy type of Ind(G).
+    """
+    iso = gr.delete_vertices(G, G.closed_neighborhood_set([a, b])).isolated_vertices()
+    return iso[0] if iso else None
 
 
 def link_delete_if_cone(K: SimplicialComplex, v):
@@ -332,20 +342,6 @@ class Stuck:
     """Reduction gave up; carries the residual graph and why."""
     graph: Graph
     reason: str
-
-
-def _first_cone_edge(G: Graph):
-    verts = G.unlooped_vertices()
-    for i, a in enumerate(verts):
-        na = G.neighbors(a)
-        for b in verts[i + 1:]:
-            if b in na:
-                continue
-            resid = gr.delete_vertices(G, G.closed_neighborhood_set([a, b]))
-            iso = resid.isolated_vertices()
-            if iso:
-                return a, b, iso[0]
-    return None
 
 
 def reduce(G: Graph, budget: int = 10_000):
@@ -365,10 +361,9 @@ def reduce(G: Graph, budget: int = 10_000):
             if counter[0] <= 0:
                 return Stuck(g, "budget exhausted"), trace
             if g.loops:
-                for v in g.loops:
-                    trace.append({"rule": "drop-looped", "vertex": render_label(v)})
-                counter[0] -= len(g.loops)
-                g = gr.delete_vertices(g, g.loops)
+                g, steps = fold_reduce(g, budget=0)
+                counter[0] -= len(steps)
+                trace.extend(steps)
                 continue
             if not g.vertices:
                 trace.append({"rule": "empty-graph"})
@@ -377,13 +372,11 @@ def reduce(G: Graph, budget: int = 10_000):
             if iso:
                 trace.append({"rule": "cone-isolated", "vertex": render_label(iso[0])})
                 return HomotopyType.contractible(), trace
-            fold = _fold_step(g)
-            if fold is not None:
-                u, u2 = fold
+            folded, steps = fold_reduce(g, budget=1)
+            if steps:
                 counter[0] -= 1
-                trace.append({"rule": "fold", "kept": render_label(u),
-                              "deleted": render_label(u2)})
-                g = gr.delete_vertices(g, [u2])
+                trace.extend(steps)
+                g = folded
                 continue
             split_v = None
             for v in g.vertices:
@@ -407,15 +400,16 @@ def reduce(G: Graph, budget: int = 10_000):
                 trace.append({"rule": "split", "vertex": render_label(split_v),
                               "branches": branches})
                 return wedge_all(parts), trace
-            cone_edge = _first_cone_edge(g)
-            if cone_edge is not None:
-                a, b, witness = cone_edge
-                counter[0] -= 1
-                trace.append({"rule": "add-edge-cone",
-                              "edge": [render_label(a), render_label(b)],
-                              "isolated_witness": render_label(witness)})
-                g = gr.add_edge(g, a, b)
-                continue
-            return Stuck(g, "no rule fired"), trace
+            for a, b in itertools.combinations(g.unlooped_vertices(), 2):
+                witness = None if g.has_edge(a, b) else _cone_witness(g, a, b)
+                if witness is not None:
+                    break
+            else:
+                return Stuck(g, "no rule fired"), trace
+            counter[0] -= 1
+            trace.append({"rule": "add-edge-cone",
+                          "edge": [render_label(a), render_label(b)],
+                          "isolated_witness": render_label(witness)})
+            g = gr.add_edge(g, a, b)
 
     return go(G)

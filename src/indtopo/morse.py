@@ -183,6 +183,11 @@ def wedge_conclusion(matching: Matching, K: SimplicialComplex):
     ok, witness = verify_acyclic(matching, K)
     if not ok:
         raise MatchingError(f"matching is not acyclic; witness cycle: {witness}")
+    return _wedge_from_critical(matching)
+
+
+def _wedge_from_critical(matching: Matching):
+    """wedge_conclusion for a matching already known to be acyclic."""
     if not matching.empty_face_matched:
         return None
     counts = matching.critical_counts()

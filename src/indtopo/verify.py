@@ -182,6 +182,8 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
                  window: tuple | None, face_budget: int | None,
                  conjectural: bool) -> InstanceRecord:
     """Compare the Betti numbers of Ind(G), full-range or in a window, with a homotopy type."""
+    if window is not None and coefficients != "z2":
+        raise ValueError("windowed homology is mod-2 only")
     want = expected.betti()
     rec = InstanceRecord(
         instance=instance, predicted=expected.render(), predicted_betti=want,
@@ -213,12 +215,15 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
 def check_family_instance(family: str, params: tuple, coefficients: str = "z2",
                           window: tuple | None = "auto",
                           face_budget: int | None = None) -> InstanceRecord:
-    """Compare the closed-form prediction with computed homology for one instance."""
+    """Compare the closed-form prediction with computed homology for one instance.
+
+    Windows are mod-2 only: "auto" means full range for integer coefficients.
+    """
     spec = FamilySpec(family, params)
     pr = predict(spec)
     G = build_graph(spec)
     if window == "auto":
-        window = _auto_window(pr.homotopy, G)
+        window = _auto_window(pr.homotopy, G) if coefficients == "z2" else None
     return _check_betti(spec.describe(), pr.homotopy, G, coefficients, window,
                         face_budget, pr.conjectural)
 

@@ -2,12 +2,14 @@
 
 Everything here favors obviousness over speed: independent sets come from a
 full subset sweep, ranks from naive Gaussian elimination on dense matrices
-(ints mod 2, or exact Fractions), isomorphism from a permutation sweep.
+(ints mod 2, or exact Fractions), invariant factors from gcds of minors,
+isomorphism from a permutation sweep.
 Nothing below imports library internals beyond the Graph container and the
 label sort key, so a bug in the fast code paths cannot hide here.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from indtopo.graphs import Graph, label_key
@@ -83,6 +85,42 @@ def rank_q(dense):
                 m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def det(square):
+    """Leibniz expansion: a signed sum over all permutations."""
+    n = len(square)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= square[i][perm[i]]
+        total += term
+    return total
+
+
+def invariant_factors(dense):
+    """Smith invariant factors from determinantal divisors; up to 5 x 5.
+
+    d_k is the gcd of all k x k minors (d_0 = 1), and the k-th factor is
+    d_k / d_(k-1) for every k up to the rank.
+    """
+    m = len(dense)
+    n = len(dense[0]) if m else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        d_k = 0
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                d_k = math.gcd(d_k, det([[dense[i][j] for j in cols] for i in rows]))
+        if d_k == 0:
+            break
+        factors.append(d_k // prev)
+        prev = d_k
+    return tuple(factors)
 
 
 def brute_betti(G: Graph, field="gf2"):

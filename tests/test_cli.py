@@ -6,6 +6,7 @@ import pytest
 
 from indtopo import cli
 from indtopo import graphs as gr
+from indtopo import morse
 from indtopo import verify
 from indtopo.verify import (
     InstanceRecord,
@@ -146,6 +147,21 @@ def test_morse_rejects_bad_order(capsys):
     assert code == 3
 
 
+def test_morse_checks_acyclicity_once(monkeypatch, capsys):
+    calls = []
+    real = morse.verify_acyclic
+
+    def counted(matching, K):
+        calls.append(K)
+        return real(matching, K)
+
+    monkeypatch.setattr(cli, "verify_acyclic", counted)
+    monkeypatch.setattr(morse, "verify_acyclic", counted)
+    code, out, _ = run(capsys, "morse", "product", "3", "3")
+    assert code == 0 and json.loads(out)["wedge"] == "wedge(4, S^1)"
+    assert len(calls) == 1
+
+
 # -- reduce -----------------------------------------------------------------
 
 def test_reduce_gadget_json(capsys):
@@ -243,6 +259,25 @@ def test_face_budget_failure_records(capsys, check, args, suite, overrides,
     assert rec.note == "face budget exceeded: 101 > 100"
     code, _, _ = run(capsys, "verify", suite, *overrides, "--budget-faces", "100")
     assert code == 2
+
+
+def test_family_instance_integer_check_runs_full_range():
+    # 21 vertices would get the mod-2 window (5, 7) under z2
+    rec = check_family_instance("path", (21,), coefficients="int")
+    assert rec.window is None and rec.coefficients == "int"
+    assert rec.computed_betti == {6: 1} and rec.torsion == {} and rec.match
+
+
+def test_windowed_checks_refuse_integer_coefficients():
+    with pytest.raises(ValueError, match="windowed homology is mod-2 only"):
+        check_family_instance("path", (21,), coefficients="int", window=(5, 7))
+
+
+@pytest.mark.parametrize("n, row", [(4, 30), (5, 52)])
+def test_table1_integer_rows_beyond_the_suite(n, row):
+    rec = check_table1_row(n, kind="int")
+    assert rec.computed_betti == {3: row} and rec.torsion == {}
+    assert rec.match and rec.note == "published row reproduced"
 
 
 def test_verify_jobs_capped_at_processor_count(monkeypatch):

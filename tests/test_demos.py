@@ -1,0 +1,25 @@
+"""The demo scripts run to completion (exit 0) against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# demos/06 is left out: its n = 6 window takes about half a minute
+DEMOS = ["01_graph_families.py", "02_independence_complexes.py",
+         "03_morse_matching.py", "04_homology_and_snf.py",
+         "05_reductions_and_predictions.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

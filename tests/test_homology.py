@@ -10,6 +10,8 @@ from indtopo import graphs as gr
 from indtopo.complexes import from_facets, independence_complex
 from indtopo.homology import (
     BettiTable,
+    Boundary,
+    _integer_reduce,
     betti_reduced,
     betti_window,
     boundary_matrix,
@@ -45,28 +47,57 @@ def test_snf_rejects_ragged():
         smith_normal_form([[1, 2], [3]])
 
 
-def test_snf_transforms_and_invariants():
+def test_snf_invariants_against_determinantal_divisors():
     rng = random.Random(31)
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        snf = smith_normal_form(A, include_transforms=True)
+        snf = smith_normal_form(A)
         # divisibility chain, positivity
         fs = snf.factors
         assert all(f > 0 for f in fs)
         assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
         # rank agrees with exact rational elimination
         assert snf.rank == len(fs) == oracles.rank_q(A)
-        # U A V really is diag(factors)
-        U, V = snf.left, snf.right
-        UA = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)]
-              for i in range(m)]
-        D = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)]
-             for i in range(m)]
-        for i in range(m):
-            for j in range(n):
-                want = fs[i] if i == j and i < len(fs) else 0
-                assert D[i][j] == want
+        # factors agree with gcds of minors
+        assert fs == oracles.invariant_factors(A)
+
+
+# -- integer elimination ---------------------------------------------------------
+
+def sparse(dense):
+    """A dense integer matrix as a Boundary (columns of (row, value) pairs)."""
+    n = len(dense[0]) if dense else 0
+    return Boundary(len(dense), tuple(
+        tuple((i, row[j]) for i, row in enumerate(dense) if row[j]) for j in range(n)))
+
+
+def torsion_of(factors):
+    return tuple(f for f in factors if f > 1)
+
+
+def test_integer_reduce_agrees_with_dense_snf():
+    rng = random.Random(43)
+    entries = [0, 0, 0, 1, -1, 2, -2, 3, 4, -6]   # non-unit lows are common
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        A = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        rank, factors = _integer_reduce(sparse(A))
+        snf = smith_normal_form(A)
+        assert rank == snf.rank
+        assert torsion_of(factors) == torsion_of(snf.factors)
+
+
+def test_integer_reduce_clears_a_late_unit_pivot_from_the_residual():
+    # column 0 ends on a 2 in row 2, so it goes to the residual; column 1
+    # then takes row 2 as a unit pivot.  Only after that row is cleared from
+    # the residual (leaving 3 in row 0) does its Smith form see the Z/3.
+    A = [[1, 1],
+         [2, -1],
+         [2, -1]]
+    rank, factors = _integer_reduce(sparse(A))
+    assert rank == 2 and torsion_of(factors) == (3,)
+    assert oracles.invariant_factors(A) == (1, 3)
 
 
 # -- boundary matrices ---------------------------------------------------------
