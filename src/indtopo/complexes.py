@@ -25,10 +25,11 @@ def _check_budget(count: int, budget: int) -> None:
 class SimplicialComplex:
     """Immutable simplicial complex on an ordered vertex universe."""
 
-    __slots__ = ("vertices", "_faces", "_face_sets", "source")
+    __slots__ = ("vertices", "_index", "_faces", "_face_sets", "source")
 
     def __init__(self, vertices, faces_by_dim, source=None):
         self.vertices = tuple(sorted(vertices, key=label_key))
+        self._index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         faces = {-1: ((),)}
         for d, fs in faces_by_dim.items():
@@ -83,8 +84,8 @@ class SimplicialComplex:
 
     def index_of(self, label) -> int:
         try:
-            return self.vertices.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise ValueError(f"not a vertex of the complex: {label!r}") from None
 
     def _to_index_face(self, labels):

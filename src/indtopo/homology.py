@@ -238,13 +238,6 @@ class BettiTable:
                 raise ValueError(f"dimension {d} outside window {self.window}")
         return self.betti.get(d, 0)
 
-    def asserted_dims(self):
-        if self.window is not None:
-            lo, hi = self.window
-            return range(lo, hi + 1)
-        dims = set(self.betti)
-        return sorted(dims)
-
     def nonzero(self) -> dict:
         return {d: v for d, v in sorted(self.betti.items()) if v}
 

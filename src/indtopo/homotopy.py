@@ -322,11 +322,13 @@ def edge_add_if_cone(G: Graph, a, b):
 def _cone_witness(G: Graph, a, b):
     """First isolated unlooped vertex of G - N[{a,b}], or None.
 
-    That vertex is a cone apex, so edge (a, b) can be added to G without
-    changing the homotopy type of Ind(G).
+    That is a vertex w outside N[{a,b}] with N(w) inside it; a looped w fails
+    the test since w is in N(w).  It is a cone apex, so edge (a, b) can be
+    added to G without changing the homotopy type of Ind(G).
     """
-    iso = gr.delete_vertices(G, G.closed_neighborhood_set([a, b])).isolated_vertices()
-    return iso[0] if iso else None
+    hood = G.closed_neighborhood_set([a, b])
+    return next((w for w in G.vertices
+                 if w not in hood and G.neighbors(w) <= hood), None)
 
 
 def link_delete_if_cone(K: SimplicialComplex, v):

@@ -8,10 +8,11 @@ participates like any other face.
 """
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .graphs import label_key, render_label
+from .graphs import render_label
 from .homotopy import HomotopyType
 
 
@@ -75,7 +76,6 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
             bigger = sigma[:k] + (x,) + sigma[k:]
             if bigger in pool:
                 candidates.append((sigma, bigger))
-        candidates.sort(key=lambda p: (len(p[0]), p[0]))
         for sigma, bigger in candidates:
             pool.discard(sigma)
             pool.discard(bigger)
@@ -94,82 +94,67 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
 
 
 def _validate(matching: Matching, K: SimplicialComplex):
-    """Check the pairing is a genuine partial matching by covers on K's faces."""
-    seen = set()
+    """Check the pairing is a total matching by covers on K's faces.
+
+    Every face of K must be matched or critical exactly once, each written
+    in K's canonical vertex order (so a facet cut from a matched face is
+    spelled like the pair that holds it).
+    """
     for small, big in matching.pairs:
         if len(big) != len(small) + 1 or not set(small) < set(big):
             raise MatchingError(f"pair is not a cover: {small} - {big}")
-        if not K.has_face(small) or not K.has_face(big):
-            raise MatchingError(f"pair uses a non-face: {small} - {big}")
-        for f in (small, big):
-            if f in seen:
-                raise MatchingError(f"face matched twice: {f}")
-            seen.add(f)
-    for f in matching.critical:
+    seen = set()
+    for f in itertools.chain(*matching.pairs, matching.critical):
+        if not K.has_face(f) or list(f) != sorted(f, key=K.index_of):
+            raise MatchingError(f"not a face in canonical order: {f}")
         if f in seen:
-            raise MatchingError(f"face both matched and critical: {f}")
+            raise MatchingError(f"face used twice: {f}")
         seen.add(f)
+    if len(seen) != K.total_faces:
+        raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):
-    """Certify the matching has no alternating cycle.
+    """Certify the matching has no closed gradient path.
 
-    Covers run downward except matched covers, which run upward.  Returns
-    (True, None) or (False, witness) where the witness is the face cycle.
+    A cycle in the modified Hasse diagram has as many up-steps as down-steps
+    and no two up-steps in a row, since each face is in at most one pair; so
+    it alternates between two adjacent dimensions and every lower face on it
+    is matched upward.  The search therefore steps only from a matched sigma
+    to the other facets of its partner that are matched upward themselves.
+    Returns (True, None) or (False, witness), the witness being the closed
+    path [sigma0, up(sigma0), sigma1, ..., sigma0].
     """
     _validate(matching, K)
-    matched_up = {}
-    for small, big in matching.pairs:
-        matched_up[small] = big
+    up = dict(matching.pairs)
 
-    succ = {}
+    def steps(sigma):
+        big = up[sigma]
+        for k in range(len(big)):
+            nxt = big[:k] + big[k + 1:]
+            if nxt != sigma and nxt in up:
+                yield nxt
 
-    def edges_from(face):
-        if face in succ:
-            return succ[face]
-        out = []
-        up = matched_up.get(face)
-        if up is not None:
-            out.append(up)
-        if len(face) >= 1:
-            for k in range(len(face)):
-                sub = face[:k] + face[k + 1:]
-                if matched_up.get(sub) != face:
-                    out.append(sub)
-        succ[face] = out
-        return out
-
-    all_faces = []
-    for d in K.dims():
-        all_faces.extend(K.faces(d))
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    for start in all_faces:
-        if color.get(start, WHITE) != WHITE:
+    finished = set()
+    for start in up:
+        if start in finished:
             continue
-        stack = [(start, iter(edges_from(start)))]
-        color[start] = GRAY
-        trail = [start]
+        path, on_path, stack = [start], {start}, [steps(start)]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    # found a cycle; cut the trail at the repeated face
-                    k = trail.index(nxt)
-                    return False, list(trail[k:]) + [nxt]
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(edges_from(nxt))))
-                    trail.append(nxt)
-                    advanced = True
+            for nxt in stack[-1]:
+                if nxt in on_path:
+                    cycle = path[path.index(nxt):]
+                    return False, [f for s in cycle for f in (s, up[s])] + [nxt]
+                if nxt not in finished:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(steps(nxt))
                     break
-            if not advanced:
-                color[node] = BLACK
+            else:
                 stack.pop()
-                trail.pop()
+                done = path.pop()
+                on_path.discard(done)
+                finished.add(done)
     return True, None
 
 

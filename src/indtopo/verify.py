@@ -316,7 +316,7 @@ def check_suspension_shift(kind: str, tag: str, G, H,
         return InstanceRecord(instance=f"{kind} {tag}", predicted=None,
                               predicted_betti=None, computed_betti={},
                               coefficients="z2", window=None, match=False,
-                              note=str(e))
+                              seconds=time.perf_counter() - t0, note=str(e))
     want = {d + 1: v for d, v in base.items()}
     return InstanceRecord(
         instance=f"{kind} {tag}",

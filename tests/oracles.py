@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: independent sets come from a
 full subset sweep, ranks from naive Gaussian elimination on dense matrices
 (ints mod 2, or exact Fractions), invariant factors from gcds of minors,
-isomorphism from a permutation sweep.
+isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
+off the whole modified Hasse diagram.
 Nothing below imports library internals beyond the Graph container and the
 label sort key, so a bug in the fast code paths cannot hide here.
 """
@@ -139,6 +140,32 @@ def brute_betti(G: Graph, field="gf2"):
         f_d = len(by.get(d, []))
         out[d] = f_d - ranks[d] - ranks.get(d + 1, 0)
     return out
+
+
+def matching_is_acyclic(pairs, faces) -> bool:
+    """Whether a matching's modified Hasse diagram has no directed cycle.
+
+    Every cover tau < sigma of the given faces is an edge sigma -> tau,
+    turned upward when (tau, sigma) is a pair.  Faces with no outgoing edge
+    are stripped until none is left; the matching is acyclic exactly when
+    nothing survives.
+    """
+    faces = {frozenset(f) for f in faces}
+    down_of = {frozenset(big): frozenset(small) for small, big in pairs}
+    out = {f: set() for f in faces}
+    for sigma in faces:
+        for v in sigma:
+            tau = sigma - {v}
+            if down_of.get(sigma) == tau:
+                out[tau].add(sigma)
+            else:
+                out[sigma].add(tau)
+    alive = set(faces)
+    while True:
+        sinks = {f for f in alive if not out[f] & alive}
+        if not sinks:
+            return not alive
+        alive -= sinks
 
 
 def is_cycle_graph(G: Graph, n: int) -> bool:

@@ -13,6 +13,7 @@ from indtopo.verify import (
     SuiteResult,
     VerificationReport,
     check_family_instance,
+    check_suspension_shift,
     check_table1_row,
 )
 
@@ -259,6 +260,14 @@ def test_face_budget_failure_records(capsys, check, args, suite, overrides,
     assert rec.note == "face budget exceeded: 101 > 100"
     code, _, _ = run(capsys, "verify", suite, *overrides, "--budget-faces", "100")
     assert code == 2
+
+
+def test_suspension_shift_budget_record_is_timed():
+    G = gr.Graph(range(12))        # 4096 faces
+    rec = check_suspension_shift("suspension", "edgeless 12", G, G, face_budget=100)
+    assert rec.match is False and rec.note == "face budget exceeded: 101 > 100"
+    assert rec.seconds > 0
+    assert rec.to_json_dict()["seconds"] == round(rec.seconds, 3)
 
 
 def test_family_instance_integer_check_runs_full_range():

@@ -130,6 +130,44 @@ def test_hand_built_cycle_is_caught():
         wedge_conclusion(looped, K)
 
 
+def random_matching(rng, K, density):
+    """A random matching by covers on K, in canonical spelling, often cyclic."""
+    faces = [f for d in K.dims() for f in K.faces(d)]
+    covers = [(big[:k] + big[k + 1:], big) for big in faces for k in range(len(big))]
+    rng.shuffle(covers)
+    used, pairs = set(), []
+    for small, big in covers:
+        if small not in used and big not in used and rng.random() < density:
+            used.update((small, big))
+            pairs.append((small, big))
+    critical = tuple(f for f in faces if f not in used)
+    return Matching(order=(), pairs=tuple(pairs), critical=critical), faces
+
+
+def test_verify_acyclic_agrees_with_the_hasse_oracle():
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        G = rand_graph(rng, rng.randint(3, 7), p=rng.choice([0.0, 0.2, 0.4]))
+        K = independence_complex(G)
+        m, faces = random_matching(rng, K, rng.choice([0.7, 1.0]))
+        ok, witness = verify_acyclic(m, K)
+        assert ok == oracles.matching_is_acyclic(m.pairs, faces)
+        verdicts[ok] += 1
+        if ok:
+            assert witness is None
+            continue
+        # a closed gradient path: up along a pair, down to another facet
+        up = dict(m.pairs)
+        assert witness[0] == witness[-1] and len(witness) % 2 == 1
+        assert len(witness) >= 7 and len(set(witness)) == len(witness) - 1
+        for i in range(0, len(witness) - 1, 2):
+            assert up[witness[i]] == witness[i + 1]
+            assert set(witness[i + 2]) < set(witness[i + 1])
+            assert witness[i + 2] != witness[i]
+    assert min(verdicts.values()) >= 500, verdicts
+
+
 def test_validation_rejects_malformed_pairings():
     K = independence_complex(gr.complete(2))
     bad_cover = Matching(order=(), pairs=(((1,), (2,)),), critical=())
@@ -141,6 +179,22 @@ def test_validation_rejects_malformed_pairings():
     reused = Matching(order=(), pairs=(((), (1,)),), critical=((),))
     with pytest.raises(MatchingError):
         verify_acyclic(reused, K)
+    # Ind(K_2) is S^0: a matching that forgets a face must not read as a point
+    partial = Matching(order=(), pairs=(((), (1,)),), critical=())
+    with pytest.raises(MatchingError, match="covers 2 of 3 faces"):
+        verify_acyclic(partial, K)
+    with pytest.raises(MatchingError):
+        wedge_conclusion(partial, K)
+    foreign = Matching(order=(), pairs=(), critical=((2,), (7,)))
+    with pytest.raises(MatchingError, match="not a face"):
+        verify_acyclic(foreign, K)
+    with pytest.raises(MatchingError):
+        wedge_conclusion(foreign, K)
+    # faces are spelled in the complex's vertex order, as facets are cut
+    edge = independence_complex(gr.Graph([1, 2]))
+    reversed_face = Matching(order=(), pairs=(((), (1,)), ((2,), (2, 1))), critical=())
+    with pytest.raises(MatchingError, match="canonical order"):
+        verify_acyclic(reversed_face, edge)
 
 
 # -- Morse-theoretic bookkeeping --------------------------------------------------

@@ -12,6 +12,7 @@ from indtopo.homology import betti_reduced
 from indtopo.homotopy import (
     HomotopyType,
     Stuck,
+    _cone_witness,
     edge_add_if_cone,
     fold_reduce,
     link_delete_if_cone,
@@ -155,6 +156,24 @@ def test_edge_add_preserves_betti_when_it_fires():
         fired += 1
         assert betti_of(bigger) == betti_of(G)
     assert fired >= 30
+
+
+def test_cone_witness_is_the_first_isolated_vertex_of_the_residual():
+    rng = random.Random(59)
+    found = looped = 0
+    for _ in range(300):
+        G = rand_graph(rng, rng.randint(2, 8), p=rng.choice([0.2, 0.4]))
+        for v in G.vertices:
+            if rng.random() < 0.2:
+                G = gr.add_loop(G, v)
+        looped += bool(G.loops)
+        for a, b in itertools.combinations(G.vertices, 2):
+            residual = gr.delete_vertices(G, G.closed_neighborhood_set([a, b]))
+            iso = residual.isolated_vertices()
+            want = iso[0] if iso else None
+            assert _cone_witness(G, a, b) == want, (G, a, b)
+            found += want is not None
+    assert found >= 300 and looped >= 100
 
 
 def test_link_delete_if_cone():
