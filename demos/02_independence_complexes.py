@@ -13,14 +13,8 @@ print("reduced Euler characteristic:", K.euler_characteristic_reduced())
 # faces are stored per dimension as sorted label tuples
 print("edges of Ind(C_5):", K.faces(1))
 
-# link and star of a vertex
+# the link of a vertex
 print("link of 1:", K.link(1).f_vector())
-star = K.star([1])
-print("star of 1 is a cone with apex:", star.is_cone())
-
-# star clusters are unions of stars over a face's vertices
-sc = K.star_cluster((1, 3))
-print("star cluster of {1,3}: f-vector", sc.f_vector())
 
 # a looped vertex sits in no independent set
 G = gr.add_loop(gr.path(3), 2)

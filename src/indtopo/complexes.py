@@ -8,7 +8,7 @@ vertex is looped is {[]}, the empty complex.
 
 from itertools import combinations
 
-from .graphs import Graph, label_key
+from .graphs import Graph, render_label
 
 DEFAULT_FACE_BUDGET = 50_000_000
 
@@ -28,7 +28,7 @@ class SimplicialComplex:
     __slots__ = ("vertices", "_index", "_faces", "_face_sets", "source")
 
     def __init__(self, vertices, faces_by_dim, source=None):
-        self.vertices = tuple(sorted(vertices, key=label_key))
+        self.vertices = tuple(sorted(vertices, key=render_label))
         self._index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         faces = {-1: ((),)}
@@ -88,12 +88,9 @@ class SimplicialComplex:
         except KeyError:
             raise ValueError(f"not a vertex of the complex: {label!r}") from None
 
-    def _to_index_face(self, labels):
-        return tuple(sorted(self.index_of(v) for v in labels))
-
     def has_face(self, labels) -> bool:
         try:
-            f = self._to_index_face(labels)
+            f = tuple(sorted(self.index_of(v) for v in labels))
         except ValueError:
             return False
         return f in self._face_set(len(f) - 1)
@@ -117,43 +114,6 @@ class SimplicialComplex:
             if kept:
                 out[d] = kept
         return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"link({v!r})"))
-
-    def star(self, face_labels) -> "SimplicialComplex":
-        """st(sigma): faces tau with sigma union tau a face (tau need not contain sigma)."""
-        base = self._to_index_face(face_labels)
-        if base not in self._face_set(len(base) - 1):
-            raise ValueError(f"not a face: {face_labels!r}")
-        bset = set(base)
-        out = {}
-        for d in self.dims():
-            kept = []
-            for f in self.index_faces(d):
-                u = tuple(sorted(bset | set(f)))
-                if u in self._face_set(len(u) - 1):
-                    kept.append(f)
-            if kept:
-                out[d] = kept
-        return SimplicialComplex(self.vertices, out, source=_tag(self.source, "star"))
-
-    def star_cluster(self, face_labels) -> "SimplicialComplex":
-        """SC(sigma): union of the stars of sigma's vertices."""
-        base = self._to_index_face(face_labels)
-        if base not in self._face_set(len(base) - 1):
-            raise ValueError(f"not a face: {face_labels!r}")
-        if not base:
-            raise ValueError("star_cluster needs a nonempty face")
-        out = {}
-        for d in self.dims():
-            kept = []
-            for f in self.index_faces(d):
-                for i in base:
-                    u = tuple(sorted(set(f) | {i}))
-                    if u in self._face_set(len(u) - 1):
-                        kept.append(f)
-                        break
-            if kept:
-                out[d] = kept
-        return SimplicialComplex(self.vertices, out, source=_tag(self.source, "star_cluster"))
 
     def without_vertex(self, v) -> "SimplicialComplex":
         """The deletion: all faces not containing v."""
@@ -195,7 +155,7 @@ class SimplicialComplex:
             common &= set(f)
             if not common:
                 return None
-        return min(common, key=label_key) if common else None
+        return min(common, key=render_label) if common else None
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -348,7 +308,7 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
                 source=None) -> SimplicialComplex:
     """Downward closure of the given facets over the given vertex universe."""
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
-    vs = tuple(sorted(vertices, key=label_key))
+    vs = tuple(sorted(vertices, key=render_label))
     index = {v: i for i, v in enumerate(vs)}
     seen = set()
     count = 0

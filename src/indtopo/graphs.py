@@ -42,10 +42,6 @@ def render_label(label) -> str:
     return str(label)
 
 
-def label_key(label) -> str:
-    return render_label(label)
-
-
 def _parse_prefix(text):
     if text.startswith("("):
         rest = text[1:]
@@ -80,38 +76,36 @@ def parse_label(text: str):
 class Graph:
     """Immutable labeled graph; ``loops`` lists the self-adjacent vertices."""
 
-    __slots__ = ("vertices", "edges", "loops", "name", "_adj", "_vset")
+    __slots__ = ("vertices", "edges", "loops", "name", "_adj")
 
     def __init__(self, vertices, edges=(), loops=(), name=None):
         verts = [validate_label(v) for v in vertices]
-        rendered = [render_label(v) for v in verts]
-        if len(set(rendered)) != len(rendered):
+        by_render = {render_label(v): v for v in verts}
+        if len(by_render) != len(verts):
             raise ValueError("duplicate vertex labels (after rendering)")
-        order = sorted(range(len(verts)), key=lambda i: rendered[i])
-        vs = tuple(verts[i] for i in order)
-        vset = frozenset(vs)
+        vs = tuple(by_render[r] for r in sorted(by_render))
+        pos = {v: i for i, v in enumerate(vs)}
 
         edge_set = set()
         for e in edges:
             u, v = e
-            if u not in vset or v not in vset:
+            i, j = pos.get(u), pos.get(v)
+            if i is None or j is None:
                 raise ValueError(f"edge endpoint not a vertex: {e!r}")
-            if u == v:
+            if i == j:
                 raise ValueError(f"self-pair {e!r} in edge list; loops go in loops=")
-            a, b = sorted((u, v), key=label_key)
-            edge_set.add((a, b))
+            edge_set.add((i, j) if i < j else (j, i))
 
         loop_set = set()
         for v in loops:
-            if v not in vset:
+            if v not in pos:
                 raise ValueError(f"loop at non-vertex: {v!r}")
-            loop_set.add(v)
+            loop_set.add(pos[v])
 
         self.vertices = vs
-        self.edges = tuple(sorted(edge_set, key=lambda e: (label_key(e[0]), label_key(e[1]))))
-        self.loops = tuple(sorted(loop_set, key=label_key))
+        self.edges = tuple((vs[i], vs[j]) for i, j in sorted(edge_set))
+        self.loops = tuple(vs[i] for i in sorted(loop_set))
         self.name = name
-        self._vset = vset
         adj = {v: set() for v in vs}
         for u, v in self.edges:
             adj[u].add(v)
@@ -135,7 +129,7 @@ class Graph:
         return len(self.loops)
 
     def __contains__(self, label) -> bool:
-        return label in self._vset
+        return label in self._adj
 
     def neighbors(self, v) -> frozenset:
         """Open neighborhood N(v); contains v itself exactly when v is looped."""
@@ -180,20 +174,11 @@ class Graph:
 
 def is_simplicial_vertex(G: Graph, v) -> bool:
     """True when N(v) is nonempty, loop-free, and induces a complete subgraph."""
-    nbrs = sorted(G.neighbors(v), key=label_key)
-    if v in nbrs:
-        return False
-    if not nbrs:
-        return False
+    nbrs = G.neighbors(v)
     # a looped neighbor is in no independent set, so the split decomposition
-    # over N(v) would miscount; rule it out here
-    if any(G.is_looped(w) for w in nbrs):
-        return False
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if not G.has_edge(a, b):
-                return False
-    return True
+    # over N(v) would miscount; rule it out here (a looped v is its own)
+    return bool(nbrs) and all(
+        not G.is_looped(w) and nbrs <= G.closed_neighborhood(w) for w in nbrs)
 
 
 # -- family constructors ---------------------------------------------------
@@ -347,8 +332,8 @@ def ladder_replace_crossing(G: Graph, v1, v2, v3, v4) -> Graph:
         if not G.has_edge(u, v):
             raise ValueError(f"required edge missing: ({u!r}, {v!r})")
     a, b, c, d = _fresh_labels(G, "abcd")
-    drop = {tuple(sorted((v1, v4), key=label_key)), tuple(sorted((v2, v3), key=label_key))}
-    edges = [e for e in G.edges if e not in drop]
+    drop = {frozenset((v1, v4)), frozenset((v2, v3))}
+    edges = [e for e in G.edges if frozenset(e) not in drop]
     edges += [(v1, a), (a, b), (b, v3), (v2, c), (c, d), (d, v4), (a, c), (b, d)]
     return Graph(list(G.vertices) + [a, b, c, d], edges, G.loops)
 
@@ -370,8 +355,8 @@ def ladder_replace_triangle(G: Graph, v1, v2, v3) -> Graph:
         if not G.has_edge(u, v):
             raise ValueError(f"required edge missing: ({u!r}, {v!r})")
     a, b, c, d = _fresh_labels(G, "abcd")
-    drop = {tuple(sorted((v1, v3), key=label_key)), tuple(sorted((v2, v3), key=label_key))}
-    edges = [e for e in G.edges if e not in drop]
+    drop = {frozenset((v1, v3)), frozenset((v2, v3))}
+    edges = [e for e in G.edges if frozenset(e) not in drop]
     edges += [(v1, a), (a, b), (b, v3), (v2, c), (c, d), (d, v3), (a, c), (b, d)]
     return Graph(list(G.vertices) + [a, b, c, d], edges, G.loops)
 

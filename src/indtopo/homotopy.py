@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import graphs as gr
 from .complexes import SimplicialComplex
 from .families import FamilySpec
-from .graphs import Graph, label_key, render_label
+from .graphs import Graph, render_label
 
 
 class HomotopyType:
@@ -220,33 +220,31 @@ def predict_conjecture_k2k3kn(n: int) -> HomotopyType:
     return HomotopyType.sphere(3, (n - 1) * (3 * n - 2))
 
 
+# family -> (predictor, source); a callable source picks it from the parameters
+_PREDICTORS = {
+    "product": (predict_product, "closed-form"),
+    "multi_k2_product": (predict_multi_k2_product, "closed-form"),
+    "kn_lr": (predict_kn_lr, "closed-form"),
+    "gadget": (predict_gadget, "closed-form"),
+    "mycielskian": (predict_mycielskian,
+                    lambda n, r: "literature" if n == 2 else "closed-form"),
+    "path": (predict_path, "closed-form"),
+    "cycle": (predict_cycle, "literature"),
+    "cycle_ladder": (predict_cycle_ladder,
+                     lambda n, i: "literature" if i == 0 else "closed-form"),
+    "conjecture_k2k3kn": (predict_conjecture_k2k3kn, "conjecture"),
+}
+
+
 def predict(spec: FamilySpec) -> Prediction:
     """Closed-form prediction for a family instance, with provenance flags."""
-    fam, p = spec.family, spec.params
-    if fam == "product":
-        return Prediction(predict_product(*p))
-    if fam == "multi_k2_product":
-        return Prediction(predict_multi_k2_product(*p))
-    if fam == "kn_lr":
-        return Prediction(predict_kn_lr(*p))
-    if fam == "gadget":
-        return Prediction(predict_gadget(*p))
-    if fam == "mycielskian":
-        n, r = p
-        if n == 2:
-            return Prediction(predict_mycielskian(n, r), source="literature")
-        return Prediction(predict_mycielskian(n, r))
-    if fam == "path":
-        return Prediction(predict_path(*p))
-    if fam == "cycle":
-        return Prediction(predict_cycle(*p), source="literature")
-    if fam == "cycle_ladder":
-        n, i = p
-        src = "literature" if i == 0 else "closed-form"
-        return Prediction(predict_cycle_ladder(n, i), source=src)
-    if fam == "conjecture_k2k3kn":
-        return Prediction(predict_conjecture_k2k3kn(*p), conjectural=True, source="conjecture")
-    raise ValueError(f"no predictor for family {fam!r}")
+    if spec.family not in _PREDICTORS:
+        raise ValueError(f"no predictor for family {spec.family!r}")
+    predictor, source = _PREDICTORS[spec.family]
+    homotopy = predictor(*spec.params)
+    if callable(source):
+        source = source(*spec.params)
+    return Prediction(homotopy, conjectural=source == "conjecture", source=source)
 
 
 # -- homotopy-preserving graph reductions ---------------------------------------
@@ -297,10 +295,9 @@ def simplicial_split(G: Graph, v):
         raise ValueError(f"not a vertex: {v!r}")
     if not gr.is_simplicial_vertex(G, v):
         raise ValueError(f"vertex {v!r} is not simplicial (or is isolated/looped)")
-    out = []
-    for w in sorted(G.neighbors(v), key=label_key):
-        out.append(gr.delete_vertices(G, G.closed_neighborhood(w)))
-    return out
+    nbrs = G.neighbors(v)
+    return [gr.delete_vertices(G, G.closed_neighborhood(w))
+            for w in G.vertices if w in nbrs]
 
 
 def edge_add_if_cone(G: Graph, a, b):

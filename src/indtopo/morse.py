@@ -7,7 +7,6 @@ does not depend on the iteration order inside a step.  The empty face
 participates like any other face.
 """
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -62,24 +61,29 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
     for v in order:
         idx.append(K.index_of(v))  # raises on foreign labels
 
+    # each sweep visits only the faces holding its element x
+    containing = {x: [] for x in idx}
     pool = set()
     for d in K.dims():
-        pool.update(K.index_faces(d))
+        for f in K.index_faces(d):
+            pool.add(f)
+            for v in f:
+                if v in containing:
+                    containing[v].append(f)
 
     pairs = []
     for x in idx:
-        candidates = []
-        for sigma in pool:
-            if x in sigma:
+        for bigger in containing.pop(x):
+            if bigger not in pool:
                 continue
-            k = bisect.bisect_left(sigma, x)
-            bigger = sigma[:k] + (x,) + sigma[k:]
-            if bigger in pool:
-                candidates.append((sigma, bigger))
-        for sigma, bigger in candidates:
-            pool.discard(sigma)
-            pool.discard(bigger)
-            pairs.append((sigma, bigger))
+            k = bigger.index(x)
+            sigma = bigger[:k] + bigger[k + 1:]
+            if sigma in pool:
+                # the pairs of one sweep are disjoint, so taking them out at
+                # once leaves the others' membership unchanged
+                pool.discard(sigma)
+                pool.discard(bigger)
+                pairs.append((sigma, bigger))
 
     vs = K.vertices
 
@@ -105,11 +109,17 @@ def _validate(matching: Matching, K: SimplicialComplex):
             raise MatchingError(f"pair is not a cover: {small} - {big}")
     seen = set()
     for f in itertools.chain(*matching.pairs, matching.critical):
-        if not K.has_face(f) or list(f) != sorted(f, key=K.index_of):
+        try:
+            ix = tuple(K.index_of(v) for v in f)
+        except ValueError:
+            ix = None
+        # K keeps each face as a strictly increasing index tuple, so
+        # membership also checks the spelling
+        if ix is None or ix not in K._face_set(len(ix) - 1):
             raise MatchingError(f"not a face in canonical order: {f}")
-        if f in seen:
+        if ix in seen:
             raise MatchingError(f"face used twice: {f}")
-        seen.add(f)
+        seen.add(ix)
     if len(seen) != K.total_faces:
         raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
 

@@ -258,9 +258,9 @@ def check_morse_product(m: int, n: int) -> InstanceRecord:
     K = independence_complex(G)
     matching = element_matching(K, product_matching_order(m, n))
     acyclic, witness = verify_acyclic(matching, K)
-    expected_cells = {tuple(sorted(((i, 1), (i, j)), key=gr.label_key))
+    expected_cells = {frozenset(((i, 1), (i, j)))
                       for i in range(2, m + 1) for j in range(2, n + 1)}
-    got_cells = {tuple(sorted(f, key=gr.label_key)) for f in matching.critical}
+    got_cells = set(map(frozenset, matching.critical))
     problems = []
     if not acyclic:
         problems.append(f"cycle: {witness}")
@@ -437,15 +437,20 @@ def _jobs_gadget(opts):
     return jobs
 
 
+def _neighbors_in_order(G, v):
+    nb = G.neighbors(v)
+    return [w for w in G.vertices if w in nb]
+
+
 def _find_crossing(G):
     """First (v1,v2,v3,v4) with edges (v1,v2), (v1,v4), (v2,v3), all distinct."""
-    verts = G.vertices
-    for v1 in verts:
-        for v2 in sorted(G.neighbors(v1), key=gr.label_key):
-            for v4 in sorted(G.neighbors(v1), key=gr.label_key):
+    for v1 in G.vertices:
+        nb1 = _neighbors_in_order(G, v1)
+        for v2 in nb1:
+            for v4 in nb1:
                 if v4 in (v1, v2):
                     continue
-                for v3 in sorted(G.neighbors(v2), key=gr.label_key):
+                for v3 in _neighbors_in_order(G, v2):
                     if v3 not in (v1, v2, v4):
                         return v1, v2, v3, v4
     return None
@@ -453,7 +458,7 @@ def _find_crossing(G):
 
 def _find_triangle(G):
     for v1 in G.vertices:
-        nb = sorted(G.neighbors(v1), key=gr.label_key)
+        nb = _neighbors_in_order(G, v1)
         for i, v2 in enumerate(nb):
             for v3 in nb[i + 1:]:
                 if G.has_edge(v2, v3):

@@ -4,16 +4,19 @@ Everything here favors obviousness over speed: independent sets come from a
 full subset sweep, ranks from naive Gaussian elimination on dense matrices
 (ints mod 2, or exact Fractions), invariant factors from gcds of minors,
 isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
-off the whole modified Hasse diagram.
+off the whole modified Hasse diagram, ordered matchings from sweeping the
+whole face pool per element, and the canonical graph order from sorting
+rendered label strings.
 Nothing below imports library internals beyond the Graph container and the
-label sort key, so a bug in the fast code paths cannot hide here.
+label renderer, so a bug in the fast code paths cannot hide here.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
 
-from indtopo.graphs import Graph, label_key
+from indtopo.graphs import Graph, render_label
 
 
 def brute_independent_sets(G: Graph):
@@ -31,9 +34,22 @@ def faces_by_dimension(faces):
     """Group label-set faces by dimension, each list in a canonical order."""
     by = {}
     for f in faces:
-        by.setdefault(len(f) - 1, []).append(tuple(sorted(f, key=label_key)))
-    key = lambda f: [label_key(v) for v in f]
+        by.setdefault(len(f) - 1, []).append(tuple(sorted(f, key=render_label)))
+    key = lambda f: [render_label(v) for v in f]
     return {d: sorted(fs, key=key) for d, fs in sorted(by.items())}
+
+
+def canonical_graph(vertices, edges=(), loops=()):
+    """(vertices, edges, loops) in canonical order, by comparing rendered strings.
+
+    Each edge is written with its smaller rendered endpoint first; vertices,
+    edges and loops are sorted on the rendered labels.
+    """
+    key = render_label
+    edge_set = {tuple(sorted(e, key=key)) for e in edges}
+    return (tuple(sorted(vertices, key=key)),
+            tuple(sorted(edge_set, key=lambda e: (key(e[0]), key(e[1])))),
+            tuple(sorted(set(loops), key=key)))
 
 
 def boundary_rows(by_dim, d, signed):
@@ -166,6 +182,48 @@ def matching_is_acyclic(pairs, faces) -> bool:
         if not sinks:
             return not alive
         alive -= sinks
+
+
+def ordered_matching_sweep(K, order):
+    """(pairs, critical) of the ordered sweep, scanning the whole pool per element.
+
+    For each x in order, every pooled sigma without x whose sigma + {x} is
+    pooled too is paired with it, and then all of that sweep's pairs leave
+    the pool.  Faces are label tuples in K's vertex order, sorted by size and
+    then by index, like ``morse.element_matching`` returns them.
+    """
+    pool = set()
+    for d in K.dims():
+        pool.update(K.index_faces(d))
+    pairs = []
+    for x in (K.index_of(v) for v in order):
+        candidates = []
+        for sigma in pool:
+            if x in sigma:
+                continue
+            k = bisect.bisect_left(sigma, x)
+            bigger = sigma[:k] + (x,) + sigma[k:]
+            if bigger in pool:
+                candidates.append((sigma, bigger))
+        for sigma, bigger in candidates:
+            pool.discard(sigma)
+            pool.discard(bigger)
+            pairs.append((sigma, bigger))
+
+    def labels(f):
+        return tuple(K.vertices[i] for i in f)
+
+    by_size = lambda f: (len(f), f)
+    return (tuple((labels(a), labels(b)) for a, b in sorted(pairs, key=lambda p: by_size(p[0]))),
+            tuple(labels(f) for f in sorted(pool, key=by_size)))
+
+
+def simplicial_vertex_pairwise(G: Graph, v) -> bool:
+    """N(v) nonempty, no loop at v or in N(v), and every two neighbours adjacent."""
+    nbrs = G.neighbors(v)
+    return (bool(nbrs) and not G.has_edge(v, v)
+            and not any(G.has_edge(w, w) for w in nbrs)
+            and all(G.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2)))
 
 
 def is_cycle_graph(G: Graph, n: int) -> bool:

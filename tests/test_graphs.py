@@ -1,6 +1,7 @@
 """Graph container, family constructors, ladder surgery."""
 
 import itertools
+import random
 
 import pytest
 
@@ -85,6 +86,48 @@ def test_simplicial_vertex():
     # (at vertex 1 the split would claim S^0; the true complex is a cone on {1,3})
     assert not gr.is_simplicial_vertex(gr.add_loop(gr.path(3), 2), 1)
     assert not gr.is_simplicial_vertex(gr.add_loop(gr.path(3), 1), 1)
+
+
+def _mixed_label(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.randint(-12, 12)
+    if roll < 0.7 or depth > 1:
+        return rng.choice(["a", "b", "w", "x1", "x10", "y_2", "Z"])
+    return tuple(_mixed_label(rng, depth + 1) for _ in range(rng.randint(2, 3)))
+
+
+def test_canonical_order_and_simplicial_test_against_oracles():
+    """Mixed labels sort as their rendered strings: (1,2) < -3 < 10 < 9 < Z < a."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(400):
+        by_render = {}
+        for _ in range(rng.randint(0, 9)):
+            label = _mixed_label(rng)
+            by_render[gr.render_label(label)] = label
+        verts = list(by_render.values())
+        rng.shuffle(verts)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(verts, 2) if rng.random() < 0.45]
+        edges += [(v, u) for u, v in edges[:2]]     # repeats, reversed
+        loops = [v for v in verts if rng.random() < 0.15]
+        G = gr.Graph(verts, edges, loops)
+        assert (G.vertices, G.edges, G.loops) == oracles.canonical_graph(verts, edges, loops)
+        for v in G.vertices:
+            got = gr.is_simplicial_vertex(G, v)
+            assert got == oracles.simplicial_vertex_pairwise(G, v), (G.edges, G.loops, v)
+            nbrs = G.neighbors(v)
+            if G.is_looped(v):
+                seen.add("looped vertex")
+            elif not nbrs:
+                seen.add("isolated vertex")
+            elif any(G.is_looped(w) for w in nbrs):
+                seen.add("looped neighbour")
+            else:
+                seen.add("simplicial" if got else "not simplicial")
+    assert seen == {"looped vertex", "isolated vertex", "looped neighbour",
+                    "simplicial", "not simplicial"}
 
 
 # -- stock families ----------------------------------------------------------
@@ -226,6 +269,19 @@ def test_ladder_replace_triangle():
     assert H.has_edge("b", 3) and H.has_edge("d", 3)
     assert not H.has_edge(1, 3) and not H.has_edge(2, 3)
     assert H.has_edge(1, 2)
+
+
+def test_ladder_drops_edges_given_in_either_orientation():
+    # the crossing is passed as (12, 9) and (11, 10); "12" renders before "9",
+    # so the graph holds those edges as (12, 9) and (10, 11)
+    G = gr.Graph([9, 10, 11, 12], [(9, 10), (9, 12), (10, 11), (11, 12)])
+    H = gr.ladder_replace_crossing(G, 12, 11, 10, 9)
+    assert H.edge_count == G.edge_count - 2 + 8
+    assert not H.has_edge(9, 12) and not H.has_edge(10, 11) and H.has_edge(11, 12)
+    T = gr.ladder_replace_triangle(gr.Graph([9, 10, "x"], [(9, 10), (10, "x"), ("x", 9)]),
+                                   "x", 10, 9)
+    assert T.edge_count == 3 - 2 + 8
+    assert not T.has_edge("x", 9) and not T.has_edge(10, 9) and T.has_edge("x", 10)
 
 
 def test_ladder_fresh_labels_avoid_collisions():

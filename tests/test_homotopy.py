@@ -149,6 +149,7 @@ def test_mycielskian_prediction():
     assert P("mycielskian", 4, 4).homotopy == HomotopyType.sphere(2, 12)
     assert P("mycielskian", 4, 5).homotopy == HomotopyType.sphere(3, 9)
     assert P("mycielskian", 2, 2).source == "literature"
+    assert P("mycielskian", 3, 4).source == "closed-form"
 
 
 def test_mycielskian_of_k2_matches_odd_cycles():
@@ -164,6 +165,9 @@ def test_cycle_ladder_prediction():
     assert P("cycle_ladder", 4, 2).homotopy == POINT
     assert P("cycle_ladder", 5, 1).homotopy == HomotopyType.sphere(1, 2)
     assert P("cycle_ladder", 5, 4).homotopy == HomotopyType.sphere(3, 2)
+    for i, source in [(0, "literature"), (1, "closed-form"), (4, "closed-form")]:
+        pred = P("cycle_ladder", 5, i)
+        assert pred.source == source and not pred.conjectural
 
 
 def test_conjecture_prediction_is_flagged():

@@ -106,6 +106,25 @@ def test_product_matching_order_domain():
 
 # -- acyclicity ----------------------------------------------------------------
 
+def test_element_matching_equals_the_whole_pool_sweep():
+    """Per-vertex sweeps give the same Matching as scanning the whole pool."""
+    rng = random.Random(61)
+    for k in range(400):
+        n = rng.randint(0, 8)
+        if k % 2:
+            G = rand_graph(rng, n, p=rng.choice([0.2, 0.4, 0.6]))
+            K = independence_complex(G)
+        else:
+            verts = [rng.choice([v, f"v{v}", (v, "t")]) for v in range(n)]
+            facets = [rng.sample(verts, rng.randint(0, n)) for _ in range(rng.randint(0, 4))]
+            K = from_facets(verts, facets)
+        order = list(K.vertices)
+        rng.shuffle(order)
+        order = order[:rng.randint(0, len(order))]
+        m = element_matching(K, order)
+        assert (m.pairs, m.critical) == oracles.ordered_matching_sweep(K, order)
+
+
 def test_element_matchings_are_always_acyclic():
     rng = random.Random(17)
     for _ in range(200):
