@@ -23,28 +23,21 @@ def _check_budget(count: int, budget: int) -> None:
 
 
 class SimplicialComplex:
-    """Immutable simplicial complex on an ordered vertex universe."""
+    """Immutable simplicial complex on an ordered vertex universe.
+
+    The constructor trusts its input: vertices in canonical order and, per
+    dimension, a sorted sequence of strictly increasing index tuples, which
+    is what enumeration, ``link`` and ``without_vertex`` produce.  Faces from
+    outside the program come in through ``from_facets``.
+    """
 
     __slots__ = ("vertices", "_index", "_faces", "_face_sets", "source")
 
     def __init__(self, vertices, faces_by_dim, source=None):
-        self.vertices = tuple(sorted(vertices, key=render_label))
+        self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        faces = {-1: ((),)}
-        for d, fs in faces_by_dim.items():
-            if d == -1:
-                continue
-            norm = sorted({tuple(sorted(f)) for f in fs})
-            if not norm:
-                continue
-            for f in norm:
-                if len(f) != d + 1:
-                    raise ValueError(f"face {f} filed under dimension {d}")
-                if any(not 0 <= i < n for i in f) or len(set(f)) != len(f):
-                    raise ValueError(f"bad vertex indices in face {f}")
-            faces[d] = tuple(norm)
-        self._faces = faces
+        self._faces = {-1: ((),)}
+        self._faces.update((d, tuple(fs)) for d, fs in faces_by_dim.items() if d >= 0 and fs)
         self._face_sets = {}
         self.source = source
 
@@ -100,29 +93,15 @@ class SimplicialComplex:
     def link(self, v) -> "SimplicialComplex":
         """lk(v): faces sigma with v not in sigma and sigma + v a face."""
         i = self.index_of(v)
-        out = {}
-        for d in self.dims():
-            if d + 1 > self.dim:
-                continue
-            upper = self._face_set(d + 1)
-            kept = []
-            for f in self.index_faces(d):
-                if i in f:
-                    continue
-                if tuple(sorted(f + (i,))) in upper:
-                    kept.append(f)
-            if kept:
-                out[d] = kept
+        # dropping i from the sorted faces that hold it keeps them sorted
+        out = {d: [tuple(u for u in f if u != i) for f in self.index_faces(d + 1) if i in f]
+               for d in self.dims()}
         return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"link({v!r})"))
 
     def without_vertex(self, v) -> "SimplicialComplex":
         """The deletion: all faces not containing v."""
         i = self.index_of(v)
-        out = {}
-        for d in self.dims():
-            kept = [f for f in self.index_faces(d) if i not in f]
-            if kept:
-                out[d] = kept
+        out = {d: [f for f in self.index_faces(d) if i not in f] for d in self.dims()}
         return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"delete({v!r})"))
 
     # -- invariants ----------------------------------------------------------
@@ -134,28 +113,18 @@ class SimplicialComplex:
 
     def facets(self):
         """Maximal faces, as label tuples in canonical order."""
+        vs = self.vertices
         out = []
         for d in self.dims():
-            upper = self.index_faces(d + 1)
-            non_max = set()
-            for f in upper:
-                for k in range(len(f)):
-                    non_max.add(f[:k] + f[k + 1:])
-            out.extend(f for f in self.index_faces(d) if f not in non_max)
-        vs = self.vertices
-        return [tuple(vs[i] for i in f) for f in sorted(out, key=lambda f: (len(f), f))]
+            non_max = {f[:k] + f[k + 1:] for f in self.index_faces(d + 1) for k in range(len(f))}
+            out.extend(tuple(vs[i] for i in f) for f in self.index_faces(d) if f not in non_max)
+        return out
 
     def is_cone(self):
         """A vertex lying in every facet, or None. The empty complex is not a cone."""
         facets = self.facets()
-        if not facets or facets == [()]:
-            return None
-        common = set(facets[0])
-        for f in facets[1:]:
-            common &= set(f)
-            if not common:
-                return None
-        return min(common, key=render_label) if common else None
+        common = set(facets[0]).intersection(*facets[1:])
+        return min(common, key=self.index_of) if common else None
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -189,21 +158,20 @@ def _independence_masks(G: Graph):
     return verts, nbr
 
 
-def _enumerate_independent(nbr, min_size, max_size, budget):
-    """All independent index sets with min_size <= size <= max_size, grouped by size.
+def _enumerate_independent(nbr, max_size, budget):
+    """All independent index sets of size <= max_size, as one list per size.
 
-    Visits every independent set of size <= max_size once; the visit count
-    is charged against the budget.
+    The depth-first visit appends each set once, so every list comes out in
+    lexicographic order; the visit count is charged against the budget.
     """
     n = len(nbr)
-    out = {k: [] for k in range(min_size, max_size + 1)}
+    out = [[] for _ in range(max_size + 1)]
     visited = 0
 
     def rec(face, start, forbidden):
         nonlocal visited
         k = len(face)
-        if k >= min_size:
-            out[k].append(face)
+        out[k].append(face)
         if k == max_size:
             return
         for i in range(start, n):
@@ -217,103 +185,59 @@ def _enumerate_independent(nbr, min_size, max_size, budget):
     return out
 
 
+def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> SimplicialComplex:
+    """The max_dim-skeleton of Ind(G) (all of it for None), by one enumeration."""
+    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
+    verts, nbr = _independence_masks(G)
+    cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
+    by_size = _enumerate_independent(nbr, cap, budget)
+    return SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(by_size)},
+                             source=G.name or repr(G))
+
+
 def independence_complex(G: Graph, max_dim: int | None = None,
                          face_budget: int | None = None) -> SimplicialComplex:
     """The complex of independent sets of G (faces avoid edges and looped vertices).
 
     With max_dim set, returns the dimension-<=max_dim skeleton.
     """
-    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
-    verts, nbr = _independence_masks(G)
-    cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
-    by_size = _enumerate_independent(nbr, 0, cap, budget)
-    faces = {k - 1: fs for k, fs in by_size.items() if fs and k >= 1}
-    return SimplicialComplex(verts, faces, source=G.name or repr(G))
-
-
-class FaceWindow:
-    """Faces of an independence complex in a dimension window only.
-
-    Holds dimensions d_lo-1 .. d_hi+1 (sizes d_lo .. d_hi+2), exactly what
-    the boundary maps for Betti numbers in [d_lo, d_hi] need.
-    """
-
-    __slots__ = ("vertices", "window", "_faces", "source")
-
-    def __init__(self, vertices, window, faces_by_dim, source=None):
-        self.vertices = tuple(vertices)
-        self.window = window
-        self._faces = {d: tuple(sorted(fs)) for d, fs in faces_by_dim.items()}
-        self.source = source
-
-    def index_faces(self, d):
-        return self._faces.get(d, ())
-
-    def face_count(self, d) -> int:
-        return len(self._faces.get(d, ()))
-
-    def dims(self):
-        return tuple(sorted(self._faces))
+    return _skeleton(G, max_dim, face_budget)
 
 
 def faces_in_window(G: Graph, d_lo: int, d_hi: int,
-                    face_budget: int | None = None) -> FaceWindow:
-    """Independent sets of sizes d_lo..d_hi+2 without materializing the rest."""
+                    face_budget: int | None = None) -> SimplicialComplex:
+    """The (d_hi+1)-skeleton of Ind(G): every face the Betti numbers in d_lo..d_hi need.
+
+    Nothing above dimension d_hi+1 is enumerated.
+    """
     if d_lo < 0 or d_hi < d_lo:
         raise ValueError(f"bad window ({d_lo}, {d_hi})")
-    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
-    verts, nbr = _independence_masks(G)
-    by_size = _enumerate_independent(nbr, d_lo, min(d_hi + 2, len(verts)), budget)
-    faces = {k - 1: fs for k, fs in by_size.items()}
-    return FaceWindow(verts, (d_lo, d_hi), faces, source=G.name or repr(G))
-
-
-def independence_facets(G: Graph):
-    """Maximal independent sets, via pivoting Bron-Kerbosch on the complement."""
-    verts, nbr = _independence_masks(G)
-    n = len(verts)
-    full = (1 << n) - 1
-    conbr = [full & ~nbr[i] & ~(1 << i) for i in range(n)]  # complement adjacency
-    out = []
-
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(tuple(sorted(bits(r))))
-            return
-        pivot, best = -1, -1
-        for u in bits(p | x):
-            score = (p & conbr[u]).bit_count()
-            if score > best:
-                pivot, best = u, score
-        for v in bits(p & ~conbr[pivot]):
-            bit = 1 << v
-            bk(r | bit, p & conbr[v], x & conbr[v])
-            p &= ~bit
-            x |= bit
-
-    if n:
-        bk(0, full, 0)
-    else:
-        out.append(())
-    return [tuple(verts[i] for i in f) for f in sorted(out, key=lambda f: (len(f), f))]
+    return _skeleton(G, d_hi + 1, face_budget)
 
 
 def from_facets(vertices, facet_labels, face_budget: int | None = None,
                 source=None) -> SimplicialComplex:
-    """Downward closure of the given facets over the given vertex universe."""
+    """Downward closure of the given facets over the given vertex universe.
+
+    The one way in for faces from outside the program: it puts the vertices
+    in canonical order, sorts its own faces, and raises ValueError on a
+    repeated vertex or a label outside the universe.
+    """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     vs = tuple(sorted(vertices, key=render_label))
     index = {v: i for i, v in enumerate(vs)}
+    if len(index) != len(vs):
+        raise ValueError("repeated vertex in the vertex universe")
     seen = set()
     count = 0
     for facet in facet_labels:
-        f = tuple(sorted(index[v] for v in facet))
+        try:
+            f = tuple(sorted(index[v] for v in facet))
+        except KeyError as e:
+            raise ValueError(f"facet {facet!r} has a label outside the vertices: "
+                             f"{e.args[0]!r}") from None
+        if len(set(f)) != len(f):
+            raise ValueError(f"facet {facet!r} repeats a vertex")
         for k in range(len(f) + 1):
             for sub in combinations(f, k):
                 if sub not in seen:
@@ -321,9 +245,8 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
                     _check_budget(count, budget)
                     seen.add(sub)
     faces = {}
-    for f in seen:
+    for f in sorted(seen):
         faces.setdefault(len(f) - 1, []).append(f)
-    faces.pop(-1, None)
     return SimplicialComplex(vs, faces, source=source)
 
 

@@ -313,7 +313,7 @@ def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None,
                  faces=None) -> BettiTable:
     """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only.
 
-    ``faces`` may carry a prebuilt window enumeration for the same (G, d_lo, d_hi).
+    ``faces`` may carry the prebuilt ``faces_in_window(G, d_lo, d_hi)`` skeleton.
     """
     from .complexes import faces_in_window
     fw = faces if faces is not None else faces_in_window(G, d_lo, d_hi, face_budget=face_budget)

@@ -57,23 +57,35 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
     order = tuple(order)
     if len(set(order)) != len(order):
         raise MatchingError("duplicate elements in the order")
-    idx = []
-    for v in order:
-        idx.append(K.index_of(v))  # raises on foreign labels
+    idx = [K.index_of(v) for v in order]  # raises on foreign labels
 
-    # each sweep visits only the faces holding its element x
-    containing = {x: [] for x in idx}
+    # a face waits in the list of the first order element it holds; when it
+    # survives that sweep unmatched it moves on to its next one
+    end = len(idx)
+    sweep_of = [end] * len(K.vertices)
+    for p, x in enumerate(idx):
+        sweep_of[x] = p
+    waiting = [[] for _ in idx]
+
+    def hand_on(f, after):
+        """Queue f for the first sweep after `after` whose element it holds."""
+        q = end
+        for v in f:
+            if after < sweep_of[v] < q:
+                q = sweep_of[v]
+        if q < end:
+            waiting[q].append(f)
+
     pool = set()
     for d in K.dims():
-        for f in K.index_faces(d):
-            pool.add(f)
-            for v in f:
-                if v in containing:
-                    containing[v].append(f)
+        fs = K.index_faces(d)
+        pool.update(fs)
+        for f in fs:
+            hand_on(f, -1)
 
     pairs = []
-    for x in idx:
-        for bigger in containing.pop(x):
+    for p, x in enumerate(idx):
+        for bigger in waiting[p]:
             if bigger not in pool:
                 continue
             k = bigger.index(x)
@@ -84,6 +96,9 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
                 pool.discard(sigma)
                 pool.discard(bigger)
                 pairs.append((sigma, bigger))
+            else:
+                hand_on(bigger, p)
+        waiting[p] = None
 
     vs = K.vertices
 

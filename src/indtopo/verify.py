@@ -198,9 +198,9 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
             bt = betti_reduced(K, coefficients)
             rec.computed_betti = bt.nonzero()
         else:
-            fw = faces_in_window(G, window[0], window[1], face_budget=face_budget)
-            rec.faces = sum(fw.face_count(d) for d in fw.dims())
-            bt = betti_window(G, window[0], window[1], faces=fw)
+            skeleton = faces_in_window(G, *window, face_budget=face_budget)
+            rec.faces = sum(skeleton.face_count(d) for d in range(window[0] - 1, window[1] + 2))
+            bt = betti_window(G, *window, faces=skeleton)
             rec.computed_betti = dict(bt.betti)
         rec.torsion = dict(bt.torsion)
         rec.match = bt.matches(want) and not rec.torsion
@@ -518,8 +518,9 @@ def _jobs_cycle_ladder(opts):
 
 
 def _jobs_paths_cycles(opts):
-    jobs = [("family", ("path", (n,)), {}) for n in _ints(opts.get("n"), range(1, 16))]
-    jobs += [("family", ("cycle", (n,)), {}) for n in _ints(opts.get("n"), range(3, 16))
+    kw = {"face_budget": opts.get("face_budget")}
+    jobs = [("family", ("path", (n,)), kw) for n in _ints(opts.get("n"), range(1, 16))]
+    jobs += [("family", ("cycle", (n,)), kw) for n in _ints(opts.get("n"), range(3, 16))
              if n >= 3]
     return jobs
 

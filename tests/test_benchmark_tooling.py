@@ -28,3 +28,37 @@ def test_workload_checkers_resolve():
     verify = importlib.import_module("indtopo.verify")
     for kind, name in _load("workloads")._CHECKERS.items():
         assert callable(getattr(verify, name, None)), f"{kind}: indtopo.verify.{name}"
+
+
+def test_tracer_counters_accept_real_results():
+    """Each counter reads what its traced function returns on a tiny input, so a
+    changed return type fails here and not only under ``--trace 1``."""
+    from indtopo import graphs as gr
+    from indtopo.complexes import independence_complex
+    from indtopo.homology import boundary_matrix, gf2_columns
+    from indtopo.morse import element_matching
+
+    G = gr.cycle(5)
+    K = independence_complex(G)
+    matching = element_matching(K, K.vertices)
+    columns = gf2_columns(boundary_matrix(K, 1))
+    calls = {
+        "independence_complex": ((G,), {}),
+        "faces_in_window": ((G, 0, 1), {}),
+        "boundary_matrix": ((K, 1), {}),
+        "gf2_rank": ((columns,), {}),
+        "betti_reduced": ((K,), {"coefficients": "int"}),
+        "element_matching": ((K, K.vertices), {}),
+        "verify_acyclic": ((matching, K), {}),
+        "reduce": ((G,), {}),
+    }
+    counted = set()
+    for module, function, counter in _load("tracer").TRACED:
+        if counter is None:
+            continue
+        args, kwargs = calls[function]
+        fn = getattr(importlib.import_module(f"indtopo.{module}"), function)
+        counts = counter(args, kwargs, fn(*args, **kwargs))
+        assert counts and all(isinstance(v, (int, float)) for v in counts.values()), function
+        counted.add(function)
+    assert counted == set(calls)

@@ -262,6 +262,17 @@ def test_face_budget_failure_records(capsys, check, args, suite, overrides,
     assert code == 2
 
 
+def test_paths_cycles_suite_honours_the_face_budget(capsys):
+    report = verify.run_suites(["paths_cycles"], face_budget=10)
+    records = {r.instance: r for r in report.suites[0].records}
+    assert records["cycle 5"].match
+    failed = [r for r in records.values() if not r.match]
+    assert records["cycle 15"] in failed
+    assert all(r.note == "face budget exceeded: 11 > 10" for r in failed)
+    code, _, _ = run(capsys, "verify", "paths_cycles", "--budget-faces", "10")
+    assert code == 2
+
+
 def test_suspension_shift_budget_record_is_timed():
     G = gr.Graph(range(12))        # 4096 faces
     rec = check_suspension_shift("suspension", "edgeless 12", G, G, face_budget=100)

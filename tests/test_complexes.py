@@ -9,11 +9,11 @@ import oracles
 from indtopo import graphs as gr
 from indtopo.complexes import (
     FaceBudgetError,
+    complex_from_json_dict,
     f_vector_csv,
     faces_in_window,
     from_facets,
     independence_complex,
-    independence_facets,
 )
 
 
@@ -89,7 +89,8 @@ def test_facets_and_bron_kerbosch_agree():
                       if rng.random() < 0.45])
         K = independence_complex(G)
         route_a = sorted(K.facets())
-        route_b = sorted(tuple(sorted(f)) for f in independence_facets(G))
+        faces = oracles.brute_independent_sets(G)
+        route_b = sorted(tuple(sorted(f)) for f in faces if not any(f < g for g in faces))
         assert route_a == route_b
 
 
@@ -139,6 +140,65 @@ def test_from_facets_round_trip():
     assert tri.f_vector() == (1, 3, 3, 1)
 
 
+def test_from_facets_rejects_foreign_and_repeated_labels():
+    for facets in ([(1, 3)], [(1, 1)], [(2,), ("x", 1)]):
+        with pytest.raises(ValueError):
+            from_facets([1, 2], facets)
+        with pytest.raises(ValueError):
+            complex_from_json_dict({"vertices": [1, 2], "facets": [list(f) for f in facets]})
+    with pytest.raises(ValueError):
+        from_facets([1, 2, 1], [(1, 2)])
+
+
+def _assert_canonical(K):
+    """Faces are sorted, strictly increasing index tuples in K.vertices order."""
+    n = len(K.vertices)
+    assert K.index_faces(-1) == ((),)
+    for d in K.dims():
+        fs = K.index_faces(d)
+        assert list(fs) == sorted(fs) and len(set(fs)) == len(fs)
+        for f in fs:
+            assert len(f) == d + 1 and all(0 <= i < n for i in f)
+            assert all(a < b for a, b in zip(f, f[1:]))
+
+
+def mixed_label_graphs(seed, count):
+    """Random graphs on ints, identifiers and tuples, with some loops."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 9)
+        verts = [rng.choice([v, f"v{v}", (v, "t"), (v, (1, "u"))]) for v in range(n)]
+        edges = [e for e in itertools.combinations(verts, 2) if rng.random() < 0.35]
+        loops = [v for v in verts if rng.random() < 0.15]
+        yield gr.Graph(verts, edges, loops=loops)
+
+
+def test_every_producer_hands_canonical_faces():
+    rng = random.Random(5)
+    for G in mixed_label_graphs(31, 60):
+        K = independence_complex(G)
+        assert list(K.vertices) == [v for v in G.vertices if not G.is_looped(v)]
+        _assert_canonical(K)
+        for max_dim in range(-1, K.dim + 2):
+            _assert_canonical(independence_complex(G, max_dim=max_dim))
+        for lo in range(0, K.dim + 1):
+            for hi in range(lo, K.dim + 1):
+                fw = faces_in_window(G, lo, hi)
+                _assert_canonical(fw)
+                assert fw == independence_complex(G, max_dim=hi + 1)
+        for v in K.vertices:
+            _assert_canonical(K.link(v))
+            _assert_canonical(K.without_vertex(v))
+        facets = K.facets() * 2
+        rng.shuffle(facets)
+        facets = [rng.sample(f, len(f)) for f in facets]
+        verts = list(K.vertices)
+        rng.shuffle(verts)
+        K2 = from_facets(verts, facets)
+        _assert_canonical(K2)
+        assert K2 == K
+
+
 def test_windowed_enumeration_matches_full():
     for G in [gr.cycle(7), gr.generalized_mycielskian(gr.complete(3), 2),
               gr.categorical_product(gr.complete(3), gr.complete(3))]:
@@ -146,7 +206,6 @@ def test_windowed_enumeration_matches_full():
         for lo in range(0, K.dim + 1):
             for hi in range(lo, K.dim + 1):
                 fw = faces_in_window(G, lo, hi)
-                assert fw.window == (lo, hi)
                 for d in range(lo - 1, hi + 2):
                     assert fw.index_faces(d) == K.index_faces(d)
 
