@@ -49,12 +49,16 @@ def gf2_columns(boundary: Boundary):
 
 
 def gf2_rank(columns) -> int:
-    """Rank over GF(2); pivots on the lowest-index nonzero row, columns in order."""
+    """Rank over GF(2); pivots on the highest set row, columns in order.
+
+    The pivot is the same "low" as in `_integer_reduce`, here keyed by
+    `col.bit_length()`; on boundary columns in face order it keeps fill-in small.
+    """
     pivots = {}
     rank = 0
     for col in columns:
         while col:
-            low = col & -col
+            low = col.bit_length()
             other = pivots.get(low)
             if other is None:
                 pivots[low] = col

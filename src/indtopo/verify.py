@@ -251,11 +251,23 @@ def check_table1_row(n: int, kind: str = "window",
     return rec
 
 
-def check_morse_product(m: int, n: int) -> InstanceRecord:
+def _budget_record(instance: str, coefficients: str, t0: float,
+                   error: FaceBudgetError) -> InstanceRecord:
+    """The timed, failing record of a check whose enumeration hit the face budget."""
+    return InstanceRecord(instance=instance, predicted=None, predicted_betti=None,
+                          computed_betti={}, coefficients=coefficients, window=None,
+                          match=False, seconds=time.perf_counter() - t0, note=str(error))
+
+
+def check_morse_product(m: int, n: int,
+                        face_budget: int | None = None) -> InstanceRecord:
     """Certify the ordered matching on Ind(K_m x K_n) against the closed form."""
     t0 = time.perf_counter()
     G = gr.categorical_product(gr.complete(m), gr.complete(n))
-    K = independence_complex(G)
+    try:
+        K = independence_complex(G, face_budget=face_budget)
+    except FaceBudgetError as e:
+        return _budget_record(f"morse product {m} {n}", "critical-cells", t0, e)
     matching = element_matching(K, product_matching_order(m, n))
     acyclic, witness = verify_acyclic(matching, K)
     expected_cells = {frozenset(((i, 1), (i, j)))
@@ -313,10 +325,7 @@ def check_suspension_shift(kind: str, tag: str, G, H,
         base = _betti_of_graph(G, face_budget)
         lifted = _betti_of_graph(H, face_budget)
     except FaceBudgetError as e:
-        return InstanceRecord(instance=f"{kind} {tag}", predicted=None,
-                              predicted_betti=None, computed_betti={},
-                              coefficients="z2", window=None, match=False,
-                              seconds=time.perf_counter() - t0, note=str(e))
+        return _budget_record(f"{kind} {tag}", "z2", t0, e)
     want = {d + 1: v for d, v in base.items()}
     return InstanceRecord(
         instance=f"{kind} {tag}",
@@ -329,13 +338,18 @@ def check_suspension_shift(kind: str, tag: str, G, H,
         note=f"{G.vertex_count}->{H.vertex_count} vertices")
 
 
-def check_morse_homology_batch(n: int, graphs_orders: list) -> InstanceRecord:
+def check_morse_homology_batch(n: int, graphs_orders: list,
+                               face_budget: int | None = None) -> InstanceRecord:
     """Random-order matchings on a batch of graphs: acyclicity, weak Morse
     inequalities against mod-2 Betti, and the Euler alternating sum."""
     t0 = time.perf_counter()
+    instance = f"morse-homology n={n} ({len(graphs_orders)} samples)"
     bad = []
     for idx, (G, order) in enumerate(graphs_orders):
-        K = independence_complex(G)
+        try:
+            K = independence_complex(G, face_budget=face_budget)
+        except FaceBudgetError as e:
+            return _budget_record(instance, "z2", t0, e)
         matching = element_matching(K, order)
         acyclic, witness = verify_acyclic(matching, K)
         if not acyclic:
@@ -353,7 +367,7 @@ def check_morse_homology_batch(n: int, graphs_orders: list) -> InstanceRecord:
         if len(bad) >= 3:
             break
     return InstanceRecord(
-        instance=f"morse-homology n={n} ({len(graphs_orders)} samples)",
+        instance=instance,
         predicted=None, predicted_betti=None,
         computed_betti={}, coefficients="z2", window=None,
         match=not bad,
@@ -408,7 +422,8 @@ def _jobs_product(opts):
 def _jobs_morse(opts):
     ms = _ints(opts.get("m"), range(2, 7))
     ns = _ints(opts.get("n"), range(2, 7))
-    return [("morse_product", (m, n), {}) for m in ms for n in ns]
+    return [("morse_product", (m, n), {"face_budget": opts.get("face_budget")})
+            for m in ms for n in ns]
 
 
 def _jobs_mycielskian(opts):
@@ -551,7 +566,7 @@ def _jobs_morse_homology(opts):
                 rng.shuffle(order)
                 batch.append((G, order))
         used += len(batch)
-        jobs.append(("morse_homology", (n, batch), {}))
+        jobs.append(("morse_homology", (n, batch), {"face_budget": opts.get("face_budget")}))
         if used >= cap:
             break
     return jobs

@@ -273,6 +273,24 @@ def test_paths_cycles_suite_honours_the_face_budget(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite, passing, over, coefficients", [
+    ("morse", "morse product 2 2", "morse product 6 6", "critical-cells"),
+    ("morse_homology", "morse-homology n=3 (8 samples)",
+     "morse-homology n=6 (3901 samples)", "z2"),
+])
+def test_morse_suites_honour_the_face_budget(capsys, suite, passing, over, coefficients):
+    report = verify.run_suites([suite], face_budget=10)
+    records = {r.instance: r for r in report.suites[0].records}
+    assert records[passing].match
+    failed = [r for r in records.values() if not r.match]
+    assert records[over] in failed
+    for r in failed:
+        assert r.note == "face budget exceeded: 11 > 10"
+        assert r.coefficients == coefficients and r.seconds > 0
+    code, _, _ = run(capsys, "verify", suite, "--budget-faces", "10")
+    assert code == 2
+
+
 def test_suspension_shift_budget_record_is_timed():
     G = gr.Graph(range(12))        # 4096 faces
     rec = check_suspension_shift("suspension", "edgeless 12", G, G, face_budget=100)

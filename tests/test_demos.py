@@ -9,10 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# demos/06 is left out: its n = 6 window takes about half a minute
 DEMOS = ["01_graph_families.py", "02_independence_complexes.py",
          "03_morse_matching.py", "04_homology_and_snf.py",
-         "05_reductions_and_predictions.py"]
+         "05_reductions_and_predictions.py", "06_reference_table.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

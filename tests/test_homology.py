@@ -129,10 +129,39 @@ def test_augmentation_row():
 
 def test_gf2_rank_against_naive_elimination():
     rng = random.Random(13)
+    cases = []                     # (bitset columns, dense 0/1 matrix)
     for _ in range(40):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         dense = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
-        cols = [sum(1 << i for i in range(m) if dense[i][j]) for j in range(n)]
+        cases.append(([sum(1 << i for i in range(m) if dense[i][j]) for j in range(n)], dense))
+    # columns taller than one machine word; after a sparse first column, the
+    # rest mix sparse, repeated, all-zero and dependent (XOR of two earlier) ones
+    for _ in range(30):
+        m = rng.randint(65, 200)
+        cols = [1 << rng.randrange(m)]
+        for kind in rng.choices(("sparse", "repeat", "zero", "sum"), k=rng.randint(0, 40)):
+            if kind == "sparse":
+                cols.append(sum(1 << r for r in rng.sample(range(m), rng.randint(1, 4))))
+            elif kind == "repeat":
+                cols.append(rng.choice(cols))
+            elif kind == "zero":
+                cols.append(0)
+            else:
+                cols.append(rng.choice(cols) ^ rng.choice(cols))
+        cases.append((cols, [[col >> i & 1 for col in cols] for i in range(m)]))
+    # boundary maps of small Ind(G), some over 64 rows; the dense matrices
+    # come from brute-force faces, not from boundary_matrix
+    rows = []
+    for _ in range(20):
+        G = rand_graph(rng, rng.randint(6, 10), rng.choice((0.1, 0.2, 0.4)))
+        K = independence_complex(G)
+        by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
+        for d in range(K.dim + 1):
+            b = boundary_matrix(K, d)
+            rows.append(b.n_rows)
+            cases.append((gf2_columns(b), oracles.boundary_rows(by_dim, d, signed=False)))
+    assert max(rows) > 64
+    for cols, dense in cases:
         assert gf2_rank(cols) == oracles.rank_gf2(dense)
 
 
