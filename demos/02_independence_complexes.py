@@ -1,4 +1,4 @@
-"""Independence complexes: faces, f-vectors, links, and windowed enumeration."""
+"""Independence complexes: faces, f-vectors, looped vertices, and windowed enumeration."""
 
 from indtopo import graphs as gr
 from indtopo.complexes import faces_in_window, independence_complex
@@ -12,9 +12,6 @@ print("reduced Euler characteristic:", K.euler_characteristic_reduced())
 
 # faces are stored per dimension as sorted label tuples
 print("edges of Ind(C_5):", K.faces(1))
-
-# the link of a vertex
-print("link of 1:", K.link(1).f_vector())
 
 # a looped vertex sits in no independent set
 G = gr.add_loop(gr.path(3), 2)

@@ -27,8 +27,8 @@ class SimplicialComplex:
 
     The constructor trusts its input: vertices in canonical order and, per
     dimension, a sorted sequence of strictly increasing index tuples, which
-    is what enumeration, ``link`` and ``without_vertex`` produce.  Faces from
-    outside the program come in through ``from_facets``.
+    is what enumeration produces.  Faces from outside the program come in
+    through ``from_facets``.
     """
 
     __slots__ = ("vertices", "_index", "_faces", "_face_sets", "source")
@@ -88,22 +88,6 @@ class SimplicialComplex:
             return False
         return f in self._face_set(len(f) - 1)
 
-    # -- derived complexes ---------------------------------------------------
-
-    def link(self, v) -> "SimplicialComplex":
-        """lk(v): faces sigma with v not in sigma and sigma + v a face."""
-        i = self.index_of(v)
-        # dropping i from the sorted faces that hold it keeps them sorted
-        out = {d: [tuple(u for u in f if u != i) for f in self.index_faces(d + 1) if i in f]
-               for d in self.dims()}
-        return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"link({v!r})"))
-
-    def without_vertex(self, v) -> "SimplicialComplex":
-        """The deletion: all faces not containing v."""
-        i = self.index_of(v)
-        out = {d: [f for f in self.index_faces(d) if i not in f] for d in self.dims()}
-        return SimplicialComplex(self.vertices, out, source=_tag(self.source, f"delete({v!r})"))
-
     # -- invariants ----------------------------------------------------------
 
     def euler_characteristic_reduced(self) -> int:
@@ -120,12 +104,6 @@ class SimplicialComplex:
             out.extend(tuple(vs[i] for i in f) for f in self.index_faces(d) if f not in non_max)
         return out
 
-    def is_cone(self):
-        """A vertex lying in every facet, or None. The empty complex is not a cone."""
-        facets = self.facets()
-        common = set(facets[0]).intersection(*facets[1:])
-        return min(common, key=self.index_of) if common else None
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -137,10 +115,6 @@ class SimplicialComplex:
     def __repr__(self):
         tag = f" from {self.source}" if self.source else ""
         return f"<SimplicialComplex{tag}: dim {self.dim}, {self.total_faces} faces>"
-
-
-def _tag(source, op):
-    return f"{op} of {source}" if source else op
 
 
 # -- independence complexes -------------------------------------------------

@@ -322,10 +322,24 @@ def ladder_replace_crossing(G: Graph, v1, v2, v3, v4) -> Graph:
     Four fresh vertices a, b, c, d are added with edges
     (v1,a),(a,b),(b,v3),(v2,c),(c,d),(d,v4),(a,c),(b,d).
     """
-    quad = (v1, v2, v3, v4)
-    if len(set(quad)) != 4:
+    if len({v1, v2, v3, v4}) != 4:
         raise ValueError("crossing replacement needs four distinct vertices")
-    for v in quad:
+    return _ladder(G, v1, v2, v3, v4)
+
+
+def ladder_replace_triangle(G: Graph, v1, v2, v3) -> Graph:
+    """The crossing replacement with v4 = v3: detach v3 from the triangle v1,v2,v3.
+
+    Requires the triangle edges present; removes (v1,v3) and (v2,v3) and
+    adds the same 8-edge ladder with both ladder ends glued to v3.
+    """
+    if len({v1, v2, v3}) != 3:
+        raise ValueError("triangle replacement needs three distinct vertices")
+    return _ladder(G, v1, v2, v3, v3)
+
+
+def _ladder(G: Graph, v1, v2, v3, v4) -> Graph:
+    for v in (v1, v2, v3, v4):
         if v not in G:
             raise ValueError(f"not a vertex: {v!r}")
     for u, v in [(v1, v4), (v2, v3), (v1, v2)]:
@@ -335,29 +349,6 @@ def ladder_replace_crossing(G: Graph, v1, v2, v3, v4) -> Graph:
     drop = {frozenset((v1, v4)), frozenset((v2, v3))}
     edges = [e for e in G.edges if frozenset(e) not in drop]
     edges += [(v1, a), (a, b), (b, v3), (v2, c), (c, d), (d, v4), (a, c), (b, d)]
-    return Graph(list(G.vertices) + [a, b, c, d], edges, G.loops)
-
-
-def ladder_replace_triangle(G: Graph, v1, v2, v3) -> Graph:
-    """Degenerate (v3 = v4) variant: detach v3 from the triangle v1,v2,v3 via a ladder.
-
-    Requires the triangle edges (v1,v2), (v1,v3), (v2,v3) present; removes
-    (v1,v3) and (v2,v3) and adds the same 8-edge ladder with both ladder
-    ends glued to v3.
-    """
-    tri = (v1, v2, v3)
-    if len(set(tri)) != 3:
-        raise ValueError("triangle replacement needs three distinct vertices")
-    for v in tri:
-        if v not in G:
-            raise ValueError(f"not a vertex: {v!r}")
-    for u, v in [(v1, v2), (v1, v3), (v2, v3)]:
-        if not G.has_edge(u, v):
-            raise ValueError(f"required edge missing: ({u!r}, {v!r})")
-    a, b, c, d = _fresh_labels(G, "abcd")
-    drop = {frozenset((v1, v3)), frozenset((v2, v3))}
-    edges = [e for e in G.edges if frozenset(e) not in drop]
-    edges += [(v1, a), (a, b), (b, v3), (v2, c), (c, d), (d, v3), (a, c), (b, d)]
     return Graph(list(G.vertices) + [a, b, c, d], edges, G.loops)
 
 

@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import graphs as gr
-from .complexes import SimplicialComplex
 from .families import FamilySpec
 from .graphs import Graph, render_label
 
@@ -25,7 +24,7 @@ class HomotopyType:
         items = dict(spheres)
         clean = {}
         for d, c in items.items():
-            if not isinstance(d, int) or not isinstance(c, int):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (d, c)):
                 raise ValueError(f"bad sphere entry {d!r}: {c!r}")
             if c < 0:
                 raise ValueError(f"negative multiplicity for S^{d}")
@@ -249,43 +248,42 @@ def predict(spec: FamilySpec) -> Prediction:
 
 # -- homotopy-preserving graph reductions ---------------------------------------
 
-def _fold_step(G: Graph):
-    """First dominated pair (u, u2) with N(u) <= N(u2) in canonical scan order."""
-    verts = G.vertices
+def _fold_step(g: Graph):
+    """Fold the first dominated pair in canonical scan order, or return None.
+
+    Deletes u2 for the first u, u2 with N(u) <= N(u2); returns the smaller
+    graph and its trace step.
+    """
+    verts = g.vertices
     for u in verts:
-        nu = G.neighbors(u)
+        nu = g.neighbors(u)
         for u2 in verts:
-            if u2 == u:
-                continue
-            if nu <= G.neighbors(u2):
-                return u, u2
+            if u2 != u and nu <= g.neighbors(u2):
+                return (gr.delete_vertices(g, [u2]),
+                        {"rule": "fold", "kept": render_label(u), "deleted": render_label(u2)})
     return None
 
 
-def fold_reduce(G: Graph, budget: int | None = None):
+def _drop_looped(g: Graph):
+    """Delete every looped vertex: (smaller graph, one trace step per vertex)."""
+    steps = [{"rule": "drop-looped", "vertex": render_label(v)} for v in g.loops]
+    return gr.delete_vertices(g, g.loops), steps
+
+
+def fold_reduce(G: Graph):
     """Drop looped vertices, then repeatedly delete dominated vertices.
 
-    A vertex u2 is deleted when some other u has N(u) <= N(u2); looped
+    A vertex v is deleted when some other u has N(u) <= N(v); looped
     vertices never appear in a face, so dropping them changes nothing.
-    Returns (residual graph, trace).
+    This is the link-cone deletion on graphs: lk(v) = Ind(G - N[v]) is a
+    cone with apex w exactly when w is unlooped, w is not in N[v] and the
+    unlooped neighbours of w lie in N(v), so Ind(G) = Ind(G - v) up to
+    homotopy.  Returns (residual graph, trace).
     """
-    trace = []
-    g = G
-    if g.loops:
-        for v in g.loops:
-            trace.append({"rule": "drop-looped", "vertex": render_label(v)})
-        g = gr.delete_vertices(g, g.loops)
-    steps = 0
-    while True:
-        if budget is not None and steps >= budget:
-            break
-        found = _fold_step(g)
-        if found is None:
-            break
-        u, u2 = found
-        trace.append({"rule": "fold", "kept": render_label(u), "deleted": render_label(u2)})
-        g = gr.delete_vertices(g, [u2])
-        steps += 1
+    g, trace = _drop_looped(G) if G.loops else (G, [])
+    while (step := _fold_step(g)) is not None:
+        g, done = step
+        trace.append(done)
     return g, trace
 
 
@@ -328,14 +326,6 @@ def _cone_witness(G: Graph, a, b):
                  if w not in hood and G.neighbors(w) <= hood), None)
 
 
-def link_delete_if_cone(K: SimplicialComplex, v):
-    """Delete vertex v from the complex when lk(v) is a cone; else None."""
-    lk = K.link(v)
-    if lk.is_cone() is None:
-        return None
-    return K.without_vertex(v)
-
-
 @dataclass(frozen=True)
 class Stuck:
     """Reduction gave up; carries the residual graph and why."""
@@ -360,7 +350,7 @@ def reduce(G: Graph, budget: int = 10_000):
             if counter[0] <= 0:
                 return Stuck(g, "budget exhausted"), trace
             if g.loops:
-                g, steps = fold_reduce(g, budget=0)
+                g, steps = _drop_looped(g)
                 counter[0] -= len(steps)
                 trace.extend(steps)
                 continue
@@ -371,11 +361,11 @@ def reduce(G: Graph, budget: int = 10_000):
             if iso:
                 trace.append({"rule": "cone-isolated", "vertex": render_label(iso[0])})
                 return HomotopyType.contractible(), trace
-            folded, steps = fold_reduce(g, budget=1)
-            if steps:
+            step = _fold_step(g)
+            if step is not None:
                 counter[0] -= 1
-                trace.extend(steps)
-                g = folded
+                g, done = step
+                trace.append(done)
                 continue
             split_v = None
             for v in g.vertices:

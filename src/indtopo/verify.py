@@ -242,6 +242,9 @@ def check_table1_row(n: int, kind: str = "window",
     kind "window": mod-2 in the fixed window (2, 4), expecting (0, row, 0).
     kind "int": full-range integer homology, expecting only b3 = row, no torsion.
     """
+    if n not in TABLE1_ROWS:
+        raise ValueError(f"no published table-1 row for n={n}; "
+                         f"rows are n = {min(TABLE1_ROWS)}..{max(TABLE1_ROWS)}")
     G = build_graph(FamilySpec("conjecture_k2k3kn", (n,)))
     window, coefficients = (TABLE1_WINDOW, "z2") if kind == "window" else (None, "int")
     rec = _check_betti(f"table1 n={n} ({kind})", HomotopyType.sphere(3, TABLE1_ROWS[n]),
@@ -622,6 +625,8 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
             results.append(SuiteResult(name, criterion, records))
             continue
         job_list = builder(opts)
+        if not job_list:
+            raise ValueError(f"suite {name!r} has no instances for these parameters")
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_run_job, job_list))

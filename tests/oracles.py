@@ -1,8 +1,9 @@
 """Brute-force reference routes used to cross-check the library.
 
 Everything here favors obviousness over speed: independent sets come from a
-full subset sweep, ranks from naive Gaussian elimination on dense matrices
-(ints mod 2, or exact Fractions), invariant factors from gcds of minors,
+full subset sweep, cone links from trying every apex against every face,
+ranks from naive Gaussian elimination on dense matrices (ints mod 2, or
+exact Fractions), invariant factors from gcds of minors,
 isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
 off the whole modified Hasse diagram, ordered matchings from sweeping the
 whole face pool per element, and the canonical graph order from sorting
@@ -28,6 +29,17 @@ def brute_independent_sets(G: Graph):
             if all(not G.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
                 out.append(frozenset(combo))
     return out
+
+
+def link_is_cone(G: Graph, v) -> bool:
+    """Whether lk(v) = Ind(G - N[v]) is a cone: some vertex w with every face + w a face."""
+    hood = set(G.neighbors(v)) | {v}
+    H = Graph([u for u in G.vertices if u not in hood],
+              [e for e in G.edges if not hood & set(e)],
+              [u for u in G.loops if u not in hood])
+    faces = set(brute_independent_sets(H))
+    apexes = set().union(*faces)
+    return any(all(f | {w} in faces for f in faces) for w in apexes)
 
 
 def faces_by_dimension(faces):

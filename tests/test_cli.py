@@ -226,6 +226,18 @@ def test_verify_unknown_suite(capsys):
     assert code == 3 and "unknown suite" in err
 
 
+def test_verify_unpublished_table1_row_is_a_usage_error(capsys):
+    for argv in (("table1", "--n", "7"), ("conjecture", "--n", "9")):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 3 and "n = 2..6" in err, (argv, err)
+
+
+def test_verify_empty_suite_is_a_usage_error(capsys):
+    for argv in (("product", "--m", "5..2"), ("suspension", "--count", "-3")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3 and "no instances" in err and out == "", (argv, err)
+
+
 def _fake_report(**kw):
     rec = InstanceRecord(instance="fake 1", predicted="S^1",
                          predicted_betti={1: 1}, computed_betti={1: 2},

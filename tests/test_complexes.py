@@ -112,25 +112,6 @@ def test_complement_clique_duality():
                 assert K.has_face(combo) == is_clique
 
 
-def test_link_and_deletion():
-    K = independence_complex(gr.cycle(5))
-    lk = K.link(1)
-    # neighbors of 1 in Ind(C_5): the two non-adjacent vertices 3 and 4
-    assert lk.f_vector() == (1, 2)
-    # deletion keeps the vertex universe; compare by face labels
-    deleted = K.without_vertex(1)
-    direct = independence_complex(gr.delete_vertices(gr.cycle(5), [1]))
-    for d in range(-1, max(deleted.dim, direct.dim) + 1):
-        assert sorted(deleted.faces(d)) == sorted(direct.faces(d))
-
-
-def test_is_cone():
-    assert independence_complex(gr.Graph([1, 2, 3])).is_cone() == 1
-    assert independence_complex(gr.cycle(4)).is_cone() is None
-    all_looped = gr.Graph([1], [], loops=[1])
-    assert independence_complex(all_looped).is_cone() is None
-
-
 def test_from_facets_round_trip():
     K = independence_complex(gr.cycle(6))
     K2 = from_facets(K.vertices, K.facets())
@@ -186,9 +167,6 @@ def test_every_producer_hands_canonical_faces():
                 fw = faces_in_window(G, lo, hi)
                 _assert_canonical(fw)
                 assert fw == independence_complex(G, max_dim=hi + 1)
-        for v in K.vertices:
-            _assert_canonical(K.link(v))
-            _assert_canonical(K.without_vertex(v))
         facets = K.facets() * 2
         rng.shuffle(facets)
         facets = [rng.sample(f, len(f)) for f in facets]

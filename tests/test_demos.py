@@ -1,6 +1,8 @@
-"""The demo scripts run to completion (exit 0) against the source tree."""
+"""The demo scripts and the README quick start run against the source tree."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,23 @@ def test_demo_exits_zero(name):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start():
+    # the first python block runs as written; a line "expr  # literal" must
+    # evaluate to that literal
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    namespace = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        comment = block.splitlines()[node.end_lineno - 1].partition("#")[2].strip()
+        if comment:
+            assert value == ast.literal_eval(comment), source
+            checked += 1
+    assert checked >= 5

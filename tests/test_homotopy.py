@@ -48,6 +48,13 @@ def test_construction_validates():
         HomotopyType({1.0: 1})
 
 
+def test_construction_rejects_bools():
+    # bool is an int subclass, so {True: 1} would otherwise render as "S^True"
+    for spheres in ({True: 1}, {2: True}, {False: False}):
+        with pytest.raises(ValueError):
+            HomotopyType(spheres)
+
+
 def test_render():
     assert POINT.render() == "point"
     assert EMPTY.render() == "S^-1"

@@ -13,9 +13,9 @@ from indtopo.homotopy import (
     HomotopyType,
     Stuck,
     _cone_witness,
+    _fold_step,
     edge_add_if_cone,
     fold_reduce,
-    link_delete_if_cone,
     reduce,
     simplicial_split,
 )
@@ -56,18 +56,39 @@ def test_fold_reduce_drops_looped_vertices_first():
     assert g.vertex_count == 1
 
 
-def test_fold_reduce_respects_budget():
-    G = gr.Graph(range(10))   # everything dominates everything
-    g, trace = fold_reduce(G, budget=3)
-    assert g.vertex_count == 7 and len(trace) == 3
-
-
 def test_fold_preserves_betti_numbers():
     rng = random.Random(61)
     for _ in range(100):
         G = rand_graph(rng, rng.randint(1, 8), p=rng.choice([0.3, 0.6]))
         g, _ = fold_reduce(G)
         assert betti_of(g) == betti_of(G), G.edges
+
+
+def test_link_is_cone_iff_vertex_is_fold_deletable():
+    # lk(v) = Ind(G - N[v]); the fold is the graph form of "delete v when lk(v) cones"
+    rng = random.Random(73)
+    fired = 0
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        verts = list(range(1, n + 1))
+        G = gr.Graph(verts, [e for e in itertools.combinations(verts, 2)
+                             if rng.random() < rng.choice([0.3, 0.5])],
+                     loops=[v for v in verts if rng.random() < 0.15])
+        g = gr.delete_vertices(G, G.loops)
+        for v in g.vertices:
+            deletable = any(u != v and g.neighbors(u) <= g.neighbors(v) for u in g.vertices)
+            assert oracles.link_is_cone(G, v) == deletable, (G, v)
+            fired += deletable
+        # each fold deletes a cone-link vertex, and folding stops only when none is left
+        while (step := _fold_step(g)) is not None:
+            smaller, _ = step
+            (v,) = set(g.vertices) - set(smaller.vertices)
+            assert oracles.link_is_cone(g, v), (g, v)
+            g = smaller
+        assert not any(oracles.link_is_cone(g, v) for v in g.vertices), g
+        folded, _ = fold_reduce(G)
+        assert folded == g and betti_of(folded) == betti_of(G), G
+    assert fired >= 100
 
 
 # -- simplicial splits ------------------------------------------------------------
@@ -174,16 +195,6 @@ def test_cone_witness_is_the_first_isolated_vertex_of_the_residual():
             assert _cone_witness(G, a, b) == want, (G, a, b)
             found += want is not None
     assert found >= 300 and looped >= 100
-
-
-def test_link_delete_if_cone():
-    K = independence_complex(gr.path(3))
-    smaller = link_delete_if_cone(K, 3)        # lk(3) = cone on vertex 1
-    assert smaller is not None
-    assert not smaller.has_face((3,))
-    assert betti_reduced(smaller).nonzero() == betti_reduced(K).nonzero()
-    # in Ind(C_6), lk(1) = {3}, {4,5}... no apex: refuse
-    assert link_delete_if_cone(independence_complex(gr.cycle(6)), 1) is None
 
 
 # -- the driver -------------------------------------------------------------------
