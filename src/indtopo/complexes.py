@@ -78,7 +78,7 @@ class SimplicialComplex:
     def index_of(self, label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"not a vertex of the complex: {label!r}") from None
 
     def has_face(self, labels) -> bool:
@@ -135,27 +135,31 @@ def _independence_masks(G: Graph):
 def _enumerate_independent(nbr, max_size, budget):
     """All independent index sets of size <= max_size, as one list per size.
 
-    The depth-first visit appends each set once, so every list comes out in
-    lexicographic order; the visit count is charged against the budget.
+    A face's candidates are a bitmask of the vertices above its last one and
+    adjacent to none of its own; the depth-first visit extends it by each,
+    lowest bit first, so every list comes out in lexicographic order.  Each
+    child face visited is charged against the budget.
     """
-    n = len(nbr)
+    full = (1 << len(nbr)) - 1
+    keep = [full & ~m for m in nbr]
     out = [[] for _ in range(max_size + 1)]
     visited = 0
 
-    def rec(face, start, forbidden):
+    def rec(face, cand):
         nonlocal visited
         k = len(face)
         out[k].append(face)
         if k == max_size:
             return
-        for i in range(start, n):
-            if forbidden >> i & 1:
-                continue
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
             visited += 1
             _check_budget(visited, budget)
-            rec(face + (i,), i + 1, forbidden | nbr[i])
+            rec(face + (i,), cand & keep[i])
 
-    rec((), 0, 0)
+    rec((), full)
     return out
 
 

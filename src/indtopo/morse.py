@@ -7,7 +7,6 @@ does not depend on the iteration order inside a step.  The empty face
 participates like any other face.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -55,9 +54,9 @@ class Matching:
 def element_matching(K: SimplicialComplex, order) -> Matching:
     """Run the ordered sweep over the given elements (a duplicate-free subset of V(K))."""
     order = tuple(order)
-    if len(set(order)) != len(order):
-        raise MatchingError("duplicate elements in the order")
     idx = [K.index_of(v) for v in order]  # raises on foreign labels
+    if len(set(idx)) != len(idx):
+        raise MatchingError("duplicate elements in the order")
 
     # a face waits in the list of the first order element it holds; when it
     # survives that sweep unmatched it moves on to its next one
@@ -100,33 +99,30 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
                 hand_on(bigger, p)
         waiting[p] = None
 
-    vs = K.vertices
-
-    def labels(f):
-        return tuple(vs[i] for i in f)
-
+    pairs.sort(key=lambda p: (len(p[0]), p[0]))
+    vs = K.vertices.__getitem__
     return Matching(
         order=order,
-        pairs=tuple((labels(a), labels(b)) for a, b in sorted(pairs, key=lambda p: (len(p[0]), p[0]))),
-        critical=tuple(labels(f) for f in sorted(pool, key=lambda f: (len(f), f))),
+        pairs=tuple((tuple(map(vs, a)), tuple(map(vs, b))) for a, b in pairs),
+        critical=tuple(tuple(map(vs, f)) for f in sorted(pool, key=lambda f: (len(f), f))),
     )
 
 
-def _validate(matching: Matching, K: SimplicialComplex):
+def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     """Check the pairing is a total matching by covers on K's faces.
 
     Every face of K must be matched or critical exactly once, each written
     in K's canonical vertex order (so a facet cut from a matched face is
-    spelled like the pair that holds it).
+    spelled like the pair that holds it).  Returns the pairing on K's index
+    faces, {sigma: partner}, in the order of ``matching.pairs``.
     """
-    for small, big in matching.pairs:
-        if len(big) != len(small) + 1 or not set(small) < set(big):
-            raise MatchingError(f"pair is not a cover: {small} - {big}")
+    index = K._index.__getitem__
     seen = set()
-    for f in itertools.chain(*matching.pairs, matching.critical):
+
+    def index_face(f):
         try:
-            ix = tuple(K.index_of(v) for v in f)
-        except ValueError:
+            ix = tuple(map(index, f))
+        except (KeyError, TypeError):  # a foreign or an unhashable label
             ix = None
         # K keeps each face as a strictly increasing index tuple, so
         # membership also checks the spelling
@@ -135,8 +131,23 @@ def _validate(matching: Matching, K: SimplicialComplex):
         if ix in seen:
             raise MatchingError(f"face used twice: {f}")
         seen.add(ix)
+        return ix
+
+    up = {}
+    for pair in matching.pairs:
+        try:
+            small, big = pair
+        except (TypeError, ValueError):
+            raise MatchingError(f"not a pair of faces: {pair!r}") from None
+        sigma, tau = index_face(small), index_face(big)
+        if len(tau) != len(sigma) + 1 or not set(sigma) < set(tau):
+            raise MatchingError(f"pair is not a cover: {small} - {big}")
+        up[sigma] = tau
+    for f in matching.critical:
+        index_face(f)
     if len(seen) != K.total_faces:
         raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
+    return up
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):
@@ -147,11 +158,11 @@ def verify_acyclic(matching: Matching, K: SimplicialComplex):
     it alternates between two adjacent dimensions and every lower face on it
     is matched upward.  The search therefore steps only from a matched sigma
     to the other facets of its partner that are matched upward themselves.
+    It walks K's index faces; only a witness is spelled in labels.
     Returns (True, None) or (False, witness), the witness being the closed
     path [sigma0, up(sigma0), sigma1, ..., sigma0].
     """
-    _validate(matching, K)
-    up = dict(matching.pairs)
+    up = _validate(matching, K)
 
     def steps(sigma):
         big = up[sigma]
@@ -169,7 +180,9 @@ def verify_acyclic(matching: Matching, K: SimplicialComplex):
             for nxt in stack[-1]:
                 if nxt in on_path:
                     cycle = path[path.index(nxt):]
-                    return False, [f for s in cycle for f in (s, up[s])] + [nxt]
+                    witness = [f for s in cycle for f in (s, up[s])] + [nxt]
+                    vs = K.vertices.__getitem__
+                    return False, [tuple(map(vs, f)) for f in witness]
                 if nxt not in finished:
                     path.append(nxt)
                     on_path.add(nxt)

@@ -242,9 +242,7 @@ def check_table1_row(n: int, kind: str = "window",
     kind "window": mod-2 in the fixed window (2, 4), expecting (0, row, 0).
     kind "int": full-range integer homology, expecting only b3 = row, no torsion.
     """
-    if n not in TABLE1_ROWS:
-        raise ValueError(f"no published table-1 row for n={n}; "
-                         f"rows are n = {min(TABLE1_ROWS)}..{max(TABLE1_ROWS)}")
+    _published_ns([n])
     G = build_graph(FamilySpec("conjecture_k2k3kn", (n,)))
     window, coefficients = (TABLE1_WINDOW, "z2") if kind == "window" else (None, "int")
     rec = _check_betti(f"table1 n={n} ({kind})", HomotopyType.sphere(3, TABLE1_ROWS[n]),
@@ -406,9 +404,18 @@ def _ints(value, default):
 # Each builder returns a list of jobs (kind, args, kwargs).  `opts` carries the
 # seed, optional parameter overrides (n/m/r/t/i ranges, count), and face budget.
 
+def _published_ns(ns):
+    """The given table-1 n, after checking that each has a published row."""
+    for n in ns:
+        if n not in TABLE1_ROWS:
+            raise ValueError(f"no published table-1 row for n={n}; "
+                             f"rows are n = {min(TABLE1_ROWS)}..{max(TABLE1_ROWS)}")
+    return ns
+
+
 def _jobs_table1(opts):
     jobs = []
-    for n in _ints(opts.get("n"), TABLE1_ROWS):
+    for n in _published_ns(_ints(opts.get("n"), TABLE1_ROWS)):
         jobs.append(("table1", (n,), {"kind": "window", "face_budget": opts.get("face_budget")}))
         if n <= 3:
             jobs.append(("table1", (n,), {"kind": "int", "face_budget": opts.get("face_budget")}))
@@ -577,7 +584,7 @@ def _jobs_morse_homology(opts):
 
 def _jobs_conjecture(opts):
     return [("table1", (n,), {"kind": "window", "face_budget": opts.get("face_budget")})
-            for n in _ints(opts.get("n"), TABLE1_ROWS)]
+            for n in _published_ns(_ints(opts.get("n"), TABLE1_ROWS))]
 
 
 SUITES = {
@@ -615,18 +622,25 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
 
     jobs = min(jobs, os.cpu_count() or 1)
 
+    # every job list is built, and so every usage error raised, before any
+    # job runs; a conjecture suite after table1 re-badges table1's records
+    plan = []
+    for i, name in enumerate(names):
+        reuse = name == "conjecture" and "table1" in names[:i]
+        job_list = None if reuse else SUITES[name][1](opts)
+        if job_list == []:
+            raise ValueError(f"suite {name!r} has no instances for these parameters")
+        plan.append((name, job_list))
+
     results = []
     table1_window_rows = {}
-    for name in names:
-        criterion, builder, _ = SUITES[name]
-        if name == "conjecture" and table1_window_rows:
+    for name, job_list in plan:
+        criterion = SUITES[name][0]
+        if job_list is None:
             records = [_conjecture_from_table1(n, rec)
                        for n, rec in sorted(table1_window_rows.items())]
             results.append(SuiteResult(name, criterion, records))
             continue
-        job_list = builder(opts)
-        if not job_list:
-            raise ValueError(f"suite {name!r} has no instances for these parameters")
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_run_job, job_list))

@@ -62,3 +62,14 @@ def test_tracer_counters_accept_real_results():
         assert counts and all(isinstance(v, (int, float)) for v in counts.values()), function
         counted.add(function)
     assert counted == set(calls)
+
+
+def test_certify_workload_batch_passes():
+    """Every op of the certify batch (seed 7) checks out against indtopo, so the
+    workload's certificates are exercised on each test run."""
+    import indtopo
+
+    ops = _load("workloads").WORKLOADS["certify"](indtopo, 7)
+    assert ops
+    failures = {op.label: fault for op in ops if (fault := op.run()) is not None}
+    assert failures == {}

@@ -238,6 +238,21 @@ def test_verify_empty_suite_is_a_usage_error(capsys):
         assert code == 3 and "no instances" in err and out == "", (argv, err)
 
 
+def test_verify_usage_errors_come_before_any_job(monkeypatch, capsys):
+    """A usage error in a later suite, or in a later n, stops the run before
+    any instance is computed."""
+    calls = []
+
+    def run_job(job):
+        calls.append(job)
+        raise AssertionError(f"job {job[:2]} ran before the usage error")
+
+    monkeypatch.setattr(verify, "_run_job", run_job)
+    for argv in (("all", "--m", "5..2"), ("table1", "--n", "2..7")):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert (code, calls, out) == (3, [], ""), argv
+
+
 def _fake_report(**kw):
     rec = InstanceRecord(instance="fake 1", predicted="S^1",
                          predicted_betti={1: 1}, computed_betti={1: 2},

@@ -65,9 +65,12 @@ def test_face_lookup_and_indexing():
     K = independence_complex(gr.cycle(4))
     assert K.has_face((1, 3)) and K.has_face((3, 1))
     assert not K.has_face((1, 2))
+    assert not K.has_face((99,)) and not K.has_face([[1]]) and not K.has_face(([1], 3))
     assert K.index_of(3) == K.vertices.index(3)
     with pytest.raises(ValueError):
         K.index_of(99)
+    with pytest.raises(ValueError):
+        K.index_of([1])
 
 
 def test_euler_characteristic_reduced():
@@ -205,6 +208,29 @@ def test_face_budget_guard():
         independence_complex(gr.Graph(range(30)), face_budget=10)
     except FaceBudgetError as e:
         assert "10" in str(e)
+
+
+def test_face_budget_trips_at_the_last_face():
+    """The guard charges each nonempty face up to the size cap once: a budget
+    of exactly that many passes, and one less trips on the last face."""
+    rng = random.Random(89)
+    for _ in range(240):
+        n = rng.randint(1, 9)
+        p = rng.choice([0.2, 0.4, 0.7])
+        # vertex 0 is never looped, so every graph has a nonempty face
+        G = gr.Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < p],
+                     loops=[v for v in range(1, n) if rng.random() < 0.2])
+        sizes = [len(f) for f in oracles.brute_independent_sets(G)]
+        max_dim, d_hi = rng.randint(0, 3), rng.randint(0, 3)
+        for cap, build in (
+                (n, lambda b: independence_complex(G, face_budget=b)),
+                (max_dim + 1, lambda b: independence_complex(G, max_dim, face_budget=b)),
+                (d_hi + 2, lambda b: faces_in_window(G, 0, d_hi, face_budget=b))):
+            c = sum(1 for s in sizes if 0 < s <= cap)
+            assert build(c).total_faces == c + 1
+            with pytest.raises(FaceBudgetError) as excinfo:
+                build(c - 1)
+            assert str(excinfo.value) == f"face budget exceeded: {c} > {c - 1}"
 
 
 def test_join_convolves_f_vectors():

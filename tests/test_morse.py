@@ -85,6 +85,8 @@ def test_order_validation():
         element_matching(K, [1, 1])
     with pytest.raises(ValueError):
         element_matching(K, [9])
+    with pytest.raises(ValueError):
+        element_matching(K, [[1]])
 
 
 def test_matching_dump_shape():
@@ -163,28 +165,48 @@ def random_matching(rng, K, density):
     return Matching(order=(), pairs=tuple(pairs), critical=critical), faces
 
 
-def test_verify_acyclic_agrees_with_the_hasse_oracle():
-    rng = random.Random(41)
-    verdicts = {True: 0, False: 0}
+def hasse_oracle_complexes(rng):
+    """(label kind, complex): int labels, then the tuple labels of categorical
+    products and int, identifier and tuple labels mixed in one complex."""
     for _ in range(3000):
         G = rand_graph(rng, rng.randint(3, 7), p=rng.choice([0.0, 0.2, 0.4]))
-        K = independence_complex(G)
+        yield "int", independence_complex(G)
+    for k in range(1200):
+        if k % 2:
+            G = gr.categorical_product(rand_graph(rng, rng.randint(2, 3), p=rng.choice([0.0, 0.5, 1.0])),
+                                       gr.complete(rng.randint(2, 3)))
+            yield "nested", independence_complex(G)
+        else:
+            n = rng.randint(3, 7)
+            verts = [rng.choice([v, f"v{v}", (v, "t"), ((v,), (v, v))]) for v in range(n)]
+            facets = [rng.sample(verts, rng.randint(2, min(n, 4))) for _ in range(rng.randint(2, 5))]
+            yield "nested", from_facets(verts, facets)
+
+
+def test_verify_acyclic_agrees_with_the_hasse_oracle():
+    """The walk runs on index faces; its verdicts, and its witnesses spelled in
+    labels, must not depend on how the labels nest."""
+    rng = random.Random(41)
+    verdicts = {(kind, ok): 0 for kind in ("int", "nested") for ok in (True, False)}
+    for kind, K in hasse_oracle_complexes(rng):
         m, faces = random_matching(rng, K, rng.choice([0.7, 1.0]))
         ok, witness = verify_acyclic(m, K)
         assert ok == oracles.matching_is_acyclic(m.pairs, faces)
-        verdicts[ok] += 1
+        verdicts[kind, ok] += 1
         if ok:
             assert witness is None
             continue
-        # a closed gradient path: up along a pair, down to another facet
+        # a closed gradient path of K's faces: up along a pair, down to another facet
         up = dict(m.pairs)
         assert witness[0] == witness[-1] and len(witness) % 2 == 1
         assert len(witness) >= 7 and len(set(witness)) == len(witness) - 1
+        assert set(witness) <= set(faces)
         for i in range(0, len(witness) - 1, 2):
             assert up[witness[i]] == witness[i + 1]
             assert set(witness[i + 2]) < set(witness[i + 1])
             assert witness[i + 2] != witness[i]
-    assert min(verdicts.values()) >= 500, verdicts
+    assert min(verdicts["int", ok] for ok in (True, False)) >= 500, verdicts
+    assert min(verdicts["nested", ok] for ok in (True, False)) >= 300, verdicts
 
 
 def test_validation_rejects_malformed_pairings():
@@ -214,6 +236,17 @@ def test_validation_rejects_malformed_pairings():
     reversed_face = Matching(order=(), pairs=(((), (1,)), ((2,), (2, 1))), critical=())
     with pytest.raises(MatchingError, match="canonical order"):
         verify_acyclic(reversed_face, edge)
+    # an unhashable label is not a vertex, in a pair or a critical cell
+    unhashable = Matching(order=(), pairs=(((), (1,)),), critical=((2,), ([1],)))
+    with pytest.raises(MatchingError, match="not a face"):
+        verify_acyclic(unhashable, K)
+    unhashable_pair = Matching(order=(), pairs=(((), (1,)), (([2],), ([1], [2]))), critical=())
+    with pytest.raises(MatchingError, match="not a face"):
+        verify_acyclic(unhashable_pair, K)
+    for pair in (((),), None, ((), (1,), (2,))):
+        misshapen = Matching(order=(), pairs=(pair,), critical=((2,),))
+        with pytest.raises(MatchingError, match="not a pair"):
+            verify_acyclic(misshapen, K)
 
 
 # -- Morse-theoretic bookkeeping --------------------------------------------------
