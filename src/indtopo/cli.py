@@ -15,7 +15,7 @@ from . import graphs as gr
 from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph
 from .homology import betti_reduced, betti_window
-from .homotopy import HomotopyType, Stuck, predict, reduce as reduce_graph
+from .homotopy import Stuck, reduce as reduce_graph
 from .morse import _wedge_from_critical, element_matching, product_matching_order, verify_acyclic
 from .verify import SUITES, run_suites
 
@@ -25,6 +25,9 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 3
 
 ENV_FACE_BUDGET = "INDTOPO_FACE_BUDGET"
+
+# verify's range overrides: one flag per family parameter name
+GRID_FLAGS = tuple(dict.fromkeys(p for fam in FAMILIES.values() for p in fam.params))
 
 
 class _UsageError(Exception):
@@ -97,7 +100,7 @@ def _build_parser() -> _Parser:
                           help="sample count override for randomized suites")
     p_verify.add_argument("--strict-conjectures", action="store_true",
                           help="let conjectural mismatches affect the exit code")
-    for flag in ("n", "m", "r", "t", "i"):
+    for flag in GRID_FLAGS:
         p_verify.add_argument(f"--{flag}", default=None, metavar="RANGE",
                               help=f"override the {flag} values, e.g. 3 or 2..7 or 2,4,6")
     return parser
@@ -284,7 +287,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     overrides = {}
-    for flag in ("n", "m", "r", "t", "i"):
+    for flag in GRID_FLAGS:
         raw = getattr(args, flag)
         if raw is not None:
             overrides[flag] = _parse_range(raw)

@@ -199,21 +199,28 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
 
     The one way in for faces from outside the program: it puts the vertices
     in canonical order, sorts its own faces, and raises ValueError on a
-    repeated vertex or a label outside the universe.
+    repeated or unhashable vertex, or a label outside the universe.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     vs = tuple(sorted(vertices, key=render_label))
-    index = {v: i for i, v in enumerate(vs)}
+    try:
+        index = {v: i for i, v in enumerate(vs)}
+    except TypeError:
+        raise ValueError("unhashable vertex in the vertex universe") from None
     if len(index) != len(vs):
         raise ValueError("repeated vertex in the vertex universe")
+
+    def position(v, facet):
+        try:
+            return index[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise ValueError(f"facet {facet!r} has a label outside the vertices: "
+                             f"{v!r}") from None
+
     seen = set()
     count = 0
     for facet in facet_labels:
-        try:
-            f = tuple(sorted(index[v] for v in facet))
-        except KeyError as e:
-            raise ValueError(f"facet {facet!r} has a label outside the vertices: "
-                             f"{e.args[0]!r}") from None
+        f = tuple(sorted(position(v, facet) for v in facet))
         if len(set(f)) != len(f):
             raise ValueError(f"facet {facet!r} repeats a vertex")
         for k in range(len(f) + 1):

@@ -8,10 +8,10 @@ which makes "contractible absorbs joins" fall out of the empty product.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graphs as gr
-from .families import FamilySpec
+from .families import FAMILIES, FamilySpec
 from .graphs import Graph, render_label
 
 
@@ -106,7 +106,7 @@ def wedge_all(types) -> HomotopyType:
     return out
 
 
-# -- closed-form predictors ----------------------------------------------------
+# -- closed-form predictions ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Prediction:
@@ -115,135 +115,14 @@ class Prediction:
     source: str = "closed-form"
 
 
-def predict_product(m: int, n: int) -> HomotopyType:
-    """Product of two complete graphs: (m-1)(n-1) circles."""
-    if m < 2 or n < 2:
-        raise ValueError(f"product predictor needs m, n >= 2, got ({m}, {n})")
-    return HomotopyType.sphere(1, (m - 1) * (n - 1))
-
-
-def predict_multi_k2_product(r: int, n: int) -> HomotopyType:
-    """Product of r-1 copies of K_2 with K_n: (n-1)^(2^(r-2)) spheres S^(2^(r-1)-1)."""
-    if r < 2 or n < 2:
-        raise ValueError(f"multi_k2_product predictor needs r, n >= 2, got ({r}, {n})")
-    copies = 2 ** (r - 2)
-    return HomotopyType.sphere(2 ** (r - 1) - 1, (n - 1) ** copies)
-
-
-def predict_kn_lr(n: int, r: int) -> HomotopyType:
-    """K_n times the looped path L_r; contractible in the middle residue."""
-    if n < 2 or r < 0:
-        raise ValueError(f"kn_lr predictor needs n >= 2, r >= 0, got ({n}, {r})")
-    k, t = divmod(r, 3)
-    if t == 0:
-        return HomotopyType.sphere(2 * k, (n - 1) ** (k + 1))
-    if t == 1:
-        return HomotopyType.contractible()
-    return HomotopyType.sphere(2 * k + 1, (n - 1) ** (k + 1))
-
-
-def predict_gadget(n: int, t: int) -> HomotopyType:
-    """Truncated-tower gadget over K_n with top parameter t."""
-    if n < 3 or t < 0:
-        raise ValueError(f"gadget predictor needs n >= 3, t >= 0, got ({n}, {t})")
-    k, s = divmod(t, 3)
-    if s == 0:
-        return HomotopyType.contractible()
-    if s == 1:
-        return HomotopyType.sphere(2 * k, (n - 1) ** (k + 1))
-    return HomotopyType.sphere(2 * k + 1, (n - 1) ** (k + 1))
-
-
-def predict_path(n: int) -> HomotopyType:
-    """Path on n vertices: point or a single sphere by n mod 3."""
-    if n < 1:
-        raise ValueError(f"path predictor needs n >= 1, got {n}")
-    k, t = divmod(n, 3)
-    if t == 0:
-        return HomotopyType.sphere(k - 1)
-    if t == 1:
-        return HomotopyType.contractible()
-    return HomotopyType.sphere(k)
-
-
-def predict_cycle(n: int) -> HomotopyType:
-    """Cycle on n vertices; two spheres when 3 divides n, else one."""
-    if n < 3:
-        raise ValueError(f"cycle predictor needs n >= 3, got {n}")
-    k, t = divmod(n, 3)
-    if t == 0:
-        return HomotopyType.sphere(k - 1, 2)
-    if t == 1:
-        return HomotopyType.sphere(k - 1)
-    return HomotopyType.sphere(k)
-
-
-def predict_mycielskian(n: int, r: int) -> HomotopyType:
-    """Level-r Mycielskian of K_n for r >= 2; n = 2 routes to the cycle formula."""
-    if n < 2 or r < 2:
-        raise ValueError(f"mycielskian predictor needs n >= 2, r >= 2, got ({n}, {r})")
-    if n == 2:
-        return predict_cycle(2 * r + 1)
-    k, t = divmod(r, 3)
-    if t == 0:
-        return HomotopyType.sphere(2 * k - 1, (n - 1) ** k)
-    if t == 1:
-        return HomotopyType.sphere(2 * k, n * (n - 1) ** k)
-    return HomotopyType.sphere(2 * k + 1, (n - 1) ** (k + 1))
-
-
-def predict_cycle_ladder(n: int, i: int) -> HomotopyType:
-    """Cycle with an i-rung ladder at one vertex; i = 0 is the plain cycle."""
-    if n < 3 or i < 0:
-        raise ValueError(f"cycle_ladder predictor needs n >= 3, i >= 0, got ({n}, {i})")
-    if i == 0:
-        return predict_cycle(n)
-    r, t = divmod(n, 3)
-    if t == 0:
-        if i % 2 == 0:
-            return HomotopyType.sphere(r - 1 + i // 2, 2)
-        return HomotopyType.contractible()
-    if t == 1:
-        if i % 2 == 1:
-            return HomotopyType.sphere(r - 1 + (i + 1) // 2, 2)
-        return HomotopyType.contractible()
-    if i == 1:
-        return HomotopyType.sphere(r, 2)
-    return HomotopyType.sphere(r + i // 2, 2)
-
-
-def predict_conjecture_k2k3kn(n: int) -> HomotopyType:
-    """Conjectured type for K_2 x K_3 x K_n: (n-1)(3n-2) three-spheres."""
-    if n < 2:
-        raise ValueError(f"conjecture predictor needs n >= 2, got {n}")
-    return HomotopyType.sphere(3, (n - 1) * (3 * n - 2))
-
-
-# family -> (predictor, source); a callable source picks it from the parameters
-_PREDICTORS = {
-    "product": (predict_product, "closed-form"),
-    "multi_k2_product": (predict_multi_k2_product, "closed-form"),
-    "kn_lr": (predict_kn_lr, "closed-form"),
-    "gadget": (predict_gadget, "closed-form"),
-    "mycielskian": (predict_mycielskian,
-                    lambda n, r: "literature" if n == 2 else "closed-form"),
-    "path": (predict_path, "closed-form"),
-    "cycle": (predict_cycle, "literature"),
-    "cycle_ladder": (predict_cycle_ladder,
-                     lambda n, i: "literature" if i == 0 else "closed-form"),
-    "conjecture_k2k3kn": (predict_conjecture_k2k3kn, "conjecture"),
-}
-
-
 def predict(spec: FamilySpec) -> Prediction:
-    """Closed-form prediction for a family instance, with provenance flags."""
-    if spec.family not in _PREDICTORS:
+    """The family table's closed form for an instance, with its provenance."""
+    if spec.family not in FAMILIES:
         raise ValueError(f"no predictor for family {spec.family!r}")
-    predictor, source = _PREDICTORS[spec.family]
-    homotopy = predictor(*spec.params)
-    if callable(source):
-        source = source(*spec.params)
-    return Prediction(homotopy, conjectural=source == "conjecture", source=source)
+    fam = FAMILIES[spec.family]
+    source = fam.source(*spec.params) if callable(fam.source) else fam.source
+    return Prediction(HomotopyType(fam.spheres(*spec.params)),
+                      conjectural=source == "conjecture", source=source)
 
 
 # -- homotopy-preserving graph reductions ---------------------------------------

@@ -7,6 +7,7 @@ into jobs; jobs are picklable (kind, args) pairs so a worker pool can chew
 through instances; report assembly is single-threaded and deterministic.
 """
 
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +16,7 @@ from random import Random
 
 from . import graphs as gr
 from .complexes import FaceBudgetError, faces_in_window, independence_complex
-from .families import FamilySpec, build_graph, random_graph
+from .families import FAMILIES, FamilySpec, build_graph, random_graph
 from .homology import betti_reduced, betti_window
 from .homotopy import HomotopyType, Stuck, predict, reduce as reduce_graph
 from .morse import element_matching, product_matching_order, verify_acyclic
@@ -264,7 +265,9 @@ def check_morse_product(m: int, n: int,
                         face_budget: int | None = None) -> InstanceRecord:
     """Certify the ordered matching on Ind(K_m x K_n) against the closed form."""
     t0 = time.perf_counter()
-    G = gr.categorical_product(gr.complete(m), gr.complete(n))
+    spec = FamilySpec("product", (m, n))
+    expected = predict(spec).homotopy
+    G = build_graph(spec)
     try:
         K = independence_complex(G, face_budget=face_budget)
     except FaceBudgetError as e:
@@ -284,8 +287,8 @@ def check_morse_product(m: int, n: int,
     counts = matching.critical_counts()
     return InstanceRecord(
         instance=f"morse product {m} {n}",
-        predicted=HomotopyType.sphere(1, (m - 1) * (n - 1)).render(),
-        predicted_betti={1: (m - 1) * (n - 1)},
+        predicted=expected.render(),
+        predicted_betti=expected.betti(),
         computed_betti=counts,
         coefficients="critical-cells",
         window=None,
@@ -402,7 +405,8 @@ def _ints(value, default):
 
 # -- suite builders ---------------------------------------------------------------
 # Each builder returns a list of jobs (kind, args, kwargs).  `opts` carries the
-# seed, optional parameter overrides (n/m/r/t/i ranges, count), and face budget.
+# seed, optional overrides (value lists keyed by family parameter name, and
+# count), and face budget.
 
 def _published_ns(ns):
     """The given table-1 n, after checking that each has a published row."""
@@ -422,44 +426,40 @@ def _jobs_table1(opts):
     return jobs
 
 
+def _grid(opts, family, kind="family", **defaults):
+    """One ``kind`` job per point of a grid over a family's parameters.
+
+    Each parameter ranges over its override in ``opts``, read under the
+    parameter's name, else over its default.  Every FamilySpec is built
+    here, so an out-of-domain override is a usage error before any job runs.
+    """
+    values = [_ints(opts.get(p), defaults.get(p)) for p in FAMILIES[family].params]
+    specs = [FamilySpec(family, ps) for ps in itertools.product(*values)]
+    return [(kind, (family, s.params), {"face_budget": opts.get("face_budget")})
+            for s in specs]
+
+
 def _jobs_product(opts):
-    ms = _ints(opts.get("m"), range(2, 6))
-    ns = _ints(opts.get("n"), range(2, 6))
-    return [("family_int", ("product", (m, n)), {"face_budget": opts.get("face_budget")})
-            for m in ms for n in ns]
+    return _grid(opts, "product", "family_int", m=range(2, 6), n=range(2, 6))
 
 
 def _jobs_morse(opts):
-    ms = _ints(opts.get("m"), range(2, 7))
-    ns = _ints(opts.get("n"), range(2, 7))
-    return [("morse_product", (m, n), {"face_budget": opts.get("face_budget")})
-            for m in ms for n in ns]
+    return [("morse_product", params, kw)
+            for _, (_, params), kw in _grid(opts, "product", m=range(2, 7), n=range(2, 7))]
 
 
 def _jobs_mycielskian(opts):
-    ns = _ints(opts.get("n"), (3, 4))
-    rs = _ints(opts.get("r"), range(2, 8))
-    return [("family", ("mycielskian", (n, r)), {"face_budget": opts.get("face_budget")})
-            for n in ns for r in rs]
+    return _grid(opts, "mycielskian", n=(3, 4), r=range(2, 8))
 
 
 def _jobs_kn_lr(opts):
-    ns = _ints(opts.get("n"), (2, 3, 4))
-    rs = _ints(opts.get("r"), range(0, 7))
-    return [("family", ("kn_lr", (n, r)), {"face_budget": opts.get("face_budget")})
-            for n in ns for r in rs]
+    return _grid(opts, "kn_lr", n=(2, 3, 4), r=range(0, 7))
 
 
 def _jobs_gadget(opts):
-    ns = _ints(opts.get("n"), (3, 4))
-    ts = _ints(opts.get("t"), range(1, 8))
-    jobs = [("family", ("gadget", (n, t)), {"face_budget": opts.get("face_budget")})
-            for n in ns for t in ts]
-    for n in ns:
-        for t in ts:
-            if t % 3 == 0:
-                jobs.append(("gadget_reduce", (n, t), {}))
-    return jobs
+    jobs = _grid(opts, "gadget", n=(3, 4), t=range(1, 8))
+    return jobs + [("gadget_reduce", params, {})
+                   for _, (_, params), _ in jobs if params[1] % 3 == 0]
 
 
 def _neighbors_in_order(G, v):
@@ -536,18 +536,13 @@ def _jobs_suspension(opts):
 
 
 def _jobs_cycle_ladder(opts):
-    ns = _ints(opts.get("n"), range(3, 12))
-    iis = _ints(opts.get("i"), range(1, 5))
-    return [("family", ("cycle_ladder", (n, i)), {"face_budget": opts.get("face_budget")})
-            for n in ns for i in iis]
+    return _grid(opts, "cycle_ladder", n=range(3, 12), i=range(1, 5))
 
 
 def _jobs_paths_cycles(opts):
-    kw = {"face_budget": opts.get("face_budget")}
-    jobs = [("family", ("path", (n,)), kw) for n in _ints(opts.get("n"), range(1, 16))]
-    jobs += [("family", ("cycle", (n,)), kw) for n in _ints(opts.get("n"), range(3, 16))
-             if n >= 3]
-    return jobs
+    # paths and cycles share --n; cycles start at n = 3
+    cycle_ns = [n for n in _ints(opts.get("n"), range(3, 16)) if n >= 3]
+    return _grid(opts, "path", n=range(1, 16)) + _grid({**opts, "n": cycle_ns}, "cycle")
 
 
 def _jobs_morse_homology(opts):

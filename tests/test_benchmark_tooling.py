@@ -4,11 +4,13 @@ Both files look functions up by name at run time, so a renamed or removed
 function would only show when the benchmark runs with ``--trace 1``.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "indtopo"
 
 
 def _load(name):
@@ -73,3 +75,18 @@ def test_certify_workload_batch_passes():
     assert ops
     failures = {op.label: fault for op in ops if (fault := op.run()) is not None}
     assert failures == {}
+
+
+def test_package_modules_use_every_import():
+    """Each module of the package, the re-exporting __init__ aside, uses
+    every name it imports."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

@@ -239,8 +239,8 @@ def test_verify_empty_suite_is_a_usage_error(capsys):
 
 
 def test_verify_usage_errors_come_before_any_job(monkeypatch, capsys):
-    """A usage error in a later suite, or in a later n, stops the run before
-    any instance is computed."""
+    """A usage error in a later suite, in a later n, or an override outside a
+    family's domain stops the run before any instance is computed."""
     calls = []
 
     def run_job(job):
@@ -248,7 +248,8 @@ def test_verify_usage_errors_come_before_any_job(monkeypatch, capsys):
         raise AssertionError(f"job {job[:2]} ran before the usage error")
 
     monkeypatch.setattr(verify, "_run_job", run_job)
-    for argv in (("all", "--m", "5..2"), ("table1", "--n", "2..7")):
+    for argv in (("all", "--m", "5..2"), ("table1", "--n", "2..7"),
+                 ("kn_lr", "product", "--m", "1")):
         code, out, _ = run(capsys, "verify", *argv)
         assert (code, calls, out) == (3, [], ""), argv
 

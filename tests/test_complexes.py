@@ -132,6 +132,11 @@ def test_from_facets_rejects_foreign_and_repeated_labels():
             complex_from_json_dict({"vertices": [1, 2], "facets": [list(f) for f in facets]})
     with pytest.raises(ValueError):
         from_facets([1, 2, 1], [(1, 2)])
+    # unhashable labels: inside a facet, and in the vertex universe
+    with pytest.raises(ValueError, match="outside the vertices"):
+        from_facets([1, 2], [[[1]]])
+    with pytest.raises(ValueError, match="unhashable vertex"):
+        from_facets([[1], 2], [[2]])
 
 
 def _assert_canonical(K):

@@ -9,8 +9,20 @@ from indtopo.families import FAMILIES, FamilySpec, build_graph, random_graph
 
 
 def test_registry_covers_every_builder():
-    for family, (arity, hint) in FAMILIES.items():
-        assert isinstance(arity, int) and hint
+    for family, fam in FAMILIES.items():
+        assert fam.params and fam.hint
+        assert all(isinstance(least, int) for least in fam.domain.values())
+        least = tuple(fam.domain.values())
+        spec = FamilySpec(family, least)
+        assert build_graph(spec).vertex_count > 0
+        assert isinstance(fam.spheres(*least), dict)
+        source = fam.source(*least) if callable(fam.source) else fam.source
+        assert source in ("closed-form", "literature", "conjecture")
+        # one below the least value of any parameter is out of range
+        for k in range(len(least)):
+            below = least[:k] + (least[k] - 1,) + least[k + 1:]
+            with pytest.raises(ValueError, match="out of range"):
+                FamilySpec(family, below)
 
 
 def test_spec_validation():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from indtopo.complexes import independence_complex
-from indtopo.families import FamilySpec, build_graph
+from indtopo.families import FAMILIES, FamilySpec, build_graph
 from indtopo.homology import betti_reduced
 from indtopo.homotopy import (
     HomotopyType,
@@ -208,6 +208,8 @@ def test_predictions_match_computed_homology_on_small_instances():
     cases += [("mycielskian", (2, r)) for r in (2, 3, 4)]
     cases += [("mycielskian", (3, r)) for r in (2, 3, 4)]
     cases += [("cycle_ladder", (n, i)) for n in (3, 4, 5) for i in (0, 1, 2)]
+    cases += [("conjecture_k2k3kn", (2,)), ("conjecture_k2k3kn", (3,))]
+    assert {family for family, _ in cases} == set(FAMILIES)
     for family, params in cases:
         spec = FamilySpec(family, params)
         expected = predict(spec).homotopy.betti()
