@@ -159,7 +159,12 @@ def _enumerate_independent(nbr, max_size, budget):
             _check_budget(visited, budget)
             rec(face + (i,), cand & keep[i])
 
-    rec((), full)
+    # rec refers to itself through its closure cell, a reference cycle that
+    # would keep every face list alive until the cyclic collector runs
+    try:
+        rec((), full)
+    finally:
+        del rec
     return out
 
 

@@ -8,11 +8,24 @@ it cannot reduce that way goes to a dense Smith normal form, whose factors
 above 1 are the torsion.  All arithmetic is arbitrary precision (overflow is
 impossible).
 
+A Betti table reduces its boundary maps top-down with clearing (the "twist"
+of Chen & Kerber, 2011): each dimension's pivot rows are faces whose own
+columns, one dimension down, reduce to zero, so those columns are never
+built.  A reduced column c of the map one dimension up is a boundary, hence
+a cycle: sum_r c[r] * (column of r) = 0, with every r other than its low s
+below s.  Mod 2 that makes the column of s the sum of lower columns, so
+every pivot clears.  Over Z only unit pivots clear: with c[s] = +-1 the
+column of s is a Z-combination of lower columns, and zeroing it (the
+highest cleared face first) is a unimodular column operation, which
+changes neither the rank nor the Smith form; with c[s] = 2, say, it need
+not be.
+
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .complexes import SimplicialComplex
 
@@ -24,21 +37,32 @@ class Boundary:
     columns: tuple
 
 
+def _facet_signs(d: int) -> tuple:
+    """Signs of a d-face's facets in ``combinations(face, d)`` order.
+
+    The i-th facet drops position d - i, so its sign is (-1)^(d - i).
+    """
+    return tuple(-1 if (d - i) % 2 else 1 for i in range(d + 1))
+
+
+def _row_lookup(cx, d: int):
+    """The row index of each (d-1)-face, the rows of the d-faces' columns."""
+    rows = cx.index_faces(d - 1)
+    return dict(zip(rows, range(len(rows)))).__getitem__
+
+
 def boundary_matrix(cx, d: int) -> Boundary:
-    """The boundary map from d-faces to (d-1)-faces; d = 0 is the augmentation."""
+    """The boundary map from d-faces to (d-1)-faces; d = 0 is the augmentation.
+
+    Each column lists its facets by the position they drop, lowest first.
+    """
     if d < 0:
         raise ValueError(f"boundary_matrix needs d >= 0, got {d}")
-    rows = cx.index_faces(d - 1)
-    cols = cx.index_faces(d)
-    row_index = {f: i for i, f in enumerate(rows)}
-    columns = []
-    for face in cols:
-        entries = []
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            entries.append((row_index[sub], -1 if k % 2 else 1))
-        columns.append(tuple(entries))
-    return Boundary(len(rows), tuple(columns))
+    row_of = _row_lookup(cx, d)
+    signs = _facet_signs(d)
+    return Boundary(cx.face_count(d - 1), tuple(
+        tuple(zip(map(row_of, combinations(face, d)), signs))[::-1]
+        for face in cx.index_faces(d)))
 
 
 # -- GF(2) ------------------------------------------------------------------
@@ -48,24 +72,37 @@ def gf2_columns(boundary: Boundary):
     return [sum(1 << r for r, _ in col) for col in boundary.columns]
 
 
-def gf2_rank(columns) -> int:
-    """Rank over GF(2); pivots on the highest set row, columns in order.
+def _gf2_pivots(columns) -> dict:
+    """Reduce bitset columns in order; the pivots as {low: reduced column}.
 
-    The pivot is the same "low" as in `_integer_reduce`, here keyed by
-    `col.bit_length()`; on boundary columns in face order it keeps fill-in small.
+    A column's low is ``col.bit_length()`` (its highest set row, plus one),
+    the same "low" as in `_integer_reduce`; on boundary columns in face
+    order it keeps fill-in small.
     """
     pivots = {}
-    rank = 0
     for col in columns:
         while col:
             low = col.bit_length()
             other = pivots.get(low)
             if other is None:
                 pivots[low] = col
-                rank += 1
                 break
             col ^= other
-    return rank
+    return pivots
+
+
+def gf2_rank(columns) -> int:
+    """Rank over GF(2) of bitset columns; pivots on the highest set row."""
+    return len(_gf2_pivots(columns))
+
+
+def _bitset_columns(faces, d: int, row_of):
+    """Each d-face's column as a bitset of its facets' rows."""
+    for face in faces:
+        col = 0
+        for r in map(row_of, combinations(face, d)):
+            col |= 1 << r
+        yield col
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -170,15 +207,16 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(factors, len(factors))
 
 
-def _integer_reduce(boundary: Boundary):
-    """(rank, invariant factors of the residual block) of an integer boundary matrix.
+def _integer_reduce(columns):
+    """(rank, invariant factors of the residual block, unit-pivot rows) of
+    integer columns, each a {row: value} dict (consumed).
 
-    Column reduction in the loop shape of gf2_rank: each column is reduced on
-    its highest row ("low") against earlier columns whose entry there is +-1.
-    A column left with a unit low becomes that row's pivot; one left with a
-    non-unit low goes to a residual list.  Afterwards every unit-pivot row is
-    cleared from the residual columns, highest row first, and only that
-    residual block goes to the dense Smith normal form.
+    Column reduction in the loop shape of `_gf2_pivots`: each column is
+    reduced on its highest row ("low") against earlier columns whose entry
+    there is +-1.  A column left with a unit low becomes that row's pivot;
+    one left with a non-unit low goes to a residual list.  Afterwards every
+    unit-pivot row is cleared from the residual columns, highest row first,
+    and only that residual block goes to the dense Smith normal form.
 
     Why this is exact: all of the above are unimodular column operations.
     The unit-pivot columns are unit-triangular on their pivot rows, and the
@@ -190,8 +228,7 @@ def _integer_reduce(boundary: Boundary):
     """
     pivots = {}      # low row -> reduced column whose entry there is +-1
     residual = []
-    for entries in boundary.columns:
-        col = dict(entries)
+    for col in columns:
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -210,9 +247,9 @@ def _integer_reduce(boundary: Boundary):
                     _subtract(col, other, col[low] * other[low])
     rows = sorted({r for col in residual for r in col})
     if not rows:
-        return len(pivots), ()
+        return len(pivots), (), set(pivots)
     snf = smith_normal_form([[col.get(r, 0) for col in residual] for r in rows])
-    return len(pivots) + snf.rank, snf.factors
+    return len(pivots) + snf.rank, snf.factors, set(pivots)
 
 
 def _subtract(col: dict, other: dict, q: int):
@@ -283,19 +320,42 @@ class BettiTable:
         return ", ".join(f"b{d}={v}" for d, v in nz.items())
 
 
+def boundary_rank(store, d: int, coefficients: str, cleared):
+    """(rank, residual invariant factors, pivot rows) of the boundary map from
+    d-faces to (d-1)-faces of a face store, over "z2" or "int" coefficients.
+
+    Columns are built straight from the index faces, one at a time, and the
+    d-faces at indices in ``cleared`` are skipped: they must be pivot rows
+    of the map one dimension up (every pivot mod 2, unit pivots over Z),
+    whose columns reduce to zero.  The returned pivot rows are what the
+    next dimension down may clear.  Factors are () mod 2.
+    """
+    faces = store.index_faces(d)
+    if cleared:
+        faces = (f for j, f in enumerate(faces) if j not in cleared)
+    row_of = _row_lookup(store, d)
+    if coefficients == "z2":
+        pivots = _gf2_pivots(_bitset_columns(faces, d, row_of))
+        return len(pivots), (), {low - 1 for low in pivots}
+    signs = _facet_signs(d)
+    return _integer_reduce(dict(zip(map(row_of, combinations(f, d)), signs)) for f in faces)
+
+
 def _betti_table(store, lo: int, hi: int, coefficients: str,
                  window: tuple | None = None) -> BettiTable:
-    """Betti numbers of dimensions lo..hi from a face store holding dims lo-1..hi+1."""
+    """Betti numbers of dimensions lo..hi from a face store holding dims lo-1..hi+1.
+
+    One top-down pass with clearing: dimension d skips the columns of the
+    pivot rows of dimension d + 1.
+    """
     ranks = {}
     factors = {}
-    for d in range(max(lo, 0), hi + 2):
+    cleared = frozenset()
+    for d in range(hi + 1, max(lo, 0) - 1, -1):
         if store.face_count(d) == 0:
+            cleared = frozenset()
             continue
-        # nested calls, so each Boundary is freed before its elimination runs
-        if coefficients == "z2":
-            ranks[d] = gf2_rank(gf2_columns(boundary_matrix(store, d)))
-        else:
-            ranks[d], factors[d] = _integer_reduce(boundary_matrix(store, d))
+        ranks[d], factors[d], cleared = boundary_rank(store, d, coefficients, cleared)
     betti = {}
     torsion = {}
     for d in range(lo, hi + 1):

@@ -280,4 +280,8 @@ def reduce(G: Graph, budget: int = 10_000):
                           "isolated_witness": render_label(witness)})
             g = gr.add_edge(g, a, b)
 
-    return go(G)
+    # go refers to itself through its closure cell; break that cycle
+    try:
+        return go(G)
+    finally:
+        del go

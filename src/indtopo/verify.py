@@ -301,8 +301,7 @@ def check_morse_product(m: int, n: int,
 def check_gadget_reduce(n: int, t: int) -> InstanceRecord:
     """The reduction engine must certify contractibility at t = 0 mod 3."""
     t0 = time.perf_counter()
-    G = gr.tower_gadget(n, 1, t)
-    result, trace = reduce_graph(G)
+    result, trace = reduce_graph(build_graph(FamilySpec("gadget", (n, t))))
     good = isinstance(result, HomotopyType) and result.is_contractible
     if isinstance(result, Stuck):
         note = f"stuck: {result.reason}"

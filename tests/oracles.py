@@ -81,6 +81,17 @@ def boundary_rows(by_dim, d, signed):
     return dense
 
 
+def boundary_columns(rows, cols):
+    """Sparse boundary columns of the faces ``cols`` over the faces ``rows``.
+
+    Column j lists (row of cols[j] minus its k-th entry, (-1)^k) for
+    k = 0, 1, ..., each facet found by slicing.
+    """
+    rix = {f: i for i, f in enumerate(rows)}
+    return tuple(tuple((rix[f[:k] + f[k + 1:]], -1 if k % 2 else 1) for k in range(len(f)))
+                 for f in cols)
+
+
 def rank_gf2(dense):
     m = [row[:] for row in dense]
     rank = 0

@@ -66,15 +66,28 @@ def test_tracer_counters_accept_real_results():
     assert counted == set(calls)
 
 
+def _workload_failures(name):
+    import indtopo
+
+    ops = _load("workloads").WORKLOADS[name](indtopo, 7)
+    assert ops
+    return {op.label: fault for op in ops if (fault := op.run()) is not None}
+
+
 def test_certify_workload_batch_passes():
     """Every op of the certify batch (seed 7) checks out against indtopo, so the
     workload's certificates are exercised on each test run."""
-    import indtopo
+    assert _workload_failures("certify") == {}
 
-    ops = _load("workloads").WORKLOADS["certify"](indtopo, 7)
-    assert ops
-    failures = {op.label: fault for op in ops if (fault := op.run()) is not None}
-    assert failures == {}
+
+def test_table1_workload_batch_passes():
+    """The table1 batch (seed 7): mod-2 windows and integer rows of K2xK3xKn."""
+    assert _workload_failures("table1") == {}
+
+
+def test_integer_workload_batch_passes():
+    """The integer batch (seed 7): full-range Z homology of the products."""
+    assert _workload_failures("integer") == {}
 
 
 def test_package_modules_use_every_import():

@@ -1,5 +1,6 @@
 """Independence complexes and generic simplicial-complex operations."""
 
+import gc
 import itertools
 import random
 
@@ -236,6 +237,36 @@ def test_face_budget_trips_at_the_last_face():
             with pytest.raises(FaceBudgetError) as excinfo:
                 build(c - 1)
             assert str(excinfo.value) == f"face budget exceeded: {c} > {c - 1}"
+
+
+def test_enumeration_and_reduce_leave_no_cyclic_garbage():
+    """Faces are freed with their complex, also after a budget trip, and
+    reduce() frees its traces: nothing waits for the cyclic collector."""
+    from indtopo.homotopy import reduce
+
+    G = gr.categorical_product(gr.categorical_product(gr.complete(2), gr.complete(3)),
+                               gr.complete(3))
+    M = gr.generalized_mycielskian(gr.complete(3), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        K = independence_complex(G)
+        assert K.total_faces > 1000
+        del K
+        fw = faces_in_window(G, 1, 2)
+        del fw
+        try:
+            faces_in_window(G, 1, 3, face_budget=200)
+        except FaceBudgetError:
+            pass
+        else:
+            raise AssertionError("the budget did not trip")
+        for budget in (10_000, 3, 1):
+            result = reduce(M, budget)
+            del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_join_convolves_f_vectors():

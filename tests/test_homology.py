@@ -1,6 +1,7 @@
 """Exact homology: GF(2) ranks, integer invariant factors, Betti tables."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -66,10 +67,9 @@ def test_snf_invariants_against_determinantal_divisors():
 # -- integer elimination ---------------------------------------------------------
 
 def sparse(dense):
-    """A dense integer matrix as a Boundary (columns of (row, value) pairs)."""
+    """A dense integer matrix as {row: value} columns."""
     n = len(dense[0]) if dense else 0
-    return Boundary(len(dense), tuple(
-        tuple((i, row[j]) for i, row in enumerate(dense) if row[j]) for j in range(n)))
+    return [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(n)]
 
 
 def torsion_of(factors):
@@ -82,7 +82,7 @@ def test_integer_reduce_agrees_with_dense_snf():
     for _ in range(300):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         A = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
-        rank, factors = _integer_reduce(sparse(A))
+        rank, factors, _ = _integer_reduce(sparse(A))
         snf = smith_normal_form(A)
         assert rank == snf.rank
         assert torsion_of(factors) == torsion_of(snf.factors)
@@ -95,9 +95,17 @@ def test_integer_reduce_clears_a_late_unit_pivot_from_the_residual():
     A = [[1, 1],
          [2, -1],
          [2, -1]]
-    rank, factors = _integer_reduce(sparse(A))
+    rank, factors, pivot_rows = _integer_reduce(sparse(A))
     assert rank == 2 and torsion_of(factors) == (3,)
     assert oracles.invariant_factors(A) == (1, 3)
+    # only unit pivots may clear a column one dimension down
+    assert pivot_rows == {2}
+
+
+def test_integer_reduce_reports_unit_pivot_rows_only():
+    # the column's low entry is 2: it has rank 1 but clears nothing
+    assert _integer_reduce(sparse([[1], [2]])) == (1, (1,), set())
+    assert _integer_reduce(sparse([[1, 0], [0, 2]])) == (2, (2,), {0})
 
 
 # -- boundary matrices ---------------------------------------------------------
@@ -116,6 +124,17 @@ def test_boundary_squares_to_zero():
                     for rr, ss in lo_cols[r].items():
                         acc[rr] = acc.get(rr, 0) + s * ss
                 assert all(v == 0 for v in acc.values())
+
+
+def test_boundary_matrix_matches_slicing_oracle():
+    rng = random.Random(17)
+    complexes = [independence_complex(rand_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5))))
+                 for _ in range(25)]
+    complexes.append(from_facets(range(1, 7), RP2_FACETS))
+    for K in complexes:
+        for d in range(0, K.dim + 2):
+            rows, cols = K.index_faces(d - 1), K.index_faces(d)
+            assert boundary_matrix(K, d) == Boundary(len(rows), oracles.boundary_columns(rows, cols))
 
 
 def test_augmentation_row():
@@ -223,6 +242,121 @@ def test_betti_random_dual_route():
             tor2 = sum(1 for f in integral.torsion.get(d, ()) if f % 2 == 0)
             tor2 += sum(1 for f in integral.torsion.get(d - 1, ()) if f % 2 == 0)
             assert mod2.value(d) == integral.value(d) + tor2
+
+
+def _dense_boundaries(G):
+    """Face counts and signed dense boundary matrices of Ind(G), by brute force."""
+    by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
+    top = max(by_dim)
+    faces = {d: len(by_dim.get(d, ())) for d in range(-1, top + 2)}
+    dense = {d: oracles.boundary_rows(by_dim, d, signed=True) for d in range(0, top + 2)}
+    return top, faces, dense
+
+
+def _minors_work(A):
+    """Determinant terms `oracles.invariant_factors` would expand for A."""
+    m, n = len(A), len(A[0]) if A else 0
+    return sum(math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+               for k in range(1, min(m, n) + 1))
+
+
+def test_betti_tables_match_dense_oracles():
+    """Both rings and every window against ranks and invariant factors of
+    dense boundary matrices built from a subset sweep."""
+    rng = random.Random(211)
+    by_minors = 0
+    for _ in range(60):
+        G = rand_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6)))
+        top, faces, dense = _dense_boundaries(G)
+        rank2 = {d: oracles.rank_gf2(A) if A and A[0] else 0 for d, A in dense.items()}
+        rankq = {d: oracles.rank_q(A) if A and A[0] else 0 for d, A in dense.items()}
+        torsion = {}
+        for d, A in dense.items():
+            if not (A and A[0]):
+                continue
+            if _minors_work(A) <= 20_000:
+                factors = oracles.invariant_factors(A)
+                by_minors += 1
+            else:
+                factors = smith_normal_form(A).factors
+            if any(f > 1 for f in factors):
+                torsion[d - 1] = tuple(f for f in factors if f > 1)
+
+        def oracle_betti(ranks, d):
+            return faces[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
+
+        K = independence_complex(G)
+        mod2, integral = betti_reduced(K, "z2"), betti_reduced(K, "int")
+        for d in range(-1, top + 1):
+            assert mod2.value(d) == oracle_betti(rank2, d), (G, d)
+            assert integral.value(d) == oracle_betti(rankq, d), (G, d)
+        assert integral.torsion == torsion
+        for lo in range(0, top + 1):
+            for hi in range(lo, top + 2):
+                win = betti_window(G, lo, hi)
+                assert all(win.value(d) == oracle_betti(rank2, d) for d in range(lo, hi + 1))
+    assert by_minors > 100
+
+
+def _join(facets_a, facets_b):
+    """Facets of the join: each facet of one side beside each of the other."""
+    return [tuple(f"a{v}" for v in fa) + tuple(f"b{v}" for v in fb)
+            for fa in facets_a for fb in facets_b]
+
+
+def test_torsion_of_rp2_its_suspension_and_its_self_join():
+    rp2 = from_facets(range(1, 7), RP2_FACETS)
+    suspension = from_facets(list(range(1, 9)),
+                             [f + (apex,) for f in RP2_FACETS for apex in (7, 8)])
+    labels = [f"{s}{v}" for s in "ab" for v in range(1, 7)]
+    join = from_facets(labels, _join(RP2_FACETS, RP2_FACETS))
+    # Kuenneth for joins: Z/2 (x) Z/2 in dimension 1 + 1 + 1, and
+    # Tor(Z/2, Z/2) one dimension up
+    cases = [(rp2, {1: 1, 2: 1}, {1: (2,)}),
+             (suspension, {2: 1, 3: 1}, {2: (2,)}),
+             (join, {3: 1, 4: 2, 5: 1}, {3: (2,), 4: (2,)})]
+    for K, mod2, torsion in cases:
+        assert betti_reduced(K, "z2").nonzero() == mod2
+        integral = betti_reduced(K, "int")
+        assert integral.nonzero() == {}
+        assert integral.torsion == torsion
+
+
+def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
+    """Columns reaching either elimination loop number at most
+    sum_d (f_d - rank d_(d+1)): a column whose face is a pivot row one
+    dimension up is never built."""
+    import indtopo.homology as hom
+    built = []
+
+    def counting(reduce):
+        def counted(columns):
+            columns = list(columns)
+            built.append(len(columns))
+            return reduce(columns)
+        return counted
+
+    monkeypatch.setattr(hom, "_gf2_pivots", counting(hom._gf2_pivots))
+    monkeypatch.setattr(hom, "_integer_reduce", counting(hom._integer_reduce))
+    rng = random.Random(5)
+    graphs = [rand_graph(rng, rng.randint(4, 9), rng.choice((0.2, 0.4))) for _ in range(20)]
+    graphs.append(gr.categorical_product(gr.complete(3), gr.complete(4)))
+    cleared = 0
+    for G in graphs:
+        top, faces, dense = _dense_boundaries(G)
+        rank = {d: oracles.rank_q(A) if A and A[0] else 0 for d, A in dense.items()}
+        K = independence_complex(G)
+        bound = sum(faces[d] - rank[d + 1] for d in range(0, top + 1))
+        for coefficients in ("z2", "int"):
+            built.clear()
+            betti_reduced(K, coefficients)
+            assert sum(built) <= bound, (G, coefficients)
+        for lo in range(0, top + 1):
+            built.clear()
+            betti_window(G, lo, top)
+            assert sum(built) <= sum(faces[d] - rank[d + 1] for d in range(lo, top + 1))
+        cleared += sum(faces[d] for d in range(0, top + 1)) - bound
+    assert cleared > 0
 
 
 def test_euler_from_betti_matches_face_count_sweep():
