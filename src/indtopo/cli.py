@@ -16,7 +16,7 @@ from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph
 from .homology import betti_reduced, betti_window
 from .homotopy import Stuck, reduce as reduce_graph
-from .morse import _wedge_from_critical, element_matching, product_matching_order, verify_acyclic
+from .morse import _wedge_from_critical, element_matching, verify_acyclic
 from .verify import SUITES, run_suites
 
 EXIT_PASS = 0
@@ -190,8 +190,9 @@ def _cmd_betti(args) -> int:
 
 
 def _default_order(spec: FamilySpec, G):
-    if spec.family == "product":
-        return product_matching_order(*spec.params)
+    family = FAMILIES.get(spec.family)
+    if family is not None and family.morse_order is not None:
+        return family.morse_order(*spec.params)
     return list(G.vertices)
 
 
@@ -280,7 +281,7 @@ def _cmd_reduce(args) -> int:
                   f"{result.graph.vertex_count} vertices left after {len(trace)} steps")
         else:
             _emit(f"{spec.describe()}: {result.render()} ({len(trace)} steps)")
-    if stuck and "budget" in result.reason:
+    if stuck and result.budget_exhausted:
         return EXIT_RESOURCE
     return EXIT_PASS
 

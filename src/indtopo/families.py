@@ -26,7 +26,9 @@ class Family:
     ``spheres`` is the closed form: the wedge of spheres Ind(G) is, as a
     {dim: count} map ({} is a point).  ``source`` says where the closed form
     comes from ("closed-form", "literature" or "conjecture"), or is a
-    function of the parameters that says it.
+    function of the parameters that says it.  ``morse_order`` is the sweep
+    order of the family's Morse matching, as a function of the parameters;
+    None means the graph's vertex order.
     """
 
     domain: dict
@@ -34,6 +36,7 @@ class Family:
     build: Callable
     spheres: Callable
     source: str | Callable = "closed-form"
+    morse_order: Callable | None = None
 
     @property
     def params(self) -> tuple:
@@ -43,6 +46,11 @@ class Family:
 def _complete_product(*sizes) -> Graph:
     """K_a x K_b x ..., the factors multiplied from the left."""
     return reduce(gr.categorical_product, map(gr.complete, sizes))
+
+
+def _product_order(m, n):
+    """First row, then first column of K_m x K_n: (1,1), ..., (1,n), (2,1), ..., (m,1)."""
+    return [(1, j) for j in range(1, n + 1)] + [(i, 1) for i in range(2, m + 1)]
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -135,7 +143,7 @@ def _conjecture_k2k3kn(n):
 FAMILIES = {
     "product": Family(
         {"m": 2, "n": 2}, "complete graphs, m, n >= 2",
-        _complete_product, _product),
+        _complete_product, _product, morse_order=_product_order),
     "multi_k2_product": Family(
         {"r": 2, "n": 2}, "r-1 two-vertex factors and one K_n; r, n >= 2",
         lambda r, n: _complete_product(*[2] * (r - 1), n), _multi_k2_product),

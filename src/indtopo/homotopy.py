@@ -207,9 +207,11 @@ def _cone_witness(G: Graph, a, b):
 
 @dataclass(frozen=True)
 class Stuck:
-    """Reduction gave up; carries the residual graph and why."""
+    """Reduction gave up; carries the residual graph, why, and whether the
+    step budget ran out (the one kind of give-up a caller acts on)."""
     graph: Graph
     reason: str
+    budget_exhausted: bool = False
 
 
 def reduce(G: Graph, budget: int = 10_000):
@@ -227,7 +229,7 @@ def reduce(G: Graph, budget: int = 10_000):
         trace = []
         while True:
             if counter[0] <= 0:
-                return Stuck(g, "budget exhausted"), trace
+                return Stuck(g, "budget exhausted", budget_exhausted=True), trace
             if g.loops:
                 g, steps = _drop_looped(g)
                 counter[0] -= len(steps)

@@ -7,9 +7,10 @@ does not depend on the iteration order inside a step.  The empty face
 participates like any other face.
 """
 
-from dataclasses import dataclass
+from collections import Counter
 
 from .complexes import SimplicialComplex
+from .families import FAMILIES
 from .graphs import render_label
 from .homotopy import HomotopyType
 
@@ -18,16 +19,60 @@ class MatchingError(ValueError):
     """A matching failed validation or an acyclicity precondition."""
 
 
-@dataclass(frozen=True)
 class Matching:
-    """Pairs (sigma, sigma + {x}) of label tuples, plus the unpaired critical cells."""
-    order: tuple
-    pairs: tuple
-    critical: tuple
+    """Pairs (sigma, sigma + {x}) of faces, plus the unpaired critical cells.
+
+    ``Matching(order, pairs, critical)`` holds label tuples as given.  A
+    matching built by ``element_matching`` holds K's vertex tuple
+    (``vertices``) and K's index faces instead: ``pairs`` and ``critical``
+    render them in labels the first time they are read, while the counts and
+    the checker read the index faces.  Equality and hashing go by
+    (order, pairs, critical) either way.
+    """
+
+    __slots__ = ("_order", "_vertices", "_pairs", "_critical", "_label_pairs", "_label_critical")
+
+    def __init__(self, order, pairs, critical):
+        self._order, self._vertices = order, None
+        self._pairs = self._label_pairs = pairs
+        self._critical = self._label_critical = critical
+
+    @classmethod
+    def _on_index_faces(cls, order, vertices, pairs, critical):
+        """A matching held as index faces into ``vertices``."""
+        m = cls.__new__(cls)
+        m._order, m._vertices = order, vertices
+        m._pairs, m._critical = pairs, critical
+        m._label_pairs = m._label_critical = None
+        return m
+
+    @property
+    def order(self) -> tuple:
+        return self._order
+
+    @property
+    def vertices(self):
+        """The vertex tuple the index faces point into; None for a label matching."""
+        return self._vertices
+
+    @property
+    def pairs(self) -> tuple:
+        if self._label_pairs is None:
+            vs = self._vertices.__getitem__
+            self._label_pairs = tuple((tuple(map(vs, a)), tuple(map(vs, b)))
+                                      for a, b in self._pairs)
+        return self._label_pairs
+
+    @property
+    def critical(self) -> tuple:
+        if self._label_critical is None:
+            vs = self._vertices.__getitem__
+            self._label_critical = tuple(tuple(map(vs, f)) for f in self._critical)
+        return self._label_critical
 
     @property
     def empty_face_matched(self) -> bool:
-        return any(small == () for small, _ in self.pairs)
+        return any(small == () for small, _ in self._pairs)
 
     def critical_by_dimension(self) -> dict:
         """Critical cells grouped by dimension (the empty face counts at dimension -1)."""
@@ -37,7 +82,19 @@ class Matching:
         return {d: tuple(fs) for d, fs in sorted(out.items())}
 
     def critical_counts(self) -> dict:
-        return {d: len(fs) for d, fs in self.critical_by_dimension().items()}
+        counts = Counter(map(len, self._critical))
+        return {k - 1: counts[k] for k in sorted(counts)}
+
+    def __eq__(self, other):
+        if not isinstance(other, Matching):
+            return NotImplemented
+        return (self.order, self.pairs, self.critical) == (other.order, other.pairs, other.critical)
+
+    def __hash__(self):
+        return hash((self.order, self.pairs, self.critical))
+
+    def __repr__(self):
+        return f"Matching(order={self.order!r}, pairs={self.pairs!r}, critical={self.critical!r})"
 
     def to_json_dict(self) -> dict:
         def face(f):
@@ -100,12 +157,8 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
         waiting[p] = None
 
     pairs.sort(key=lambda p: (len(p[0]), p[0]))
-    vs = K.vertices.__getitem__
-    return Matching(
-        order=order,
-        pairs=tuple((tuple(map(vs, a)), tuple(map(vs, b))) for a, b in pairs),
-        critical=tuple(tuple(map(vs, f)) for f in sorted(pool, key=lambda f: (len(f), f))),
-    )
+    return Matching._on_index_faces(
+        order, K.vertices, tuple(pairs), tuple(sorted(pool, key=lambda f: (len(f), f))))
 
 
 def _validate(matching: Matching, K: SimplicialComplex) -> dict:
@@ -113,41 +166,61 @@ def _validate(matching: Matching, K: SimplicialComplex) -> dict:
 
     Every face of K must be matched or critical exactly once, each written
     in K's canonical vertex order (so a facet cut from a matched face is
-    spelled like the pair that holds it).  Returns the pairing on K's index
-    faces, {sigma: partner}, in the order of ``matching.pairs``.
+    spelled like the pair that holds it).  A matching on K's vertex tuple is
+    checked on its index faces as held; any other has its labels mapped to
+    K's indices first.  Returns the pairing on K's index faces,
+    {sigma: partner}, in the order of ``matching.pairs``.
     """
-    index = K._index.__getitem__
+    if matching.vertices == K.vertices:
+        pairs, critical = matching._pairs, matching._critical
+    else:
+        pairs, critical = _label_faces_to_indices(matching, K)
+    vs = K.vertices.__getitem__
+    face_sets = {d + 1: K._face_set(d) for d in K.dims()}
     seen = set()
+
+    def take(f):
+        # K keeps each face as a strictly increasing index tuple, so
+        # membership also checks the spelling
+        if f not in face_sets.get(len(f), ()):
+            raise MatchingError(f"not a face in canonical order: {tuple(map(vs, f))}")
+        if f in seen:
+            raise MatchingError(f"face used twice: {tuple(map(vs, f))}")
+        seen.add(f)
+
+    up = {}
+    for sigma, tau in pairs:
+        take(sigma)
+        take(tau)
+        if len(tau) != len(sigma) + 1 or not set(tau).issuperset(sigma):
+            raise MatchingError(f"pair is not a cover: {tuple(map(vs, sigma))} - "
+                                f"{tuple(map(vs, tau))}")
+        up[sigma] = tau
+    for f in critical:
+        take(f)
+    if len(seen) != K.total_faces:
+        raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
+    return up
+
+
+def _label_faces_to_indices(matching: Matching, K: SimplicialComplex):
+    """A label matching's pairs and critical cells as index tuples into K.vertices."""
+    index = K._index.__getitem__
 
     def index_face(f):
         try:
-            ix = tuple(map(index, f))
+            return tuple(map(index, f))
         except (KeyError, TypeError):  # a foreign or an unhashable label
-            ix = None
-        # K keeps each face as a strictly increasing index tuple, so
-        # membership also checks the spelling
-        if ix is None or ix not in K._face_set(len(ix) - 1):
-            raise MatchingError(f"not a face in canonical order: {f}")
-        if ix in seen:
-            raise MatchingError(f"face used twice: {f}")
-        seen.add(ix)
-        return ix
+            raise MatchingError(f"not a face in canonical order: {f}") from None
 
-    up = {}
+    pairs = []
     for pair in matching.pairs:
         try:
             small, big = pair
         except (TypeError, ValueError):
             raise MatchingError(f"not a pair of faces: {pair!r}") from None
-        sigma, tau = index_face(small), index_face(big)
-        if len(tau) != len(sigma) + 1 or not set(sigma) < set(tau):
-            raise MatchingError(f"pair is not a cover: {small} - {big}")
-        up[sigma] = tau
-    for f in matching.critical:
-        index_face(f)
-    if len(seen) != K.total_faces:
-        raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
-    return up
+        pairs.append((index_face(small), index_face(big)))
+    return pairs, [index_face(f) for f in matching.critical]
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):
@@ -230,4 +303,4 @@ def product_matching_order(m: int, n: int):
     """
     if m < 2 or n < 2:
         raise ValueError(f"product order needs m, n >= 2, got ({m}, {n})")
-    return [(1, j) for j in range(1, n + 1)] + [(i, 1) for i in range(2, m + 1)]
+    return FAMILIES["product"].morse_order(m, n)

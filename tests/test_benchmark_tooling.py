@@ -90,6 +90,12 @@ def test_integer_workload_batch_passes():
     assert _workload_failures("integer") == {}
 
 
+def test_verify_mix_workload_batch_passes():
+    """The verify_mix batch (seed 7): the nine small gating suites and reduce()
+    on their family graphs."""
+    assert _workload_failures("verify_mix") == {}
+
+
 def test_package_modules_use_every_import():
     """Each module of the package, the re-exporting __init__ aside, uses
     every name it imports."""

@@ -143,6 +143,21 @@ def test_morse_default_order_outside_products(capsys):
     assert code == 0 and "acyclic: True" in out
 
 
+def test_morse_default_order_comes_from_the_family_table(monkeypatch, capsys):
+    """The CLI sweeps in the order the family record names, vertex order by default."""
+    from dataclasses import replace
+
+    from indtopo.families import FAMILIES
+
+    code, out, _ = run(capsys, "morse", "product", "3", "4")
+    assert json.loads(out)["order"] == [gr.render_label(v)
+                                        for v in morse.product_matching_order(3, 4)]
+    reversed_path = replace(FAMILIES["path"], morse_order=lambda n: list(range(n, 0, -1)))
+    monkeypatch.setitem(FAMILIES, "path", reversed_path)
+    code, out, _ = run(capsys, "morse", "path", "4")
+    assert code == 0 and json.loads(out)["order"] == ["4", "3", "2", "1"]
+
+
 def test_morse_rejects_bad_order(capsys):
     code, _, err = run(capsys, "morse", "path", "4", "--order", "1,9")
     assert code == 3
@@ -191,6 +206,21 @@ def test_reduce_budget_exit_code(capsys):
     code, out, _ = run(capsys, "reduce", "path", "30", "--budget", "1")
     assert code == 2
     assert json.loads(out)["stuck"]["reason"] == "budget exhausted"
+
+
+@pytest.mark.parametrize("reason,exhausted,code", [
+    ("no rule fired", True, 2),
+    ("the budget word alone", False, 0),
+])
+def test_reduce_exit_code_reads_the_typed_kind(monkeypatch, capsys, reason, exhausted, code):
+    """The exit code follows Stuck.budget_exhausted, never the reason text."""
+    from indtopo.homotopy import Stuck
+
+    monkeypatch.setattr(cli, "reduce_graph",
+                        lambda G, budget: (Stuck(G, reason, budget_exhausted=exhausted), []))
+    got, out, _ = run(capsys, "reduce", "path", "4")
+    assert got == code
+    assert json.loads(out)["stuck"]["reason"] == reason
 
 
 # -- verify -----------------------------------------------------------------

@@ -249,6 +249,73 @@ def test_validation_rejects_malformed_pairings():
             verify_acyclic(misshapen, K)
 
 
+# -- the index-backed matching ---------------------------------------------------
+
+def test_element_matching_equals_its_label_spelling():
+    K = product_complex(3, 3)
+    m = element_matching(K, product_matching_order(3, 3))
+    assert m.vertices == K.vertices
+    by_hand = Matching(order=m.order, pairs=m.pairs, critical=m.critical)
+    assert by_hand.vertices is None
+    assert m == by_hand and by_hand == m
+    assert hash(m) == hash(by_hand)
+    assert m != Matching(order=m.order, pairs=m.pairs[1:], critical=m.critical)
+    assert verify_acyclic(by_hand, K) == verify_acyclic(m, K) == (True, None)
+
+
+def test_counts_and_checks_render_no_labels():
+    """The counts, the empty-face flag and the checker read the index faces;
+    labels are rendered only when pairs or critical are read."""
+    K = product_complex(3, 4)
+    m = element_matching(K, product_matching_order(3, 4))
+    assert m.critical_counts() == {1: 6} and m.empty_face_matched
+    assert verify_acyclic(m, K) == (True, None)
+    assert m._label_pairs is None and m._label_critical is None
+    assert m.pairs is m.pairs and len(m.pairs) == (K.total_faces - 6) // 2
+
+
+def test_index_matching_on_another_vertex_tuple_takes_the_label_path():
+    """One more (isolated) vertex: every label face still maps into K, but the
+    matching no longer covers K."""
+    G = gr.cycle(5)
+    m = element_matching(independence_complex(G), [1, 3])
+    bigger = independence_complex(gr.Graph([*G.vertices, 6], G.edges))
+    assert m.vertices != bigger.vertices
+    with pytest.raises(MatchingError, match=r"covers \d+ of \d+ faces"):
+        verify_acyclic(m, bigger)
+
+
+def test_index_path_checks_membership():
+    """A skeleton has the same vertex tuple and fewer faces."""
+    G = gr.path(6)
+    m = element_matching(independence_complex(G), [2, 5])
+    skeleton = independence_complex(G, max_dim=1)
+    assert m.vertices == skeleton.vertices
+    with pytest.raises(MatchingError, match="not a face"):
+        verify_acyclic(m, skeleton)
+
+
+def test_tampered_index_pairs_are_rejected():
+    K = independence_complex(gr.complete(2))  # faces (), (0,), (1,) on vertices (1, 2)
+
+    def tampered(pairs, critical):
+        return Matching._on_index_faces((), K.vertices, pairs, critical)
+
+    assert verify_acyclic(tampered((((), (0,)),), ((1,),)), K) == (True, None)
+    with pytest.raises(MatchingError, match="not a cover"):
+        verify_acyclic(tampered((((0,), (1,)),), ((),)), K)
+    with pytest.raises(MatchingError, match="used twice"):
+        verify_acyclic(tampered((((), (0,)),), ((), (1,))), K)
+    with pytest.raises(MatchingError, match="not a face"):
+        verify_acyclic(tampered((((), (0,)),), ((1,), (1, 0))), K)
+    with pytest.raises(MatchingError, match="covers 2 of 3"):
+        verify_acyclic(tampered((((), (0,)),), ()), K)
+    edge = independence_complex(gr.Graph([1, 2]))  # adds the face (0, 1)
+    two_up = Matching._on_index_faces((), edge.vertices, (((), (0, 1)),), ((0,), (1,)))
+    with pytest.raises(MatchingError, match="not a cover"):
+        verify_acyclic(two_up, edge)
+
+
 # -- Morse-theoretic bookkeeping --------------------------------------------------
 
 def test_critical_counts_conserve_euler_and_bound_betti():
