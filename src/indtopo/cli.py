@@ -212,7 +212,7 @@ def _cmd_morse(args) -> int:
         out = {
             "instance": spec.describe(),
             "order": [gr.render_label(v) for v in matching.order],
-            "pair_count": len(matching.pairs),
+            "pair_count": matching.pair_count,
             "critical_by_dimension": {str(d): c for d, c in sorted(counts.items())},
             "empty_face_matched": matching.empty_face_matched,
             "acyclic": acyclic,

@@ -174,11 +174,43 @@ class Graph:
 
 def is_simplicial_vertex(G: Graph, v) -> bool:
     """True when N(v) is nonempty, loop-free, and induces a complete subgraph."""
-    nbrs = G.neighbors(v)
+    if v not in G:
+        raise ValueError(f"not a vertex: {v!r}")
+    adj = adjacency_masks(G)
+    return simplicial_in(adj, (1 << len(adj)) - 1, G.vertices.index(v))
+
+
+# -- adjacency bitmasks ------------------------------------------------------
+#
+# Bit i stands for G.vertices[i].  A set of vertices is an int, a subgraph is
+# the mask of its vertices (``alive``), and N(v) inside it is adj[v] & alive.
+
+def adjacency_masks(G: Graph) -> list:
+    """N(v) of each vertex as a bitmask; a looped vertex's mask holds its own bit."""
+    pos = {v: i for i, v in enumerate(G.vertices)}
+    return [sum(1 << pos[w] for w in G.neighbors(v)) for v in G.vertices]
+
+
+def bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def simplicial_in(adj: list, alive: int, v: int) -> bool:
+    """Mask form of ``is_simplicial_vertex`` for vertex v of the subgraph ``alive``."""
+    nbrs = adj[v] & alive
+    if not nbrs:
+        return False
     # a looped neighbor is in no independent set, so the split decomposition
     # over N(v) would miscount; rule it out here (a looped v is its own)
-    return bool(nbrs) and all(
-        not G.is_looped(w) and nbrs <= G.closed_neighborhood(w) for w in nbrs)
+    for w in bits(nbrs):
+        aw = adj[w]
+        if aw >> w & 1 or nbrs & ~(aw | 1 << w):
+            return False
+    return True
 
 
 # -- family constructors ---------------------------------------------------

@@ -5,6 +5,10 @@ of spheres, stored as a dim -> multiplicity map.  Dimension -1 encodes the
 empty complex {[]}, which is the join identity; it can only appear alone.
 The join is bilinear (a p-sphere joined with a q-sphere is a (p+q+1)-sphere),
 which makes "contractible absorbs joins" fall out of the empty product.
+
+The reduction lemmas (fold, simplicial split, cone-certified edge) and the
+``reduce()`` driver run on adjacency bitmasks over the graph's canonical
+vertex order; labels are rendered only for traces and residual graphs.
 """
 
 import itertools
@@ -126,6 +130,71 @@ def predict(spec: FamilySpec) -> Prediction:
 
 
 # -- homotopy-preserving graph reductions ---------------------------------------
+#
+# The lemmas run on G's adjacency bitmasks (graphs.adjacency_masks): a
+# subproblem is the mask of its live vertices, a fold clears one bit, a split
+# branch is alive & ~N[w], and a cone edge sets two bits in a copied mask list.
+# Labels are rendered only for the trace, and a Graph is built only for a
+# residual handed back to the caller.
+
+def _dominated_pair(adj: list, alive: int):
+    """First (u, u2) in scan order of distinct live vertices with N(u) <= N(u2), or None."""
+    for u in gr.bits(alive):
+        nu = adj[u] & alive
+        # every such u2 is a neighbour of N(u)'s lowest vertex, so scan only those
+        rest = (adj[(nu & -nu).bit_length() - 1] if nu else alive) & alive & ~(1 << u)
+        while rest:
+            low = rest & -rest
+            u2 = low.bit_length() - 1
+            if not nu & ~adj[u2]:
+                return u, u2
+            rest ^= low
+    return None
+
+
+def _cone_apex(adj: list, alive: int, a: int, b: int):
+    """First live w outside N[{a,b}] with N(w) inside it, or None.
+
+    Such a w is an isolated unlooped vertex of the live subgraph minus
+    N[{a,b}] (a looped w fails, since w is in N(w)).  It is a cone apex, so
+    edge (a, b) can be added without changing the homotopy type of Ind.
+    """
+    hood = (adj[a] | adj[b] | 1 << a | 1 << b) & alive
+    rest = alive & ~hood
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        if not adj[w] & alive & ~hood:
+            return w
+        rest ^= low
+    return None
+
+
+def _subgraph(G: Graph, adj: list, alive: int) -> Graph:
+    """The graph on G's live vertices with the edges in ``adj``.
+
+    It keeps G's name while no vertex is gone, as ``graphs.add_edge`` does,
+    and has none otherwise, as ``graphs.delete_vertices`` does.
+    """
+    vs = G.vertices
+    keep = list(gr.bits(alive))
+    edges = [(vs[i], vs[j]) for i in keep for j in gr.bits(adj[i] & alive & -(2 << i))]
+    loops = [vs[i] for i in keep if adj[i] >> i & 1]
+    name = G.name if alive == (1 << len(vs)) - 1 else None
+    return Graph([vs[i] for i in keep], edges, loops, name=name)
+
+
+def _looped_mask(adj: list) -> int:
+    return sum(1 << i for i, a in enumerate(adj) if a >> i & 1)
+
+
+def _drop_steps(names: list, looped: int) -> list:
+    return [{"rule": "drop-looped", "vertex": names[v]} for v in gr.bits(looped)]
+
+
+def _fold_record(names: list, kept: int, deleted: int) -> dict:
+    return {"rule": "fold", "kept": names[kept], "deleted": names[deleted]}
+
 
 def _fold_step(g: Graph):
     """Fold the first dominated pair in canonical scan order, or return None.
@@ -133,20 +202,13 @@ def _fold_step(g: Graph):
     Deletes u2 for the first u, u2 with N(u) <= N(u2); returns the smaller
     graph and its trace step.
     """
-    verts = g.vertices
-    for u in verts:
-        nu = g.neighbors(u)
-        for u2 in verts:
-            if u2 != u and nu <= g.neighbors(u2):
-                return (gr.delete_vertices(g, [u2]),
-                        {"rule": "fold", "kept": render_label(u), "deleted": render_label(u2)})
-    return None
-
-
-def _drop_looped(g: Graph):
-    """Delete every looped vertex: (smaller graph, one trace step per vertex)."""
-    steps = [{"rule": "drop-looped", "vertex": render_label(v)} for v in g.loops]
-    return gr.delete_vertices(g, g.loops), steps
+    adj = gr.adjacency_masks(g)
+    full = (1 << len(adj)) - 1
+    pair = _dominated_pair(adj, full)
+    if pair is None:
+        return None
+    names = [render_label(v) for v in g.vertices]
+    return _subgraph(g, adj, full & ~(1 << pair[1])), _fold_record(names, *pair)
 
 
 def fold_reduce(G: Graph):
@@ -159,22 +221,27 @@ def fold_reduce(G: Graph):
     unlooped neighbours of w lie in N(v), so Ind(G) = Ind(G - v) up to
     homotopy.  Returns (residual graph, trace).
     """
-    g, trace = _drop_looped(G) if G.loops else (G, [])
-    while (step := _fold_step(g)) is not None:
-        g, done = step
-        trace.append(done)
-    return g, trace
+    adj = gr.adjacency_masks(G)
+    names = [render_label(v) for v in G.vertices]
+    looped = _looped_mask(adj)
+    alive = (1 << len(adj)) - 1 & ~looped
+    trace = _drop_steps(names, looped)
+    while (pair := _dominated_pair(adj, alive)) is not None:
+        trace.append(_fold_record(names, *pair))
+        alive &= ~(1 << pair[1])
+    return _subgraph(G, adj, alive), trace
 
 
 def simplicial_split(G: Graph, v):
     """Subproblems G - N[w] for each neighbor w of a simplicial vertex v."""
     if v not in G:
         raise ValueError(f"not a vertex: {v!r}")
-    if not gr.is_simplicial_vertex(G, v):
+    adj = gr.adjacency_masks(G)
+    full = (1 << len(adj)) - 1
+    i = G.vertices.index(v)
+    if not gr.simplicial_in(adj, full, i):
         raise ValueError(f"vertex {v!r} is not simplicial (or is isolated/looped)")
-    nbrs = G.neighbors(v)
-    return [gr.delete_vertices(G, G.closed_neighborhood(w))
-            for w in G.vertices if w in nbrs]
+    return [_subgraph(G, adj, full & ~(adj[w] | 1 << w)) for w in gr.bits(adj[i])]
 
 
 def edge_add_if_cone(G: Graph, a, b):
@@ -194,15 +261,10 @@ def edge_add_if_cone(G: Graph, a, b):
 
 
 def _cone_witness(G: Graph, a, b):
-    """First isolated unlooped vertex of G - N[{a,b}], or None.
-
-    That is a vertex w outside N[{a,b}] with N(w) inside it; a looped w fails
-    the test since w is in N(w).  It is a cone apex, so edge (a, b) can be
-    added to G without changing the homotopy type of Ind(G).
-    """
-    hood = G.closed_neighborhood_set([a, b])
-    return next((w for w in G.vertices
-                 if w not in hood and G.neighbors(w) <= hood), None)
+    """First isolated unlooped vertex of G - N[{a,b}], or None (see ``_cone_apex``)."""
+    adj = gr.adjacency_masks(G)
+    w = _cone_apex(adj, (1 << len(adj)) - 1, G.vertices.index(a), G.vertices.index(b))
+    return None if w is None else G.vertices[w]
 
 
 @dataclass(frozen=True)
@@ -223,67 +285,68 @@ def reduce(G: Graph, budget: int = 10_000):
     suspensions); as a last resort, add a cone-certified edge.  The budget
     caps total lemma applications; every step lands in the trace.
     """
+    names = [render_label(v) for v in G.vertices]
+    adj0 = gr.adjacency_masks(G)
+    loops = _looped_mask(adj0)
     counter = [budget]
 
-    def go(g):
+    def go(adj, alive):
         trace = []
         while True:
             if counter[0] <= 0:
-                return Stuck(g, "budget exhausted", budget_exhausted=True), trace
-            if g.loops:
-                g, steps = _drop_looped(g)
+                return Stuck(_subgraph(G, adj, alive), "budget exhausted",
+                             budget_exhausted=True), trace
+            if alive & loops:
+                steps = _drop_steps(names, alive & loops)
                 counter[0] -= len(steps)
                 trace.extend(steps)
+                alive &= ~loops
                 continue
-            if not g.vertices:
+            if not alive:
                 trace.append({"rule": "empty-graph"})
                 return HomotopyType.empty_complex(), trace
-            iso = g.isolated_vertices()
-            if iso:
-                trace.append({"rule": "cone-isolated", "vertex": render_label(iso[0])})
+            iso = next((v for v in gr.bits(alive) if not adj[v] & alive), None)
+            if iso is not None:
+                trace.append({"rule": "cone-isolated", "vertex": names[iso]})
                 return HomotopyType.contractible(), trace
-            step = _fold_step(g)
-            if step is not None:
+            pair = _dominated_pair(adj, alive)
+            if pair is not None:
                 counter[0] -= 1
-                g, done = step
-                trace.append(done)
+                trace.append(_fold_record(names, *pair))
+                alive &= ~(1 << pair[1])
                 continue
-            split_v = None
-            for v in g.vertices:
-                if gr.is_simplicial_vertex(g, v):
-                    split_v = v
-                    break
+            split_v = next((v for v in gr.bits(alive) if gr.simplicial_in(adj, alive, v)),
+                           None)
             if split_v is not None:
                 counter[0] -= 1
-                subs = simplicial_split(g, split_v)
                 branches = []
                 parts = []
-                for sub in subs:
-                    res, sub_trace = go(sub)
+                step = {"rule": "split", "vertex": names[split_v], "branches": branches}
+                for w in gr.bits(adj[split_v] & alive):
+                    res, sub_trace = go(adj, alive & ~(adj[w] | 1 << w))
                     branches.append(sub_trace)
                     if isinstance(res, Stuck):
-                        trace.append({"rule": "split",
-                                      "vertex": render_label(split_v),
-                                      "branches": branches})
+                        trace.append(step)
                         return res, trace
                     parts.append(suspend(res))
-                trace.append({"rule": "split", "vertex": render_label(split_v),
-                              "branches": branches})
+                trace.append(step)
                 return wedge_all(parts), trace
-            for a, b in itertools.combinations(g.unlooped_vertices(), 2):
-                witness = None if g.has_edge(a, b) else _cone_witness(g, a, b)
+            # looped vertices are gone by now, so every live pair is a candidate
+            for a, b in itertools.combinations(list(gr.bits(alive)), 2):
+                witness = None if adj[a] >> b & 1 else _cone_apex(adj, alive, a, b)
                 if witness is not None:
                     break
             else:
-                return Stuck(g, "no rule fired"), trace
+                return Stuck(_subgraph(G, adj, alive), "no rule fired"), trace
             counter[0] -= 1
-            trace.append({"rule": "add-edge-cone",
-                          "edge": [render_label(a), render_label(b)],
-                          "isolated_witness": render_label(witness)})
-            g = gr.add_edge(g, a, b)
+            trace.append({"rule": "add-edge-cone", "edge": [names[a], names[b]],
+                          "isolated_witness": names[witness]})
+            adj = adj.copy()
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
 
     # go refers to itself through its closure cell; break that cycle
     try:
-        return go(G)
+        return go(adj0, (1 << len(adj0)) - 1)
     finally:
         del go

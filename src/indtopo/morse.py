@@ -25,9 +25,9 @@ class Matching:
     ``Matching(order, pairs, critical)`` holds label tuples as given.  A
     matching built by ``element_matching`` holds K's vertex tuple
     (``vertices``) and K's index faces instead: ``pairs`` and ``critical``
-    render them in labels the first time they are read, while the counts and
-    the checker read the index faces.  Equality and hashing go by
-    (order, pairs, critical) either way.
+    render them in labels the first time they are read, while the counts
+    (``pair_count``, ``critical_counts``) and the checker read the index
+    faces.  Equality and hashing go by (order, pairs, critical) either way.
     """
 
     __slots__ = ("_order", "_vertices", "_pairs", "_critical", "_label_pairs", "_label_critical")
@@ -69,6 +69,11 @@ class Matching:
             vs = self._vertices.__getitem__
             self._label_critical = tuple(tuple(map(vs, f)) for f in self._critical)
         return self._label_critical
+
+    @property
+    def pair_count(self) -> int:
+        """Number of pairs, counted on the held faces without rendering labels."""
+        return len(self._pairs)
 
     @property
     def empty_face_matched(self) -> bool:

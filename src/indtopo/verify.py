@@ -44,6 +44,9 @@ class InstanceRecord:
     faces: int = 0
     torsion: dict = field(default_factory=dict)
     note: str = ""
+    # a face or step budget ran out; chooses exit code 2, and is left out of
+    # the JSON (the note says so in words)
+    budget_exhausted: bool = False
 
     def to_json_dict(self, deterministic: bool = False) -> dict:
         d = {
@@ -121,7 +124,7 @@ class VerificationReport:
     def resource_trouble(self) -> bool:
         """True when there are gating failures and every one of them hit a budget."""
         gating = self._gating()
-        return bool(gating) and all("budget" in r.note for r in gating)
+        return bool(gating) and all(r.budget_exhausted for r in gating)
 
     def to_json_dict(self, deterministic: bool = False) -> dict:
         total = sum(len(s.records) for s in self.suites)
@@ -209,6 +212,7 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
             rec.note = "unexpected torsion"
     except FaceBudgetError as e:
         rec.note = str(e)
+        rec.budget_exhausted = True
     rec.seconds = time.perf_counter() - t0
     return rec
 
@@ -258,7 +262,8 @@ def _budget_record(instance: str, coefficients: str, t0: float,
     """The timed, failing record of a check whose enumeration hit the face budget."""
     return InstanceRecord(instance=instance, predicted=None, predicted_betti=None,
                           computed_betti={}, coefficients=coefficients, window=None,
-                          match=False, seconds=time.perf_counter() - t0, note=str(error))
+                          match=False, seconds=time.perf_counter() - t0, note=str(error),
+                          budget_exhausted=True)
 
 
 def check_morse_product(m: int, n: int,
@@ -303,16 +308,15 @@ def check_gadget_reduce(n: int, t: int) -> InstanceRecord:
     t0 = time.perf_counter()
     result, trace = reduce_graph(build_graph(FamilySpec("gadget", (n, t))))
     good = isinstance(result, HomotopyType) and result.is_contractible
-    if isinstance(result, Stuck):
-        note = f"stuck: {result.reason}"
-    else:
-        note = f"{len(trace)} top-level steps"
+    stuck = isinstance(result, Stuck)
+    note = f"stuck: {result.reason}" if stuck else f"{len(trace)} top-level steps"
     return InstanceRecord(
         instance=f"reduce gadget {n} {t}",
         predicted="point", predicted_betti={},
         computed_betti={} if good else {"result": str(result)},
         coefficients="reduction", window=None, match=good,
-        seconds=time.perf_counter() - t0, note=note)
+        seconds=time.perf_counter() - t0, note=note,
+        budget_exhausted=stuck and result.budget_exhausted)
 
 
 def _betti_of_graph(G, face_budget=None) -> dict:

@@ -7,9 +7,11 @@ exact Fractions), invariant factors from gcds of minors,
 isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
 off the whole modified Hasse diagram, ordered matchings from sweeping the
 whole face pool per element, and the canonical graph order from sorting
-rendered label strings.
-Nothing below imports library internals beyond the Graph container and the
-label renderer, so a bug in the fast code paths cannot hide here.
+rendered label strings, and the reduction lemmas from Graph surgery that
+builds a new graph at every step.
+Nothing below imports library internals beyond the Graph container, the
+label renderer and the homotopy-type algebra (the values reduce() returns),
+so a bug in the fast code paths cannot hide here.
 """
 
 import bisect
@@ -18,6 +20,7 @@ import math
 from fractions import Fraction
 
 from indtopo.graphs import Graph, render_label
+from indtopo.homotopy import HomotopyType, Stuck, suspend, wedge_all
 
 
 def brute_independent_sets(G: Graph):
@@ -280,3 +283,120 @@ def graphs_isomorphic(G: Graph, H: Graph) -> bool:
         if all(H.has_edge(fmap[u], fmap[v]) for u, v in G.edges):
             return True
     return False
+
+
+# -- reduce() as Graph surgery -----------------------------------------------------
+
+def _delete_vertices(G: Graph, labels) -> Graph:
+    drop = set(labels)
+    keep = [v for v in G.vertices if v not in drop]
+    kept = set(keep)
+    return Graph(keep, [e for e in G.edges if e[0] in kept and e[1] in kept],
+                 [v for v in G.loops if v in kept])
+
+
+def _add_edge(G: Graph, u, v) -> Graph:
+    return Graph(G.vertices, list(G.edges) + [(u, v)], G.loops, name=G.name)
+
+
+def _fold_step(g: Graph):
+    verts = g.vertices
+    for u in verts:
+        nu = g.neighbors(u)
+        for u2 in verts:
+            if u2 != u and nu <= g.neighbors(u2):
+                return (_delete_vertices(g, [u2]),
+                        {"rule": "fold", "kept": render_label(u), "deleted": render_label(u2)})
+    return None
+
+
+def _drop_looped(g: Graph):
+    steps = [{"rule": "drop-looped", "vertex": render_label(v)} for v in g.loops]
+    return _delete_vertices(g, g.loops), steps
+
+
+def _simplicial_split(G: Graph, v):
+    nbrs = G.neighbors(v)
+    return [_delete_vertices(G, G.closed_neighborhood(w))
+            for w in G.vertices if w in nbrs]
+
+
+def _cone_witness(G: Graph, a, b):
+    hood = G.closed_neighborhood_set([a, b])
+    return next((w for w in G.vertices
+                 if w not in hood and G.neighbors(w) <= hood), None)
+
+
+def reduce_by_surgery(G: Graph, budget: int = 10_000):
+    """The lemma driver on labels: each fold, split branch and cone edge is a new Graph.
+
+    Same rules, scan order, budget accounting and trace as
+    ``homotopy.reduce``: per pass, drop looped vertices (one budget unit
+    each); empty graph => S^-1; isolated vertex => contractible; fold the
+    first dominated vertex; split at the first simplicial vertex; add the
+    first cone-certified edge; else Stuck.
+    """
+    counter = [budget]
+
+    def go(g):
+        trace = []
+        while True:
+            if counter[0] <= 0:
+                return Stuck(g, "budget exhausted", budget_exhausted=True), trace
+            if g.loops:
+                g, steps = _drop_looped(g)
+                counter[0] -= len(steps)
+                trace.extend(steps)
+                continue
+            if not g.vertices:
+                trace.append({"rule": "empty-graph"})
+                return HomotopyType.empty_complex(), trace
+            iso = g.isolated_vertices()
+            if iso:
+                trace.append({"rule": "cone-isolated", "vertex": render_label(iso[0])})
+                return HomotopyType.contractible(), trace
+            step = _fold_step(g)
+            if step is not None:
+                counter[0] -= 1
+                g, done = step
+                trace.append(done)
+                continue
+            split_v = None
+            for v in g.vertices:
+                if simplicial_vertex_pairwise(g, v):
+                    split_v = v
+                    break
+            if split_v is not None:
+                counter[0] -= 1
+                subs = _simplicial_split(g, split_v)
+                branches = []
+                parts = []
+                for sub in subs:
+                    res, sub_trace = go(sub)
+                    branches.append(sub_trace)
+                    if isinstance(res, Stuck):
+                        trace.append({"rule": "split",
+                                      "vertex": render_label(split_v),
+                                      "branches": branches})
+                        return res, trace
+                    parts.append(suspend(res))
+                trace.append({"rule": "split", "vertex": render_label(split_v),
+                              "branches": branches})
+                return wedge_all(parts), trace
+            for a, b in itertools.combinations(g.unlooped_vertices(), 2):
+                witness = None if g.has_edge(a, b) else _cone_witness(g, a, b)
+                if witness is not None:
+                    break
+            else:
+                return Stuck(g, "no rule fired"), trace
+            counter[0] -= 1
+            trace.append({"rule": "add-edge-cone",
+                          "edge": [render_label(a), render_label(b)],
+                          "isolated_witness": render_label(witness)})
+            g = _add_edge(g, a, b)
+
+    # go refers to itself through its closure cell; break that cycle
+    try:
+        return go(G)
+    finally:
+        del go

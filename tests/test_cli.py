@@ -298,10 +298,35 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
 
 
 def test_verify_resource_exit_code(monkeypatch, capsys):
-    report = _fake_report(note="face budget exceeded")
+    report = _fake_report(note="face budget exceeded", budget_exhausted=True)
     monkeypatch.setattr(cli, "run_suites", lambda *a, **k: report)
     code, _, _ = run(capsys, "verify", "fake")
     assert code == 2
+
+
+def test_verify_exit_code_reads_the_typed_budget_flag(monkeypatch, capsys):
+    """A gating failure whose note speaks of a budget, but whose flag is unset,
+    is a mismatch; the flag stays out of every output format."""
+    report = _fake_report(note="stuck: budget exhausted")
+    assert not report.suites[0].records[0].budget_exhausted
+    monkeypatch.setattr(cli, "run_suites", lambda *a, **k: report)
+    code, _, _ = run(capsys, "verify", "fake")
+    assert code == 1
+    flagged = _fake_report(note="stuck: budget exhausted", budget_exhausted=True)
+    assert flagged.to_json_dict() == report.to_json_dict()
+    assert flagged.csv_rows() == report.csv_rows()
+    assert flagged.render_table() == report.render_table()
+
+
+@pytest.mark.parametrize("exhausted", [True, False])
+def test_gadget_reduce_record_carries_the_stuck_kind(monkeypatch, exhausted):
+    from indtopo.homotopy import Stuck
+
+    monkeypatch.setattr(verify, "reduce_graph",
+                        lambda G: (Stuck(G, "budget exhausted", budget_exhausted=exhausted), []))
+    rec = verify.check_gadget_reduce(3, 3)
+    assert not rec.match and rec.note == "stuck: budget exhausted"
+    assert rec.budget_exhausted is exhausted
 
 
 @pytest.mark.parametrize("check, args, suite, overrides, coefficients, window", [
@@ -313,7 +338,7 @@ def test_verify_resource_exit_code(monkeypatch, capsys):
 def test_face_budget_failure_records(capsys, check, args, suite, overrides,
                                      coefficients, window):
     rec = check(*args, face_budget=100)
-    assert rec.match is False and not rec.conjectural
+    assert rec.match is False and not rec.conjectural and rec.budget_exhausted
     assert rec.coefficients == coefficients and rec.window == window
     assert rec.note == "face budget exceeded: 101 > 100"
     code, _, _ = run(capsys, "verify", suite, *overrides, "--budget-faces", "100")
@@ -353,7 +378,7 @@ def test_suspension_shift_budget_record_is_timed():
     G = gr.Graph(range(12))        # 4096 faces
     rec = check_suspension_shift("suspension", "edgeless 12", G, G, face_budget=100)
     assert rec.match is False and rec.note == "face budget exceeded: 101 > 100"
-    assert rec.seconds > 0
+    assert rec.budget_exhausted and rec.seconds > 0
     assert rec.to_json_dict()["seconds"] == round(rec.seconds, 3)
 
 

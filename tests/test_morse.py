@@ -1,11 +1,13 @@
 """Ordered element matchings: construction, acyclicity, critical cells."""
 
 import itertools
+import json
 import random
 
 import pytest
 
 import oracles
+from indtopo import cli
 from indtopo import graphs as gr
 from indtopo.complexes import from_facets, independence_complex
 from indtopo.homology import betti_reduced
@@ -269,9 +271,21 @@ def test_counts_and_checks_render_no_labels():
     K = product_complex(3, 4)
     m = element_matching(K, product_matching_order(3, 4))
     assert m.critical_counts() == {1: 6} and m.empty_face_matched
+    assert m.pair_count == (K.total_faces - 6) // 2
     assert verify_acyclic(m, K) == (True, None)
     assert m._label_pairs is None and m._label_critical is None
-    assert m.pairs is m.pairs and len(m.pairs) == (K.total_faces - 6) // 2
+    assert m.pairs is m.pairs and len(m.pairs) == m.pair_count
+    assert Matching(m.order, m.pairs, m.critical).pair_count == m.pair_count
+
+
+def test_morse_json_renders_no_pairs(monkeypatch, capsys):
+    """`indtopo morse --format json` reads pair_count, not the rendered pairs."""
+    def unrendered(self):
+        raise AssertionError("pairs rendered in labels")
+
+    monkeypatch.setattr(Matching, "pairs", property(unrendered))
+    assert cli.main(["morse", "product", "3", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pair_count"] == 28
 
 
 def test_index_matching_on_another_vertex_tuple_takes_the_label_path():

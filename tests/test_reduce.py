@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from indtopo import graphs as gr
+from indtopo import verify
 from indtopo.complexes import independence_complex
+from indtopo.families import FamilySpec, build_graph
 from indtopo.homology import betti_reduced
 from indtopo.homotopy import (
     HomotopyType,
@@ -303,3 +305,87 @@ def test_reduce_trace_rules_are_known():
     for _ in range(30):
         result, trace = reduce(rand_graph(rng, 7))
         walk(trace)
+
+
+# -- the mask driver against the Graph-surgery oracle ------------------------------
+
+def _suite_graphs():
+    """Every family graph the verify suites build at their default ranges,
+    the Mycielskians and the gadgets up to t = 7 among them."""
+    specs = set()
+    for _, builder, _ in verify.SUITES.values():
+        for kind, args, _ in builder({"seed": 7, "face_budget": None}):
+            if kind in ("family", "family_int"):
+                specs.add(FamilySpec(*args))
+            elif kind == "gadget_reduce":
+                specs.add(FamilySpec("gadget", args))
+            elif kind == "morse_product":
+                specs.add(FamilySpec("product", args))
+            elif kind == "table1":
+                specs.add(FamilySpec("conjecture_k2k3kn", args))
+    return [build_graph(s) for s in sorted(specs, key=FamilySpec.describe)]
+
+
+def _seeded_graphs(count=1000):
+    rng = random.Random(20121)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        verts = list(range(1, n + 1))
+        p = rng.choice([0.2, 0.35, 0.5, 0.7])
+        out.append(gr.Graph(verts, [e for e in itertools.combinations(verts, 2)
+                                    if rng.random() < p],
+                            loops=[v for v in verts if rng.random() < 0.1],
+                            name=rng.choice([None, "G"])))
+    return out
+
+
+def _outcome(result):
+    if isinstance(result, Stuck):
+        g = result.graph
+        return ("stuck", result.reason, result.budget_exhausted,
+                g.vertices, g.edges, g.loops, g.name)
+    return result
+
+
+def test_reduce_equals_the_graph_surgery_oracle():
+    """Same result, trace, Stuck reason and kind, and residual graph (vertices,
+    edges, loops and name) as the Graph-surgery driver, at three budgets."""
+    graphs = _seeded_graphs() + _suite_graphs()
+    assert any(g.loops for g in graphs)
+    kinds = set()
+    for G in graphs:
+        for budget in (10_000, 3, 1):
+            result, trace = reduce(G, budget)
+            want, want_trace = oracles.reduce_by_surgery(G, budget)
+            assert _outcome(result) == _outcome(want), (G, budget)
+            assert trace == want_trace, (G, budget)
+            kinds.add(_outcome(result)[:3] if isinstance(result, Stuck) else "solved")
+    assert kinds == {"solved", ("stuck", "no rule fired", False),
+                     ("stuck", "budget exhausted", True)}
+
+
+@pytest.mark.parametrize("family, params, stuck", [
+    ("gadget", (3, 6), False),
+    ("mycielskian", (3, 4), True),
+])
+def test_reduce_does_no_graph_surgery(monkeypatch, family, params, stuck):
+    """reduce() deletes no vertex through graphs.delete_vertices and builds a
+    Graph only for the Stuck residual."""
+    G = build_graph(FamilySpec(family, params))
+    deletes, builds = [], []
+    delete_vertices, init = gr.delete_vertices, gr.Graph.__init__
+
+    def counting_delete(*args, **kwargs):
+        deletes.append(args)
+        return delete_vertices(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gr, "delete_vertices", counting_delete)
+    monkeypatch.setattr(gr.Graph, "__init__", counting_init)
+    result, trace = reduce(G)
+    assert isinstance(result, Stuck) == stuck and trace
+    assert deletes == [] and len(builds) == stuck
