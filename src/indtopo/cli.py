@@ -119,10 +119,12 @@ def _parse_range(text: str):
 
 
 def _face_budget(args) -> int | None:
-    if args.budget_faces is not None:
-        return args.budget_faces
-    env = os.environ.get(ENV_FACE_BUDGET)
-    return int(env) if env else None
+    budget = args.budget_faces
+    if budget is None and os.environ.get(ENV_FACE_BUDGET):
+        budget = int(os.environ[ENV_FACE_BUDGET])
+    if budget is not None and budget < 0:
+        raise _UsageError(f"face budget must be at least 0, got {budget}")
+    return budget
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -172,8 +174,6 @@ def _cmd_betti(args) -> int:
         lo, hi = args.window
         if args.coeff != "z2":
             raise _UsageError("windowed homology is mod-2 only")
-        if lo < 0 or hi < lo:
-            raise _UsageError(f"bad window ({lo}, {hi})")
         table = betti_window(G, lo, hi, face_budget=budget)
     else:
         K = independence_complex(G, face_budget=budget)

@@ -1,14 +1,15 @@
 """Simplicial complexes, chiefly independence complexes of graphs.
 
-Faces are stored per dimension as sorted tuples of vertex indices (indices
-into the canonical vertex order), with the empty face at dimension -1.
-The empty face is always present, so the complex of a graph whose every
-vertex is looped is {[]}, the empty complex.
+A face is one int mask over the canonical vertex order: bit i is vertex i,
+and the empty face, at dimension -1, is 0.  Each dimension's masks are kept
+in lexicographic order of their index tuples, which fixes every row index
+and every rendered list.  The empty face is always present, so the complex
+of a graph whose every vertex is looped is {[]}, the empty complex.
 """
 
 from itertools import combinations
 
-from .graphs import Graph, render_label
+from .graphs import Graph, bits, render_label
 
 DEFAULT_FACE_BUDGET = 50_000_000
 
@@ -22,23 +23,33 @@ def _check_budget(count: int, budget: int) -> None:
         raise FaceBudgetError(f"face budget exceeded: {count} > {budget}")
 
 
+def facet_masks(f: int) -> list:
+    """The facets of a face mask, dropping its lowest vertex first."""
+    out, g = [], f
+    while g:
+        low = g & -g
+        out.append(f ^ low)
+        g ^= low
+    return out
+
+
 class SimplicialComplex:
     """Immutable simplicial complex on an ordered vertex universe.
 
     The constructor trusts its input: vertices in canonical order and, per
-    dimension, a sorted sequence of strictly increasing index tuples, which
-    is what enumeration produces.  Faces from outside the program come in
-    through ``from_facets``.
+    dimension, face masks in lexicographic order of their index tuples,
+    which is what enumeration produces.  Faces from outside the program come
+    in through ``from_facets``.
     """
 
-    __slots__ = ("vertices", "_index", "_faces", "_face_sets", "source")
+    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "source")
 
     def __init__(self, vertices, faces_by_dim, source=None):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._faces = {-1: ((),)}
+        self._faces = {-1: (0,)}
         self._faces.update((d, tuple(fs)) for d, fs in faces_by_dim.items() if d >= 0 and fs)
-        self._face_sets = {}
+        self._all_faces = None
         self.source = source
 
     # -- structure ---------------------------------------------------------
@@ -50,14 +61,17 @@ class SimplicialComplex:
     def dims(self):
         return tuple(sorted(self._faces))
 
-    def index_faces(self, d):
-        """Faces of dimension d as sorted index tuples (canonical order)."""
+    def face_masks(self, d):
+        """Faces of dimension d as masks, in canonical order."""
         return self._faces.get(d, ())
+
+    def labels(self, f: int) -> tuple:
+        """A face mask spelled as a label tuple in canonical order."""
+        return tuple(map(self.vertices.__getitem__, bits(f)))
 
     def faces(self, d):
         """Faces of dimension d as label tuples."""
-        vs = self.vertices
-        return tuple(tuple(vs[i] for i in f) for f in self.index_faces(d))
+        return tuple(map(self.labels, self.face_masks(d)))
 
     def face_count(self, d) -> int:
         return len(self._faces.get(d, ()))
@@ -70,10 +84,11 @@ class SimplicialComplex:
     def total_faces(self) -> int:
         return sum(len(v) for v in self._faces.values())
 
-    def _face_set(self, d):
-        if d not in self._face_sets:
-            self._face_sets[d] = frozenset(self._faces.get(d, ()))
-        return self._face_sets[d]
+    def _face_set(self):
+        """Every face mask of every dimension, for membership."""
+        if self._all_faces is None:
+            self._all_faces = frozenset().union(*self._faces.values())
+        return self._all_faces
 
     def index_of(self, label) -> int:
         try:
@@ -82,11 +97,12 @@ class SimplicialComplex:
             raise ValueError(f"not a vertex of the complex: {label!r}") from None
 
     def has_face(self, labels) -> bool:
+        """True when the labels, each given once, span a face."""
         try:
-            f = tuple(sorted(self.index_of(v) for v in labels))
+            idx = [self.index_of(v) for v in labels]
         except ValueError:
             return False
-        return f in self._face_set(len(f) - 1)
+        return len(set(idx)) == len(idx) and sum(1 << i for i in idx) in self._face_set()
 
     # -- invariants ----------------------------------------------------------
 
@@ -97,11 +113,10 @@ class SimplicialComplex:
 
     def facets(self):
         """Maximal faces, as label tuples in canonical order."""
-        vs = self.vertices
         out = []
         for d in self.dims():
-            non_max = {f[:k] + f[k + 1:] for f in self.index_faces(d + 1) for k in range(len(f))}
-            out.extend(tuple(vs[i] for i in f) for f in self.index_faces(d) if f not in non_max)
+            non_max = {g for f in self.face_masks(d + 1) for g in facet_masks(f)}
+            out.extend(self.labels(f) for f in self.face_masks(d) if f not in non_max)
         return out
 
     def __eq__(self, other):
@@ -137,32 +152,32 @@ def _enumerate_independent(nbr, max_size, budget):
 
     A face's candidates are a bitmask of the vertices above its last one and
     adjacent to none of its own; the depth-first visit extends it by each,
-    lowest bit first, so every list comes out in lexicographic order.  Each
-    child face visited is charged against the budget.
+    lowest bit first, so every list comes out in lexicographic order of
+    index tuples.  Each child face visited is charged against the budget.
     """
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
     out = [[] for _ in range(max_size + 1)]
     visited = 0
 
-    def rec(face, cand):
+    def rec(face, k, cand):
         nonlocal visited
-        k = len(face)
         out[k].append(face)
         if k == max_size:
             return
+        k += 1
         while cand:
             low = cand & -cand
             cand ^= low
-            i = low.bit_length() - 1
             visited += 1
-            _check_budget(visited, budget)
-            rec(face + (i,), cand & keep[i])
+            if visited > budget:
+                _check_budget(visited, budget)
+            rec(face | low, k, cand & keep[low.bit_length() - 1])
 
     # rec refers to itself through its closure cell, a reference cycle that
     # would keep every face list alive until the cyclic collector runs
     try:
-        rec((), full)
+        rec(0, 0, full)
     finally:
         del rec
     return out
@@ -223,7 +238,6 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
                              f"{v!r}") from None
 
     seen = set()
-    count = 0
     for facet in facet_labels:
         f = tuple(sorted(position(v, facet) for v in facet))
         if len(set(f)) != len(f):
@@ -231,12 +245,11 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
         for k in range(len(f) + 1):
             for sub in combinations(f, k):
                 if sub not in seen:
-                    count += 1
-                    _check_budget(count, budget)
                     seen.add(sub)
+                    _check_budget(len(seen), budget)
     faces = {}
     for f in sorted(seen):
-        faces.setdefault(len(f) - 1, []).append(f)
+        faces.setdefault(len(f) - 1, []).append(sum(1 << i for i in f))
     return SimplicialComplex(vs, faces, source=source)
 
 

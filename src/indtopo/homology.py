@@ -2,7 +2,9 @@
 
 Reduced throughout: the augmentation map sends every vertex to the empty
 face, so a complex of n isolated points has betti_0 = n - 1 and the empty
-complex {[]} has betti_-1 = 1.  Mod-2 ranks use python-int bitsets.  The
+complex {[]} has betti_-1 = 1.  A boundary column comes from its face mask:
+a facet clears one bit, and its sign over Z is the parity of the set bits
+below that bit.  Mod-2 ranks use python-int bitsets.  The
 integer path is one sparse column reduction on +-1 pivots; only the block
 it cannot reduce that way goes to a dense Smith normal form, whose factors
 above 1 are the torsion.  All arithmetic is arbitrary precision (overflow is
@@ -25,9 +27,8 @@ not be.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, facet_masks
 
 
 @dataclass(frozen=True)
@@ -38,31 +39,26 @@ class Boundary:
 
 
 def _facet_signs(d: int) -> tuple:
-    """Signs of a d-face's facets in ``combinations(face, d)`` order.
-
-    The i-th facet drops position d - i, so its sign is (-1)^(d - i).
-    """
-    return tuple(-1 if (d - i) % 2 else 1 for i in range(d + 1))
+    """Signs of a d-face's d + 1 facets, lowest dropped vertex first: (-1)^k for the k-th."""
+    return tuple(-1 if k % 2 else 1 for k in range(d + 1))
 
 
 def _row_lookup(cx, d: int):
     """The row index of each (d-1)-face, the rows of the d-faces' columns."""
-    rows = cx.index_faces(d - 1)
+    rows = cx.face_masks(d - 1)
     return dict(zip(rows, range(len(rows)))).__getitem__
 
 
 def boundary_matrix(cx, d: int) -> Boundary:
     """The boundary map from d-faces to (d-1)-faces; d = 0 is the augmentation.
 
-    Each column lists its facets by the position they drop, lowest first.
+    Each column lists its facets by the vertex they drop, lowest first.
     """
     if d < 0:
         raise ValueError(f"boundary_matrix needs d >= 0, got {d}")
-    row_of = _row_lookup(cx, d)
-    signs = _facet_signs(d)
+    row_of, signs = _row_lookup(cx, d), _facet_signs(d)
     return Boundary(cx.face_count(d - 1), tuple(
-        tuple(zip(map(row_of, combinations(face, d)), signs))[::-1]
-        for face in cx.index_faces(d)))
+        tuple(zip(map(row_of, facet_masks(face)), signs)) for face in cx.face_masks(d)))
 
 
 # -- GF(2) ------------------------------------------------------------------
@@ -96,11 +92,11 @@ def gf2_rank(columns) -> int:
     return len(_gf2_pivots(columns))
 
 
-def _bitset_columns(faces, d: int, row_of):
-    """Each d-face's column as a bitset of its facets' rows."""
+def _bitset_columns(faces, row_of):
+    """Each face mask's column as a bitset of its facets' rows."""
     for face in faces:
         col = 0
-        for r in map(row_of, combinations(face, d)):
+        for r in map(row_of, facet_masks(face)):
             col |= 1 << r
         yield col
 
@@ -324,21 +320,21 @@ def boundary_rank(store, d: int, coefficients: str, cleared):
     """(rank, residual invariant factors, pivot rows) of the boundary map from
     d-faces to (d-1)-faces of a face store, over "z2" or "int" coefficients.
 
-    Columns are built straight from the index faces, one at a time, and the
+    Columns are built straight from the face masks, one at a time, and the
     d-faces at indices in ``cleared`` are skipped: they must be pivot rows
     of the map one dimension up (every pivot mod 2, unit pivots over Z),
     whose columns reduce to zero.  The returned pivot rows are what the
     next dimension down may clear.  Factors are () mod 2.
     """
-    faces = store.index_faces(d)
+    faces = store.face_masks(d)
     if cleared:
         faces = (f for j, f in enumerate(faces) if j not in cleared)
     row_of = _row_lookup(store, d)
     if coefficients == "z2":
-        pivots = _gf2_pivots(_bitset_columns(faces, d, row_of))
+        pivots = _gf2_pivots(_bitset_columns(faces, row_of))
         return len(pivots), (), {low - 1 for low in pivots}
     signs = _facet_signs(d)
-    return _integer_reduce(dict(zip(map(row_of, combinations(f, d)), signs)) for f in faces)
+    return _integer_reduce(dict(zip(map(row_of, facet_masks(f)), signs)) for f in faces)
 
 
 def _betti_table(store, lo: int, hi: int, coefficients: str,

@@ -4,10 +4,13 @@ The matching pairs each face sigma in the current pool with sigma + {x}
 whenever both are still unpaired, sweeping x through the given order.
 Within one sweep the pairing is an involution on the pool, so the result
 does not depend on the iteration order inside a step.  The empty face
-participates like any other face.
+participates like any other face.  Faces are K's int masks throughout: a
+face's partner is ``big ^ bit``, the checker tests covers on masks, and
+labels are spelled only for output and for a witness.
 """
 
 from collections import Counter
+from itertools import chain
 
 from .complexes import SimplicialComplex
 from .families import FAMILIES
@@ -22,29 +25,21 @@ class MatchingError(ValueError):
 class Matching:
     """Pairs (sigma, sigma + {x}) of faces, plus the unpaired critical cells.
 
-    ``Matching(order, pairs, critical)`` holds label tuples as given.  A
-    matching built by ``element_matching`` holds K's vertex tuple
-    (``vertices``) and K's index faces instead: ``pairs`` and ``critical``
-    render them in labels the first time they are read, while the counts
-    (``pair_count``, ``critical_counts``) and the checker read the index
-    faces.  Equality and hashing go by (order, pairs, critical) either way.
+    ``Matching(order, pairs, critical)`` holds label tuples as given.  With
+    ``K`` it holds face masks of K instead, each face of K once, in no set
+    order, as ``element_matching`` makes them: ``pairs`` and ``critical``
+    render them in labels, in K's face order, the first time either is
+    read, while the counts (``pair_count``, ``critical_counts``),
+    ``critical_masks`` and the checker read the masks.  Equality and
+    hashing go by (order, pairs, critical) either way.
     """
 
-    __slots__ = ("_order", "_vertices", "_pairs", "_critical", "_label_pairs", "_label_critical")
+    __slots__ = ("_order", "_complex", "_pairs", "_critical", "_label_pairs", "_label_critical")
 
-    def __init__(self, order, pairs, critical):
-        self._order, self._vertices = order, None
-        self._pairs = self._label_pairs = pairs
-        self._critical = self._label_critical = critical
-
-    @classmethod
-    def _on_index_faces(cls, order, vertices, pairs, critical):
-        """A matching held as index faces into ``vertices``."""
-        m = cls.__new__(cls)
-        m._order, m._vertices = order, vertices
-        m._pairs, m._critical = pairs, critical
-        m._label_pairs = m._label_critical = None
-        return m
+    def __init__(self, order, pairs, critical, K=None):
+        self._order, self._complex = order, K
+        self._pairs, self._critical = pairs, critical
+        self._label_pairs, self._label_critical = (pairs, critical) if K is None else (None, None)
 
     @property
     def order(self) -> tuple:
@@ -52,23 +47,41 @@ class Matching:
 
     @property
     def vertices(self):
-        """The vertex tuple the index faces point into; None for a label matching."""
-        return self._vertices
+        """The vertex tuple the face masks are over; None for a label matching."""
+        return None if self._complex is None else self._complex.vertices
 
     @property
     def pairs(self) -> tuple:
+        """The pairs as label tuples; a mask matching's in K's order of the smaller face."""
         if self._label_pairs is None:
-            vs = self._vertices.__getitem__
-            self._label_pairs = tuple((tuple(map(vs, a)), tuple(map(vs, b)))
-                                      for a, b in self._pairs)
+            self._render()
         return self._label_pairs
 
     @property
     def critical(self) -> tuple:
+        """The critical cells as label tuples; a mask matching's in K's face order."""
         if self._label_critical is None:
-            vs = self._vertices.__getitem__
-            self._label_critical = tuple(tuple(map(vs, f)) for f in self._critical)
+            self._render()
         return self._label_critical
+
+    def _render(self):
+        """Spell every face of K once, top vertex last, and read the masks off in order."""
+        K = self._complex
+        held = {*chain.from_iterable(self._pairs), *self._critical}
+        if len(held) < 2 * len(self._pairs) + len(self._critical) or not held <= K._face_set():
+            raise MatchingError("a held mask is not a face of the complex, or repeats")
+        up, critical = dict(self._pairs), set(self._critical)
+        spelled, faces = {0: ()}, [f for d in K.dims() for f in K.face_masks(d)]
+        for f in faces[1:]:
+            top = f.bit_length() - 1
+            spelled[f] = spelled[f ^ (1 << top)] + (K.vertices[top],)
+        self._label_pairs = tuple((spelled[s], spelled[up[s]]) for s in faces if s in up)
+        self._label_critical = tuple(spelled[f] for f in faces if f in critical)
+
+    @property
+    def critical_masks(self):
+        """The critical cells as face masks of K; None for a label matching."""
+        return None if self._complex is None else self._critical
 
     @property
     def pair_count(self) -> int:
@@ -77,7 +90,8 @@ class Matching:
 
     @property
     def empty_face_matched(self) -> bool:
-        return any(small == () for small, _ in self._pairs)
+        empty = () if self._complex is None else 0
+        return any(small == empty for small, _ in self._pairs)
 
     def critical_by_dimension(self) -> dict:
         """Critical cells grouped by dimension (the empty face counts at dimension -1)."""
@@ -87,7 +101,7 @@ class Matching:
         return {d: tuple(fs) for d, fs in sorted(out.items())}
 
     def critical_counts(self) -> dict:
-        counts = Counter(map(len, self._critical))
+        counts = Counter(map(len if self._complex is None else int.bit_count, self._critical))
         return {k - 1: counts[k] for k in sorted(counts)}
 
     def __eq__(self, other):
@@ -120,86 +134,68 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
     if len(set(idx)) != len(idx):
         raise MatchingError("duplicate elements in the order")
 
-    # a face waits in the list of the first order element it holds; when it
-    # survives that sweep unmatched it moves on to its next one
-    end = len(idx)
-    sweep_of = [end] * len(K.vertices)
+    # a face waits in the list of the first sweep whose element it holds;
+    # when it survives that sweep unmatched it moves on to its next one
+    sweep_of, before, swept = {}, {}, 0  # by element bit: position, earlier elements
     for p, x in enumerate(idx):
-        sweep_of[x] = p
+        sweep_of[1 << x], before[1 << x] = p, swept
+        swept |= 1 << x
     waiting = [[] for _ in idx]
 
-    def hand_on(f, after):
-        """Queue f for the first sweep after `after` whose element it holds."""
-        q = end
-        for v in f:
-            if after < sweep_of[v] < q:
-                q = sweep_of[v]
-        if q < end:
-            waiting[q].append(f)
+    def hand_on(f, rest):  # queue f for its first sweep of an element in rest
+        m = f & rest
+        while m:
+            low = m & -m
+            if not m & before[low]:
+                waiting[sweep_of[low]].append(f)
+                return
+            m ^= low
 
-    pool = set()
-    for d in K.dims():
-        fs = K.index_faces(d)
-        pool.update(fs)
-        for f in fs:
-            hand_on(f, -1)
-
-    pairs = []
+    for f in K._face_set():
+        hand_on(f, swept)
+    pool, pairs = set(K._face_set()), []
     for p, x in enumerate(idx):
-        for bigger in waiting[p]:
-            if bigger not in pool:
-                continue
-            k = bigger.index(x)
-            sigma = bigger[:k] + bigger[k + 1:]
-            if sigma in pool:
+        bit = 1 << x
+        later = swept & ~(before[bit] | bit)
+        for big in waiting[p]:
+            if big in pool:
                 # the pairs of one sweep are disjoint, so taking them out at
                 # once leaves the others' membership unchanged
-                pool.discard(sigma)
-                pool.discard(bigger)
-                pairs.append((sigma, bigger))
-            else:
-                hand_on(bigger, p)
+                if big ^ bit in pool:
+                    pool.discard(big)
+                    pool.discard(big ^ bit)
+                    pairs.append((big ^ bit, big))
+                else:
+                    hand_on(big, later)
         waiting[p] = None
-
-    pairs.sort(key=lambda p: (len(p[0]), p[0]))
-    return Matching._on_index_faces(
-        order, K.vertices, tuple(pairs), tuple(sorted(pool, key=lambda f: (len(f), f))))
+    return Matching(order, tuple(pairs), tuple(pool), K)
 
 
 def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     """Check the pairing is a total matching by covers on K's faces.
 
-    Every face of K must be matched or critical exactly once, each written
-    in K's canonical vertex order (so a facet cut from a matched face is
-    spelled like the pair that holds it).  A matching on K's vertex tuple is
-    checked on its index faces as held; any other has its labels mapped to
-    K's indices first.  Returns the pairing on K's index faces,
-    {sigma: partner}, in the order of ``matching.pairs``.
+    Every face of K must be matched or critical exactly once.  A matching on
+    K's vertex tuple is checked on its face masks as held; any other has its
+    label faces mapped to masks first, and each must name its labels once,
+    in K's canonical order.  Returns the pairing on K's face masks,
+    {sigma: partner}, in the order of the matching's pairs.
     """
-    if matching.vertices == K.vertices:
-        pairs, critical = matching._pairs, matching._critical
-    else:
-        pairs, critical = _label_faces_to_indices(matching, K)
-    vs = K.vertices.__getitem__
-    face_sets = {d + 1: K._face_set(d) for d in K.dims()}
-    seen = set()
+    pairs, critical = ((matching._pairs, matching._critical) if matching.vertices == K.vertices
+                       else _label_faces_to_masks(matching, K))
+    faces, seen, up = K._face_set(), set(), {}
 
     def take(f):
-        # K keeps each face as a strictly increasing index tuple, so
-        # membership also checks the spelling
-        if f not in face_sets.get(len(f), ()):
-            raise MatchingError(f"not a face in canonical order: {tuple(map(vs, f))}")
+        if f not in faces:
+            raise MatchingError(f"not a face in canonical order: {K.labels(f)}")
         if f in seen:
-            raise MatchingError(f"face used twice: {tuple(map(vs, f))}")
+            raise MatchingError(f"face used twice: {K.labels(f)}")
         seen.add(f)
 
-    up = {}
     for sigma, tau in pairs:
         take(sigma)
         take(tau)
-        if len(tau) != len(sigma) + 1 or not set(tau).issuperset(sigma):
-            raise MatchingError(f"pair is not a cover: {tuple(map(vs, sigma))} - "
-                                f"{tuple(map(vs, tau))}")
+        if sigma | tau != tau or (tau ^ sigma).bit_count() != 1:
+            raise MatchingError(f"pair is not a cover: {K.labels(sigma)} - {K.labels(tau)}")
         up[sigma] = tau
     for f in critical:
         take(f)
@@ -208,15 +204,18 @@ def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     return up
 
 
-def _label_faces_to_indices(matching: Matching, K: SimplicialComplex):
-    """A label matching's pairs and critical cells as index tuples into K.vertices."""
+def _label_faces_to_masks(matching: Matching, K: SimplicialComplex):
+    """A label matching's pairs and critical cells as face masks over K.vertices."""
     index = K._index.__getitem__
 
-    def index_face(f):
+    def mask(f):
         try:
-            return tuple(map(index, f))
+            idx = tuple(map(index, f))
         except (KeyError, TypeError):  # a foreign or an unhashable label
             raise MatchingError(f"not a face in canonical order: {f}") from None
+        if any(a >= b for a, b in zip(idx, idx[1:])):  # out of order, or repeated
+            raise MatchingError(f"not a face in canonical order: {tuple(f)}")
+        return sum(1 << i for i in idx)
 
     pairs = []
     for pair in matching.pairs:
@@ -224,8 +223,8 @@ def _label_faces_to_indices(matching: Matching, K: SimplicialComplex):
             small, big = pair
         except (TypeError, ValueError):
             raise MatchingError(f"not a pair of faces: {pair!r}") from None
-        pairs.append((index_face(small), index_face(big)))
-    return pairs, [index_face(f) for f in matching.critical]
+        pairs.append((mask(small), mask(big)))
+    return pairs, [mask(f) for f in matching.critical]
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):
@@ -236,35 +235,37 @@ def verify_acyclic(matching: Matching, K: SimplicialComplex):
     it alternates between two adjacent dimensions and every lower face on it
     is matched upward.  The search therefore steps only from a matched sigma
     to the other facets of its partner that are matched upward themselves.
-    It walks K's index faces; only a witness is spelled in labels.
+    It walks K's face masks; only a witness is spelled in labels.
     Returns (True, None) or (False, witness), the witness being the closed
     path [sigma0, up(sigma0), sigma1, ..., sigma0].
     """
     up = _validate(matching, K)
-
-    def steps(sigma):
-        big = up[sigma]
-        for k in range(len(big)):
-            nxt = big[:k] + big[k + 1:]
-            if nxt != sigma and nxt in up:
-                yield nxt
+    steps = {}  # sigma -> the other facets of up[sigma] matched upward, if any
+    for sigma, big in up.items():
+        out, g = [], sigma
+        while g:  # each facet but sigma drops a vertex of sigma
+            low = g & -g
+            g ^= low
+            if big ^ low in up:
+                out.append(big ^ low)
+        if out:
+            steps[sigma] = out
 
     finished = set()
-    for start in up:
+    for start in steps:
         if start in finished:
             continue
-        path, on_path, stack = [start], {start}, [steps(start)]
+        path, on_path, stack = [start], {start}, [iter(steps[start])]
         while stack:
             for nxt in stack[-1]:
                 if nxt in on_path:
                     cycle = path[path.index(nxt):]
                     witness = [f for s in cycle for f in (s, up[s])] + [nxt]
-                    vs = K.vertices.__getitem__
-                    return False, [tuple(map(vs, f)) for f in witness]
-                if nxt not in finished:
+                    return False, [K.labels(f) for f in witness]
+                if nxt in steps and nxt not in finished:
                     path.append(nxt)
                     on_path.add(nxt)
-                    stack.append(steps(nxt))
+                    stack.append(iter(steps[nxt]))
                     break
             else:
                 stack.pop()

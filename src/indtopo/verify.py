@@ -279,9 +279,9 @@ def check_morse_product(m: int, n: int,
         return _budget_record(f"morse product {m} {n}", "critical-cells", t0, e)
     matching = element_matching(K, product_matching_order(m, n))
     acyclic, witness = verify_acyclic(matching, K)
-    expected_cells = {frozenset(((i, 1), (i, j)))
+    expected_cells = {1 << K.index_of((i, 1)) | 1 << K.index_of((i, j))
                       for i in range(2, m + 1) for j in range(2, n + 1)}
-    got_cells = set(map(frozenset, matching.critical))
+    got_cells = set(matching.critical_masks)
     problems = []
     if not acyclic:
         problems.append(f"cycle: {witness}")
@@ -618,6 +618,9 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
     opts.setdefault("seed", seed)
     opts["face_budget"] = face_budget
 
+    for name, value in (("jobs", jobs), ("count", opts.get("count"))):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     jobs = min(jobs, os.cpu_count() or 1)
 
     # every job list is built, and so every usage error raised, before any

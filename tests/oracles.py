@@ -210,17 +210,23 @@ def matching_is_acyclic(pairs, faces) -> bool:
         alive -= sinks
 
 
+def mask_indices(f: int) -> tuple:
+    """The set bits of a face mask, lowest first, read bit by bit."""
+    return tuple(i for i in range(f.bit_length()) if f >> i & 1)
+
+
 def ordered_matching_sweep(K, order):
     """(pairs, critical) of the ordered sweep, scanning the whole pool per element.
 
     For each x in order, every pooled sigma without x whose sigma + {x} is
     pooled too is paired with it, and then all of that sweep's pairs leave
-    the pool.  Faces are label tuples in K's vertex order, sorted by size and
-    then by index, like ``morse.element_matching`` returns them.
+    the pool.  The pool holds index tuples decoded bit by bit from K's face
+    masks.  Faces come out as label tuples in K's vertex order, sorted by
+    size and then by index, like ``morse.element_matching`` renders them.
     """
     pool = set()
     for d in K.dims():
-        pool.update(K.index_faces(d))
+        pool.update(map(mask_indices, K.face_masks(d)))
     pairs = []
     for x in (K.index_of(v) for v in order):
         candidates = []

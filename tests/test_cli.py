@@ -115,6 +115,12 @@ def test_env_var_budget(monkeypatch, capsys):
     code, _, _ = run(capsys, "betti", "product", "3", "3",
                      "--budget-faces", "100000")
     assert code == 0
+    # a negative budget is a usage error, from the environment or the flag
+    monkeypatch.setenv("INDTOPO_FACE_BUDGET", "-2")
+    code, out, err = run(capsys, "morse", "product", "3", "3")
+    assert (code, out) == (3, "") and "face budget must be at least 0, got -2" in err
+    code, out, err = run(capsys, "betti", "product", "3", "3", "--budget-faces", "-1")
+    assert (code, out) == (3, "") and "face budget must be at least 0, got -1" in err
 
 
 # -- morse ------------------------------------------------------------------
@@ -263,14 +269,14 @@ def test_verify_unpublished_table1_row_is_a_usage_error(capsys):
 
 
 def test_verify_empty_suite_is_a_usage_error(capsys):
-    for argv in (("product", "--m", "5..2"), ("suspension", "--count", "-3")):
-        code, out, err = run(capsys, "verify", *argv)
-        assert code == 3 and "no instances" in err and out == "", (argv, err)
+    code, out, err = run(capsys, "verify", "product", "--m", "5..2")
+    assert code == 3 and "no instances" in err and out == "", err
 
 
 def test_verify_usage_errors_come_before_any_job(monkeypatch, capsys):
-    """A usage error in a later suite, in a later n, or an override outside a
-    family's domain stops the run before any instance is computed."""
+    """A usage error in a later suite, in a later n, an override outside a
+    family's domain, a count or job number below 1, or a negative face
+    budget stops the run before any instance is computed."""
     calls = []
 
     def run_job(job):
@@ -282,6 +288,13 @@ def test_verify_usage_errors_come_before_any_job(monkeypatch, capsys):
                  ("kn_lr", "product", "--m", "1")):
         code, out, _ = run(capsys, "verify", *argv)
         assert (code, calls, out) == (3, [], ""), argv
+    for argv, message in ((("suspension", "--count", "-3"), "count must be at least 1, got -3"),
+                          (("morse_homology", "--count", "0"), "count must be at least 1"),
+                          (("product", "--jobs", "0"), "jobs must be at least 1, got 0"),
+                          (("product", "--jobs", "-2"), "jobs must be at least 1"),
+                          (("product", "--budget-faces", "-1"), "face budget must be at least 0")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, calls, out) == (3, [], "") and message in err, (argv, err)
 
 
 def _fake_report(**kw):
@@ -446,6 +459,9 @@ def test_verify_csv(capsys):
 
 def test_usage_errors_exit_3(capsys):
     assert run(capsys, "betti", "--coeff", "garbage", "path", "3")[0] == 3
+    for window in (("3", "1"), ("-1", "2")):
+        code, out, err = run(capsys, "betti", "path", "5", "--window", *window)
+        assert (code, out) == (3, "") and f"error: bad window ({', '.join(window)})" in err
     assert run(capsys, "frobnicate")[0] == 3
     assert run(capsys)[0] == 3
 

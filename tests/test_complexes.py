@@ -66,6 +66,8 @@ def test_face_lookup_and_indexing():
     K = independence_complex(gr.cycle(4))
     assert K.has_face((1, 3)) and K.has_face((3, 1))
     assert not K.has_face((1, 2))
+    # a repeated label is no face, though its mask is that of (1,)
+    assert K.has_face((1,)) and not K.has_face((1, 1)) and not K.has_face((1, 3, 3))
     assert not K.has_face((99,)) and not K.has_face([[1]]) and not K.has_face(([1], 3))
     assert K.index_of(3) == K.vertices.index(3)
     with pytest.raises(ValueError):
@@ -141,15 +143,15 @@ def test_from_facets_rejects_foreign_and_repeated_labels():
 
 
 def _assert_canonical(K):
-    """Faces are sorted, strictly increasing index tuples in K.vertices order."""
+    """Faces are distinct masks over K.vertices, in lexicographic order of index tuples."""
     n = len(K.vertices)
-    assert K.index_faces(-1) == ((),)
+    assert K.face_masks(-1) == (0,)
     for d in K.dims():
-        fs = K.index_faces(d)
-        assert list(fs) == sorted(fs) and len(set(fs)) == len(fs)
+        fs = K.face_masks(d)
+        spelled = [oracles.mask_indices(f) for f in fs]
+        assert spelled == sorted(spelled) and len(set(fs)) == len(fs)
         for f in fs:
-            assert len(f) == d + 1 and all(0 <= i < n for i in f)
-            assert all(a < b for a, b in zip(f, f[1:]))
+            assert f.bit_count() == d + 1 and 0 <= f < 1 << n
 
 
 def mixed_label_graphs(seed, count):
@@ -194,7 +196,7 @@ def test_windowed_enumeration_matches_full():
             for hi in range(lo, K.dim + 1):
                 fw = faces_in_window(G, lo, hi)
                 for d in range(lo - 1, hi + 2):
-                    assert fw.index_faces(d) == K.index_faces(d)
+                    assert fw.face_masks(d) == K.face_masks(d)
 
 
 def test_window_validates():

@@ -133,7 +133,7 @@ def test_boundary_matrix_matches_slicing_oracle():
     complexes.append(from_facets(range(1, 7), RP2_FACETS))
     for K in complexes:
         for d in range(0, K.dim + 2):
-            rows, cols = K.index_faces(d - 1), K.index_faces(d)
+            rows, cols = (tuple(map(oracles.mask_indices, K.face_masks(e))) for e in (d - 1, d))
             assert boundary_matrix(K, d) == Boundary(len(rows), oracles.boundary_columns(rows, cols))
 
 
@@ -296,6 +296,39 @@ def test_betti_tables_match_dense_oracles():
                 win = betti_window(G, lo, hi)
                 assert all(win.value(d) == oracle_betti(rank2, d) for d in range(lo, hi + 1))
     assert by_minors > 100
+
+
+def test_facet_complexes_with_torsion_match_dense_oracles():
+    """Relabelled RP^2, some facets dropped, some cones added: the columns
+    and the integer Betti numbers with torsion against a combinations sweep."""
+    rng = random.Random(223)
+    with_torsion = 0
+    for _ in range(30):
+        names = rng.sample([*range(1, 12), "a", "b", "z1"], 7)
+        relabel = dict(zip(range(1, 7), names))
+        facets = [tuple(relabel[v] for v in f) for f in RP2_FACETS]
+        facets = rng.sample(facets, rng.choice((10, 10, 9, 8)))
+        facets += [f + (names[6],) for f in rng.sample(facets, rng.randint(0, 2))]
+        K = from_facets(names, facets)
+        closure = {frozenset(c) for f in facets for k in range(len(f) + 1)
+                   for c in itertools.combinations(f, k)}
+        by_dim = oracles.faces_by_dimension(closure)
+        top = max(by_dim)
+        torsion, rankq = {}, {}
+        for d in range(0, top + 1):
+            assert boundary_matrix(K, d) == Boundary(
+                len(by_dim[d - 1]), oracles.boundary_columns(by_dim[d - 1], by_dim[d]))
+            A = oracles.boundary_rows(by_dim, d, signed=True)
+            rankq[d] = oracles.rank_q(A)
+            factors = tuple(f for f in smith_normal_form(A).factors if f > 1)
+            if factors:
+                torsion[d - 1] = factors
+        integral = betti_reduced(K, "int")
+        for d in range(-1, top + 1):
+            assert integral.value(d) == len(by_dim[d]) - rankq.get(d, 0) - rankq.get(d + 1, 0)
+        assert integral.torsion == torsion
+        with_torsion += bool(torsion)
+    assert with_torsion >= 10
 
 
 def _join(facets_a, facets_b):

@@ -186,7 +186,7 @@ def hasse_oracle_complexes(rng):
 
 
 def test_verify_acyclic_agrees_with_the_hasse_oracle():
-    """The walk runs on index faces; its verdicts, and its witnesses spelled in
+    """The walk runs on face masks; its verdicts, and its witnesses spelled in
     labels, must not depend on how the labels nest."""
     rng = random.Random(41)
     verdicts = {(kind, ok): 0 for kind in ("int", "nested") for ok in (True, False)}
@@ -238,6 +238,12 @@ def test_validation_rejects_malformed_pairings():
     reversed_face = Matching(order=(), pairs=(((), (1,)), ((2,), (2, 1))), critical=())
     with pytest.raises(MatchingError, match="canonical order"):
         verify_acyclic(reversed_face, edge)
+    # a repeated label would collapse onto the mask of a real face
+    for pairs, critical in (((((), (1,)), ((2,), (1, 1))), ()),
+                            ((((), (1,)),), ((2,), (2, 2))),
+                            ((((), (1,)), ((2,), (1, 2, 2))), ())):
+        with pytest.raises(MatchingError, match="canonical order"):
+            verify_acyclic(Matching(order=(), pairs=pairs, critical=critical), edge)
     # an unhashable label is not a vertex, in a pair or a critical cell
     unhashable = Matching(order=(), pairs=(((), (1,)),), critical=((2,), ([1],)))
     with pytest.raises(MatchingError, match="not a face"):
@@ -251,7 +257,7 @@ def test_validation_rejects_malformed_pairings():
             verify_acyclic(misshapen, K)
 
 
-# -- the index-backed matching ---------------------------------------------------
+# -- the mask-backed matching ----------------------------------------------------
 
 def test_element_matching_equals_its_label_spelling():
     K = product_complex(3, 3)
@@ -266,7 +272,7 @@ def test_element_matching_equals_its_label_spelling():
 
 
 def test_counts_and_checks_render_no_labels():
-    """The counts, the empty-face flag and the checker read the index faces;
+    """The counts, the empty-face flag and the checker read the face masks;
     labels are rendered only when pairs or critical are read."""
     K = product_complex(3, 4)
     m = element_matching(K, product_matching_order(3, 4))
@@ -310,22 +316,33 @@ def test_index_path_checks_membership():
 
 
 def test_tampered_index_pairs_are_rejected():
-    K = independence_complex(gr.complete(2))  # faces (), (0,), (1,) on vertices (1, 2)
+    K = independence_complex(gr.complete(2))  # faces 0, 0b01, 0b10 on vertices (1, 2)
 
     def tampered(pairs, critical):
-        return Matching._on_index_faces((), K.vertices, pairs, critical)
+        return Matching((), pairs, critical, K)
 
-    assert verify_acyclic(tampered((((), (0,)),), ((1,),)), K) == (True, None)
+    assert verify_acyclic(tampered(((0, 0b01),), (0b10,)), K) == (True, None)
     with pytest.raises(MatchingError, match="not a cover"):
-        verify_acyclic(tampered((((0,), (1,)),), ((),)), K)
+        verify_acyclic(tampered(((0b01, 0b10),), (0,)), K)
+    with pytest.raises(MatchingError, match="not a cover"):  # the facet held as the larger face
+        verify_acyclic(tampered(((0b01, 0),), (0b10,)), K)
     with pytest.raises(MatchingError, match="used twice"):
-        verify_acyclic(tampered((((), (0,)),), ((), (1,))), K)
+        verify_acyclic(tampered(((0, 0b01),), (0, 0b10)), K)
     with pytest.raises(MatchingError, match="not a face"):
-        verify_acyclic(tampered((((), (0,)),), ((1,), (1, 0))), K)
+        verify_acyclic(tampered(((0, 0b01),), (0b10, 0b11)), K)
+    # rendering spells each held mask once, or refuses
+    for pairs, critical in ((((0, 0b01),), (0b10, 0b11)), (((0, 0b01), (0, 0b10)), ()),
+                            (((0b11, 0b01), (0, 0b10)), (0,)),
+                            (((0b01, 0b11),), (0, 0b10)),  # the larger face is not K's
+                            (((0, 0b01), (0b10, 0b01)), ()),  # a larger face held twice
+                            (((0, 0b01),), (0, 0b10))):  # a smaller face also critical
+        for read in (lambda m: m.pairs, lambda m: m.critical, repr, Matching.to_json_dict):
+            with pytest.raises(MatchingError, match="not a face of the complex, or repeats"):
+                read(tampered(pairs, critical))
     with pytest.raises(MatchingError, match="covers 2 of 3"):
-        verify_acyclic(tampered((((), (0,)),), ()), K)
-    edge = independence_complex(gr.Graph([1, 2]))  # adds the face (0, 1)
-    two_up = Matching._on_index_faces((), edge.vertices, (((), (0, 1)),), ((0,), (1,)))
+        verify_acyclic(tampered(((0, 0b01),), ()), K)
+    edge = independence_complex(gr.Graph([1, 2]))  # adds the face 0b11
+    two_up = Matching((), ((0, 0b11),), (0b01, 0b10), edge)
     with pytest.raises(MatchingError, match="not a cover"):
         verify_acyclic(two_up, edge)
 
