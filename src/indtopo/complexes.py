@@ -251,27 +251,3 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
     for f in sorted(seen):
         faces.setdefault(len(f) - 1, []).append(sum(1 << i for i in f))
     return SimplicialComplex(vs, faces, source=source)
-
-
-# -- serialization ------------------------------------------------------------
-
-def complex_to_json_dict(K: SimplicialComplex) -> dict:
-    from .graphs import _encode_label
-    return {
-        "vertices": [_encode_label(v) for v in K.vertices],
-        "facets": [[_encode_label(v) for v in f] for f in K.facets()],
-    }
-
-
-def complex_from_json_dict(d: dict) -> SimplicialComplex:
-    from .graphs import _decode_label
-    vertices = [_decode_label(v) for v in d["vertices"]]
-    facets = [[_decode_label(v) for v in f] for f in d["facets"]]
-    return from_facets(vertices, facets)
-
-
-def f_vector_csv(K: SimplicialComplex) -> str:
-    lines = ["dimension,faces"]
-    for d in range(-1, K.dim + 1):
-        lines.append(f"{d},{K.face_count(d)}")
-    return "\n".join(lines) + "\n"

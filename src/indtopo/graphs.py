@@ -405,15 +405,6 @@ def delete_vertices(G: Graph, labels) -> Graph:
     return induced_subgraph(G, [v for v in G.vertices if v not in drop])
 
 
-def disjoint_union(G1: Graph, G2: Graph) -> Graph:
-    """Disjoint union; vertices are tagged ("L", v) and ("R", v) to avoid collisions."""
-    verts = [("L", v) for v in G1.vertices] + [("R", v) for v in G2.vertices]
-    edges = [(("L", u), ("L", v)) for u, v in G1.edges]
-    edges += [(("R", u), ("R", v)) for u, v in G2.edges]
-    loops = [("L", v) for v in G1.loops] + [("R", v) for v in G2.loops]
-    return Graph(verts, edges, loops)
-
-
 def add_edge(G: Graph, u, v) -> Graph:
     if u not in G or v not in G:
         raise ValueError(f"edge endpoints must be vertices: ({u!r}, {v!r})")
@@ -454,6 +445,11 @@ def graph_to_json_dict(G: Graph) -> dict:
 
 
 def graph_from_json_dict(d: dict) -> Graph:
+    if not isinstance(d, dict) or "vertices" not in d:
+        raise ValueError("a graph document is an object with a vertices list")
+    for key in ("vertices", "edges", "loops"):
+        if not isinstance(d.get(key, []), list):
+            raise ValueError(f"graph field {key!r} is not a list")
     return Graph(
         [_decode_label(v) for v in d["vertices"]],
         [(_decode_label(u), _decode_label(v)) for u, v in d.get("edges", [])],
@@ -481,6 +477,8 @@ def read_edgelist(fh) -> Graph:
         n, m, l = (int(x) for x in lines[0].split())
     except Exception as exc:
         raise ValueError(f"bad edge-list header {lines[0]!r}") from exc
+    if min(n, m, l) < 0:
+        raise ValueError(f"negative count in edge-list header {lines[0]!r}")
     if len(lines) != 1 + n + m + l:
         raise ValueError(f"edge-list body has {len(lines) - 1} lines, expected {n + m + l}")
     verts = [parse_label(ln) for ln in lines[1:1 + n]]

@@ -196,21 +196,6 @@ def _fold_record(names: list, kept: int, deleted: int) -> dict:
     return {"rule": "fold", "kept": names[kept], "deleted": names[deleted]}
 
 
-def _fold_step(g: Graph):
-    """Fold the first dominated pair in canonical scan order, or return None.
-
-    Deletes u2 for the first u, u2 with N(u) <= N(u2); returns the smaller
-    graph and its trace step.
-    """
-    adj = gr.adjacency_masks(g)
-    full = (1 << len(adj)) - 1
-    pair = _dominated_pair(adj, full)
-    if pair is None:
-        return None
-    names = [render_label(v) for v in g.vertices]
-    return _subgraph(g, adj, full & ~(1 << pair[1])), _fold_record(names, *pair)
-
-
 def fold_reduce(G: Graph):
     """Drop looped vertices, then repeatedly delete dominated vertices.
 
@@ -255,16 +240,10 @@ def edge_add_if_cone(G: Graph, a, b):
         raise ValueError(f"not vertices: {a!r}, {b!r}")
     if a == b or G.has_edge(a, b) or G.is_looped(a) or G.is_looped(b):
         raise ValueError(f"{{{a!r}, {b!r}}} is not independent in the graph")
-    if _cone_witness(G, a, b) is None:
+    adj = gr.adjacency_masks(G)
+    if _cone_apex(adj, (1 << len(adj)) - 1, G.vertices.index(a), G.vertices.index(b)) is None:
         return None
     return gr.add_edge(G, a, b)
-
-
-def _cone_witness(G: Graph, a, b):
-    """First isolated unlooped vertex of G - N[{a,b}], or None (see ``_cone_apex``)."""
-    adj = gr.adjacency_masks(G)
-    w = _cone_apex(adj, (1 << len(adj)) - 1, G.vertices.index(a), G.vertices.index(b))
-    return None if w is None else G.vertices[w]
 
 
 @dataclass(frozen=True)

@@ -23,43 +23,43 @@ class MatchingError(ValueError):
 
 
 class Matching:
-    """Pairs (sigma, sigma + {x}) of faces, plus the unpaired critical cells.
+    """Pairs (sigma, sigma + {x}) of faces of K, plus the unpaired critical cells.
 
-    ``Matching(order, pairs, critical)`` holds label tuples as given.  With
-    ``K`` it holds face masks of K instead, each face of K once, in no set
-    order, as ``element_matching`` makes them: ``pairs`` and ``critical``
-    render them in labels, in K's face order, the first time either is
-    read, while the counts (``pair_count``, ``critical_counts``),
-    ``critical_masks`` and the checker read the masks.  Equality and
-    hashing go by (order, pairs, critical) either way.
+    ``Matching(order, pairs, critical, K)`` holds face masks of K, each face
+    of K once, in no set order, as ``element_matching`` makes them:
+    ``pairs`` and ``critical`` render them in labels, in K's face order, the
+    first time either is read, while the counts (``pair_count``,
+    ``critical_counts``), ``critical_masks``, the checker, equality and
+    hashing read the masks.  Two matchings are equal when they share the
+    order, K's vertex tuple and the held pairs and critical cells as sets.
     """
 
     __slots__ = ("_order", "_complex", "_pairs", "_critical", "_label_pairs", "_label_critical")
 
-    def __init__(self, order, pairs, critical, K=None):
+    def __init__(self, order, pairs, critical, K: SimplicialComplex):
         self._order, self._complex = order, K
         self._pairs, self._critical = pairs, critical
-        self._label_pairs, self._label_critical = (pairs, critical) if K is None else (None, None)
+        self._label_pairs = self._label_critical = None
 
     @property
     def order(self) -> tuple:
         return self._order
 
     @property
-    def vertices(self):
-        """The vertex tuple the face masks are over; None for a label matching."""
-        return None if self._complex is None else self._complex.vertices
+    def vertices(self) -> tuple:
+        """The vertex tuple the face masks are over: K's."""
+        return self._complex.vertices
 
     @property
     def pairs(self) -> tuple:
-        """The pairs as label tuples; a mask matching's in K's order of the smaller face."""
+        """The pairs as label tuples, in K's order of the smaller face."""
         if self._label_pairs is None:
             self._render()
         return self._label_pairs
 
     @property
     def critical(self) -> tuple:
-        """The critical cells as label tuples; a mask matching's in K's face order."""
+        """The critical cells as label tuples, in K's face order."""
         if self._label_critical is None:
             self._render()
         return self._label_critical
@@ -80,8 +80,8 @@ class Matching:
 
     @property
     def critical_masks(self):
-        """The critical cells as face masks of K; None for a label matching."""
-        return None if self._complex is None else self._critical
+        """The critical cells as face masks of K."""
+        return self._critical
 
     @property
     def pair_count(self) -> int:
@@ -90,27 +90,22 @@ class Matching:
 
     @property
     def empty_face_matched(self) -> bool:
-        empty = () if self._complex is None else 0
-        return any(small == empty for small, _ in self._pairs)
-
-    def critical_by_dimension(self) -> dict:
-        """Critical cells grouped by dimension (the empty face counts at dimension -1)."""
-        out = {}
-        for f in self.critical:
-            out.setdefault(len(f) - 1, []).append(f)
-        return {d: tuple(fs) for d, fs in sorted(out.items())}
+        return any(small == 0 for small, _ in self._pairs)
 
     def critical_counts(self) -> dict:
-        counts = Counter(map(len if self._complex is None else int.bit_count, self._critical))
+        counts = Counter(map(int.bit_count, self._critical))
         return {k - 1: counts[k] for k in sorted(counts)}
+
+    def _key(self):
+        return self._order, self.vertices, frozenset(self._pairs), frozenset(self._critical)
 
     def __eq__(self, other):
         if not isinstance(other, Matching):
             return NotImplemented
-        return (self.order, self.pairs, self.critical) == (other.order, other.pairs, other.critical)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.order, self.pairs, self.critical))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Matching(order={self.order!r}, pairs={self.pairs!r}, critical={self.critical!r})"
@@ -174,57 +169,32 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
 def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     """Check the pairing is a total matching by covers on K's faces.
 
-    Every face of K must be matched or critical exactly once.  A matching on
-    K's vertex tuple is checked on its face masks as held; any other has its
-    label faces mapped to masks first, and each must name its labels once,
-    in K's canonical order.  Returns the pairing on K's face masks,
+    The matching must be over K's vertex tuple, and every face of K matched
+    or critical exactly once.  Returns the pairing on K's face masks,
     {sigma: partner}, in the order of the matching's pairs.
     """
-    pairs, critical = ((matching._pairs, matching._critical) if matching.vertices == K.vertices
-                       else _label_faces_to_masks(matching, K))
+    if matching.vertices != K.vertices:
+        raise MatchingError("the matching's faces are over another vertex tuple than the complex's")
     faces, seen, up = K._face_set(), set(), {}
 
     def take(f):
         if f not in faces:
-            raise MatchingError(f"not a face in canonical order: {K.labels(f)}")
+            raise MatchingError(f"not a face of the complex: {f!r}")
         if f in seen:
             raise MatchingError(f"face used twice: {K.labels(f)}")
         seen.add(f)
 
-    for sigma, tau in pairs:
+    for sigma, tau in matching._pairs:
         take(sigma)
         take(tau)
         if sigma | tau != tau or (tau ^ sigma).bit_count() != 1:
             raise MatchingError(f"pair is not a cover: {K.labels(sigma)} - {K.labels(tau)}")
         up[sigma] = tau
-    for f in critical:
+    for f in matching._critical:
         take(f)
     if len(seen) != K.total_faces:
         raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
     return up
-
-
-def _label_faces_to_masks(matching: Matching, K: SimplicialComplex):
-    """A label matching's pairs and critical cells as face masks over K.vertices."""
-    index = K._index.__getitem__
-
-    def mask(f):
-        try:
-            idx = tuple(map(index, f))
-        except (KeyError, TypeError):  # a foreign or an unhashable label
-            raise MatchingError(f"not a face in canonical order: {f}") from None
-        if any(a >= b for a, b in zip(idx, idx[1:])):  # out of order, or repeated
-            raise MatchingError(f"not a face in canonical order: {tuple(f)}")
-        return sum(1 << i for i in idx)
-
-    pairs = []
-    for pair in matching.pairs:
-        try:
-            small, big = pair
-        except (TypeError, ValueError):
-            raise MatchingError(f"not a pair of faces: {pair!r}") from None
-        pairs.append((mask(small), mask(big)))
-    return pairs, [mask(f) for f in matching.critical]
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):

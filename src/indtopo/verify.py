@@ -33,12 +33,12 @@ class InstanceRecord:
     """Outcome of one instance check inside a suite."""
 
     instance: str
-    predicted: str | None          # rendered homotopy type, or None
-    predicted_betti: dict | None
-    computed_betti: dict
     coefficients: str
-    window: tuple | None           # None = full range
-    match: bool
+    predicted: str | None = None   # rendered homotopy type
+    predicted_betti: dict | None = None
+    computed_betti: dict = field(default_factory=dict)
+    window: tuple | None = None    # None = full range
+    match: bool = False
     conjectural: bool = False
     seconds: float = 0.0
     faces: int = 0
@@ -190,9 +190,8 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
         raise ValueError("windowed homology is mod-2 only")
     want = expected.betti()
     rec = InstanceRecord(
-        instance=instance, predicted=expected.render(), predicted_betti=want,
-        computed_betti={}, coefficients=coefficients,
-        window=None if window is None else tuple(window), match=False,
+        instance=instance, coefficients=coefficients, predicted=expected.render(),
+        predicted_betti=want, window=None if window is None else tuple(window),
         conjectural=conjectural)
     t0 = time.perf_counter()
     try:
@@ -260,9 +259,8 @@ def check_table1_row(n: int, kind: str = "window",
 def _budget_record(instance: str, coefficients: str, t0: float,
                    error: FaceBudgetError) -> InstanceRecord:
     """The timed, failing record of a check whose enumeration hit the face budget."""
-    return InstanceRecord(instance=instance, predicted=None, predicted_betti=None,
-                          computed_betti={}, coefficients=coefficients, window=None,
-                          match=False, seconds=time.perf_counter() - t0, note=str(error),
+    return InstanceRecord(instance=instance, coefficients=coefficients,
+                          seconds=time.perf_counter() - t0, note=str(error),
                           budget_exhausted=True)
 
 
@@ -296,7 +294,6 @@ def check_morse_product(m: int, n: int,
         predicted_betti=expected.betti(),
         computed_betti=counts,
         coefficients="critical-cells",
-        window=None,
         match=not problems,
         seconds=time.perf_counter() - t0,
         faces=K.total_faces,
@@ -314,7 +311,7 @@ def check_gadget_reduce(n: int, t: int) -> InstanceRecord:
         instance=f"reduce gadget {n} {t}",
         predicted="point", predicted_betti={},
         computed_betti={} if good else {"result": str(result)},
-        coefficients="reduction", window=None, match=good,
+        coefficients="reduction", match=good,
         seconds=time.perf_counter() - t0, note=note,
         budget_exhausted=stuck and result.budget_exhausted)
 
@@ -339,7 +336,7 @@ def check_suspension_shift(kind: str, tag: str, G, H,
         predicted=f"shift of {base or 'all zero'}",
         predicted_betti=want,
         computed_betti=lifted,
-        coefficients="z2", window=None,
+        coefficients="z2",
         match=lifted == want,
         seconds=time.perf_counter() - t0,
         note=f"{G.vertex_count}->{H.vertex_count} vertices")
@@ -374,9 +371,7 @@ def check_morse_homology_batch(n: int, graphs_orders: list,
         if len(bad) >= 3:
             break
     return InstanceRecord(
-        instance=instance,
-        predicted=None, predicted_betti=None,
-        computed_betti={}, coefficients="z2", window=None,
+        instance=instance, coefficients="z2",
         match=not bad,
         seconds=time.perf_counter() - t0,
         note="; ".join(bad) or "all acyclic, inequalities and Euler sums hold")

@@ -471,6 +471,22 @@ def test_missing_file_is_a_usage_error(capsys):
     assert code == 3 and "error" in err
 
 
+MALFORMED_GRAPH_FILES = {
+    "negative.edges": "2 -1 1\na\nb\n",
+    "list.json": "[1, 2]",
+    "no_vertices.json": '{"edges": []}',
+    "short_edge.json": '{"vertices": [1, 2], "edges": [[1]]}',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_GRAPH_FILES)
+def test_malformed_graph_file_is_a_usage_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED_GRAPH_FILES[name])
+    code, out, err = run(capsys, "betti", "--file", str(path))
+    assert (code, out) == (3, "") and err.startswith("error: "), err
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

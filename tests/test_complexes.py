@@ -10,8 +10,6 @@ import oracles
 from indtopo import graphs as gr
 from indtopo.complexes import (
     FaceBudgetError,
-    complex_from_json_dict,
-    f_vector_csv,
     faces_in_window,
     from_facets,
     independence_complex,
@@ -131,8 +129,6 @@ def test_from_facets_rejects_foreign_and_repeated_labels():
     for facets in ([(1, 3)], [(1, 1)], [(2,), ("x", 1)]):
         with pytest.raises(ValueError):
             from_facets([1, 2], facets)
-        with pytest.raises(ValueError):
-            complex_from_json_dict({"vertices": [1, 2], "facets": [list(f) for f in facets]})
     with pytest.raises(ValueError):
         from_facets([1, 2, 1], [(1, 2)])
     # unhashable labels: inside a facet, and in the vertex universe
@@ -283,16 +279,12 @@ def test_join_convolves_f_vectors():
         G1, G2 = rand_graph(), rand_graph()
         f1 = independence_complex(G1).f_vector()
         f2 = independence_complex(G2).f_vector()
-        fu = independence_complex(gr.disjoint_union(G1, G2)).f_vector()
+        union = gr.Graph([("L", v) for v in G1.vertices] + [("R", v) for v in G2.vertices],
+                         [(("L", u), ("L", v)) for u, v in G1.edges]
+                         + [(("R", u), ("R", v)) for u, v in G2.edges])
+        fu = independence_complex(union).f_vector()
         conv = [0] * (len(f1) + len(f2) - 1)
         for i, a in enumerate(f1):
             for j, b in enumerate(f2):
                 conv[i + j] += a * b
         assert list(fu) == conv
-
-
-def test_f_vector_csv():
-    text = f_vector_csv(independence_complex(gr.cycle(5)))
-    lines = text.strip().splitlines()
-    assert lines[0] == "dimension,faces"
-    assert lines[1] == "-1,1" and lines[-1] == "1,5"

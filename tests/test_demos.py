@@ -1,6 +1,7 @@
 """The demo scripts and the README quick start run against the source tree."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import indtopo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +47,28 @@ def test_readme_quick_start():
             assert value == ast.literal_eval(comment), source
             checked += 1
     assert checked >= 5
+
+
+# spans like `Ind(K_2 x K_3 x K_n)` are mathematics, not package names
+README_MATH = {"Ind"}
+
+
+def test_readme_names_resolve():
+    """Every package name the README cites inline, as `module.name` or as a
+    call `name(...)`, exists on indtopo or on that module."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    modules = {p.stem for p in (ROOT / "src" / "indtopo").glob("*.py")} - {"__init__"}
+    checked = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        dotted, called = re.match(r"(\w+)\.(\w+)", span), re.match(r"(\w+)\(", span)
+        if dotted and dotted[1] in {"indtopo", *modules}:
+            owner = indtopo if dotted[1] == "indtopo" else importlib.import_module(
+                f"indtopo.{dotted[1]}")
+            name = dotted[2]
+        elif called and called[1] not in README_MATH:
+            owner, name = indtopo, called[1]
+        else:
+            continue
+        assert hasattr(owner, name), f"README cites `{span}`; {owner.__name__} has no {name}"
+        checked.append(span)
+    assert len(checked) >= 10, checked

@@ -311,13 +311,6 @@ def test_induced_subgraph_and_delete():
     assert g.vertex_count == 5      # originals untouched
 
 
-def test_disjoint_union_tags_sides():
-    u = gr.disjoint_union(gr.path(2), gr.cycle(3))
-    assert u.vertex_count == 5 and u.edge_count == 4
-    assert u.has_edge(("L", 1), ("L", 2))
-    assert not any(a[0] != b[0] for a, b in u.edges)
-
-
 def test_add_edge_add_loop():
     g = gr.path(3)
     assert gr.add_edge(g, 1, 3).has_edge(1, 3)

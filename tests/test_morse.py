@@ -143,9 +143,9 @@ def test_element_matchings_are_always_acyclic():
 
 
 def test_hand_built_cycle_is_caught():
-    K = from_facets([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-    looped = Matching(order=(), critical=((),),
-                      pairs=(((1,), (1, 2)), ((2,), (2, 3)), ((3,), (1, 3))))
+    K = from_facets([1, 2, 3], [(1, 2), (1, 3), (2, 3)])  # bit i is vertex i + 1
+    looped = Matching(order=(), critical=(0,), K=K,
+                      pairs=((0b001, 0b011), (0b010, 0b110), (0b100, 0b101)))
     ok, witness = verify_acyclic(looped, K)
     assert not ok
     assert witness[0] == witness[-1] and len(witness) >= 4
@@ -154,17 +154,18 @@ def test_hand_built_cycle_is_caught():
 
 
 def random_matching(rng, K, density):
-    """A random matching by covers on K, in canonical spelling, often cyclic."""
-    faces = [f for d in K.dims() for f in K.faces(d)]
-    covers = [(big[:k] + big[k + 1:], big) for big in faces for k in range(len(big))]
+    """A random matching by covers on K's face masks, often cyclic; returns it
+    with K's faces in labels."""
+    masks = [f for d in K.dims() for f in K.face_masks(d)]
+    covers = [(big ^ 1 << i, big) for big in masks for i in gr.bits(big)]
     rng.shuffle(covers)
     used, pairs = set(), []
     for small, big in covers:
         if small not in used and big not in used and rng.random() < density:
             used.update((small, big))
             pairs.append((small, big))
-    critical = tuple(f for f in faces if f not in used)
-    return Matching(order=(), pairs=tuple(pairs), critical=critical), faces
+    critical = tuple(f for f in masks if f not in used)
+    return Matching((), tuple(pairs), critical, K), list(map(K.labels, masks))
 
 
 def hasse_oracle_complexes(rng):
@@ -212,63 +213,49 @@ def test_verify_acyclic_agrees_with_the_hasse_oracle():
 
 
 def test_validation_rejects_malformed_pairings():
-    K = independence_complex(gr.complete(2))
-    bad_cover = Matching(order=(), pairs=(((1,), (2,)),), critical=())
-    with pytest.raises(MatchingError):
-        verify_acyclic(bad_cover, K)
-    non_face = Matching(order=(), pairs=(((1,), (1, 2)),), critical=())
-    with pytest.raises(MatchingError):
-        verify_acyclic(non_face, K)
-    reused = Matching(order=(), pairs=(((), (1,)),), critical=((),))
-    with pytest.raises(MatchingError):
-        verify_acyclic(reused, K)
+    K = independence_complex(gr.complete(2))  # faces 0, 0b01, 0b10 on vertices (1, 2)
+
+    def held(pairs, critical):
+        return Matching((), pairs, critical, K)
+
+    with pytest.raises(MatchingError, match="not a cover"):
+        verify_acyclic(held(((0b01, 0b10),), (0,)), K)
+    with pytest.raises(MatchingError, match="not a face"):
+        verify_acyclic(held(((0b01, 0b11),), (0, 0b10)), K)
+    with pytest.raises(MatchingError, match="used twice"):
+        verify_acyclic(held(((0, 0b01),), (0,)), K)
     # Ind(K_2) is S^0: a matching that forgets a face must not read as a point
-    partial = Matching(order=(), pairs=(((), (1,)),), critical=())
+    partial = held(((0, 0b01),), ())
     with pytest.raises(MatchingError, match="covers 2 of 3 faces"):
         verify_acyclic(partial, K)
     with pytest.raises(MatchingError):
         wedge_conclusion(partial, K)
-    foreign = Matching(order=(), pairs=(), critical=((2,), (7,)))
+    # a mask with a bit past the last vertex names no face
+    foreign = held((), (0b10, 0b100))
     with pytest.raises(MatchingError, match="not a face"):
         verify_acyclic(foreign, K)
     with pytest.raises(MatchingError):
         wedge_conclusion(foreign, K)
-    # faces are spelled in the complex's vertex order, as facets are cut
-    edge = independence_complex(gr.Graph([1, 2]))
-    reversed_face = Matching(order=(), pairs=(((), (1,)), ((2,), (2, 1))), critical=())
-    with pytest.raises(MatchingError, match="canonical order"):
-        verify_acyclic(reversed_face, edge)
-    # a repeated label would collapse onto the mask of a real face
-    for pairs, critical in (((((), (1,)), ((2,), (1, 1))), ()),
-                            ((((), (1,)),), ((2,), (2, 2))),
-                            ((((), (1,)), ((2,), (1, 2, 2))), ())):
-        with pytest.raises(MatchingError, match="canonical order"):
-            verify_acyclic(Matching(order=(), pairs=pairs, critical=critical), edge)
-    # an unhashable label is not a vertex, in a pair or a critical cell
-    unhashable = Matching(order=(), pairs=(((), (1,)),), critical=((2,), ([1],)))
-    with pytest.raises(MatchingError, match="not a face"):
-        verify_acyclic(unhashable, K)
-    unhashable_pair = Matching(order=(), pairs=(((), (1,)), (([2],), ([1], [2]))), critical=())
-    with pytest.raises(MatchingError, match="not a face"):
-        verify_acyclic(unhashable_pair, K)
-    for pair in (((),), None, ((), (1,), (2,))):
-        misshapen = Matching(order=(), pairs=(pair,), critical=((2,),))
-        with pytest.raises(MatchingError, match="not a pair"):
-            verify_acyclic(misshapen, K)
 
 
 # -- the mask-backed matching ----------------------------------------------------
 
-def test_element_matching_equals_its_label_spelling():
+def test_equality_reads_the_held_masks():
+    """Equal when order, vertex tuple and the held masks agree as sets; no
+    labels are rendered to decide it."""
     K = product_complex(3, 3)
     m = element_matching(K, product_matching_order(3, 3))
-    assert m.vertices == K.vertices
-    by_hand = Matching(order=m.order, pairs=m.pairs, critical=m.critical)
-    assert by_hand.vertices is None
-    assert m == by_hand and by_hand == m
-    assert hash(m) == hash(by_hand)
-    assert m != Matching(order=m.order, pairs=m.pairs[1:], critical=m.critical)
-    assert verify_acyclic(by_hand, K) == verify_acyclic(m, K) == (True, None)
+    pairs, critical = m._pairs, m.critical_masks
+    again = Matching(m.order, pairs[::-1], critical[::-1], K)
+    assert m == again and again == m and hash(m) == hash(again)
+    assert m != Matching(m.order, pairs[1:], critical, K)
+    assert m != Matching(m.order, pairs, critical[1:], K)
+    assert m != Matching(m.order[::-1], pairs, critical, K)
+    # the same masks over another vertex tuple are another matching
+    other = independence_complex(gr.Graph(range(len(K.vertices)), ()))
+    assert m != Matching(m.order, pairs, critical, other)
+    assert m._label_pairs is None and again._label_critical is None
+    assert verify_acyclic(again, K) == (True, None)
 
 
 def test_counts_and_checks_render_no_labels():
@@ -281,7 +268,6 @@ def test_counts_and_checks_render_no_labels():
     assert verify_acyclic(m, K) == (True, None)
     assert m._label_pairs is None and m._label_critical is None
     assert m.pairs is m.pairs and len(m.pairs) == m.pair_count
-    assert Matching(m.order, m.pairs, m.critical).pair_count == m.pair_count
 
 
 def test_morse_json_renders_no_pairs(monkeypatch, capsys):
@@ -294,14 +280,14 @@ def test_morse_json_renders_no_pairs(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pair_count"] == 28
 
 
-def test_index_matching_on_another_vertex_tuple_takes_the_label_path():
-    """One more (isolated) vertex: every label face still maps into K, but the
-    matching no longer covers K."""
+def test_matching_on_another_vertex_tuple_is_rejected():
+    """One more (isolated) vertex: every held mask is still a face of the
+    bigger complex, but over another vertex tuple."""
     G = gr.cycle(5)
     m = element_matching(independence_complex(G), [1, 3])
     bigger = independence_complex(gr.Graph([*G.vertices, 6], G.edges))
     assert m.vertices != bigger.vertices
-    with pytest.raises(MatchingError, match=r"covers \d+ of \d+ faces"):
+    with pytest.raises(MatchingError, match="another vertex tuple"):
         verify_acyclic(m, bigger)
 
 
@@ -364,13 +350,6 @@ def test_critical_counts_conserve_euler_and_bound_betti():
         table = betti_reduced(K)
         for d, b in table.betti.items():
             assert counts.get(d, 0) >= b
-
-
-def test_critical_cells_grouping():
-    K = independence_complex(gr.complete(3))
-    m = element_matching(K, [1])
-    by_dim = m.critical_by_dimension()
-    assert by_dim == {0: ((2,), (3,))}
 
 
 def test_wedge_conclusion_shapes():

@@ -14,8 +14,7 @@ from indtopo.homology import betti_reduced
 from indtopo.homotopy import (
     HomotopyType,
     Stuck,
-    _cone_witness,
-    _fold_step,
+    _cone_apex,
     edge_add_if_cone,
     fold_reduce,
     reduce,
@@ -82,13 +81,13 @@ def test_link_is_cone_iff_vertex_is_fold_deletable():
             assert oracles.link_is_cone(G, v) == deletable, (G, v)
             fired += deletable
         # each fold deletes a cone-link vertex, and folding stops only when none is left
-        while (step := _fold_step(g)) is not None:
-            smaller, _ = step
-            (v,) = set(g.vertices) - set(smaller.vertices)
-            assert oracles.link_is_cone(g, v), (g, v)
-            g = smaller
+        folded, trace = fold_reduce(G)
+        for step in trace:
+            if step["rule"] == "fold":
+                v = gr.parse_label(step["deleted"])
+                assert oracles.link_is_cone(g, v), (g, v)
+                g = gr.delete_vertices(g, [v])
         assert not any(oracles.link_is_cone(g, v) for v in g.vertices), g
-        folded, _ = fold_reduce(G)
         assert folded == g and betti_of(folded) == betti_of(G), G
     assert fired >= 100
 
@@ -194,7 +193,9 @@ def test_cone_witness_is_the_first_isolated_vertex_of_the_residual():
             residual = gr.delete_vertices(G, G.closed_neighborhood_set([a, b]))
             iso = residual.isolated_vertices()
             want = iso[0] if iso else None
-            assert _cone_witness(G, a, b) == want, (G, a, b)
+            adj, ia, ib = gr.adjacency_masks(G), G.vertices.index(a), G.vertices.index(b)
+            w = _cone_apex(adj, (1 << len(adj)) - 1, ia, ib)
+            assert (None if w is None else G.vertices[w]) == want, (G, a, b)
             found += want is not None
     assert found >= 300 and looped >= 100
 

@@ -6,11 +6,7 @@ import json
 import pytest
 
 from indtopo import graphs as gr
-from indtopo.complexes import (
-    complex_from_json_dict,
-    complex_to_json_dict,
-    independence_complex,
-)
+from indtopo.complexes import independence_complex
 from indtopo.homology import BettiTable, betti_reduced
 
 
@@ -54,6 +50,22 @@ def test_edgelist_rejects_malformed():
             gr.read_edgelist(io.StringIO(text))
 
 
+def test_edgelist_rejects_negative_counts():
+    # "2 -1 1" would read b both as the second vertex and as a loop
+    for text in ["2 -1 1\na\nb\n", "-1 0 0\n", "1 0 -1\na\n"]:
+        with pytest.raises(ValueError, match="negative count"):
+            gr.read_edgelist(io.StringIO(text))
+
+
+def test_graph_json_rejects_malformed_documents():
+    for doc, message in (([1, 2], "an object"), ("g", "an object"), ({"edges": []}, "vertices"),
+                         ({"vertices": 5}, "'vertices' is not a list"),
+                         ({"vertices": [1], "edges": {}}, "'edges' is not a list"),
+                         ({"vertices": [1], "loops": "1"}, "'loops' is not a list")):
+        with pytest.raises(ValueError, match=message):
+            gr.graph_from_json_dict(doc)
+
+
 def test_save_load_picks_format_from_extension(tmp_path):
     G = awkward_graph()
     for name in ["g.json", "g.edges"]:
@@ -69,14 +81,6 @@ def test_save_json_is_stable_bytes(tmp_path):
     gr.save_graph(gr.tower_gadget(3, 1, 2), str(a))
     gr.save_graph(gr.tower_gadget(3, 1, 2), str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_complex_json_round_trip():
-    K = independence_complex(gr.cycle(6))
-    d = complex_to_json_dict(K)
-    back = complex_from_json_dict(json.loads(json.dumps(d)))
-    assert back == K
-    assert d["facets"] == [list(f) for f in K.facets()]
 
 
 def test_betti_table_json_and_csv():
