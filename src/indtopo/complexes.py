@@ -9,7 +9,7 @@ of a graph whose every vertex is looped is {[]}, the empty complex.
 
 from itertools import combinations
 
-from .graphs import Graph, bits, render_label
+from .graphs import Graph, adjacency_masks, bits, render_label, select_bits
 
 DEFAULT_FACE_BUDGET = 50_000_000
 
@@ -135,16 +135,10 @@ class SimplicialComplex:
 # -- independence complexes -------------------------------------------------
 
 def _independence_masks(G: Graph):
-    """Non-looped vertices in canonical order, plus one adjacency bitmask each."""
-    verts = [v for v in G.vertices if not G.is_looped(v)]
-    index = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * len(verts)
-    for u, v in G.edges:
-        iu, iv = index.get(u), index.get(v)
-        if iu is not None and iv is not None:
-            nbr[iu] |= 1 << iv
-            nbr[iv] |= 1 << iu
-    return verts, nbr
+    """Non-looped vertices in canonical order, plus G's adjacency bitmask of each."""
+    adj = adjacency_masks(G)
+    keep, nbr = select_bits(adj, sum(1 << i for i, a in enumerate(adj) if not a >> i & 1))
+    return [G.vertices[i] for i in keep], nbr
 
 
 def _enumerate_independent(nbr, max_size, budget):

@@ -4,8 +4,9 @@ Vertex labels are structured tokens: integers, short identifier strings,
 or tuples of tokens (grid coordinates like ``(2, 1)``, tagged copies like
 ``("L", 3)``).  Every graph keeps its vertices in a canonical order, sorted
 by the rendered token string, so iteration, serialization and everything
-built on top of a graph is deterministic.  Graphs are immutable: all
-surgery returns a new graph.
+built on top of a graph is deterministic.  A graph holds one bitmask of
+neighbours per vertex over that order; its edge and loop lists are derived.
+Graphs are immutable: all surgery returns a new graph.
 """
 
 import json
@@ -74,9 +75,14 @@ def parse_label(text: str):
 
 
 class Graph:
-    """Immutable labeled graph; ``loops`` lists the self-adjacent vertices."""
+    """Immutable labeled graph held as one adjacency bitmask per vertex.
 
-    __slots__ = ("vertices", "edges", "loops", "name", "_adj")
+    Bit i of a mask is ``vertices[i]``, and a looped vertex's mask holds its
+    own bit.  ``edges`` (kept once read) and ``loops`` are read off the masks
+    in canonical order, each edge (u, v) with u first.
+    """
+
+    __slots__ = ("vertices", "name", "_adj", "_looped", "_index", "_edges")
 
     def __init__(self, vertices, edges=(), loops=(), name=None):
         verts = [validate_label(v) for v in vertices]
@@ -85,8 +91,7 @@ class Graph:
             raise ValueError("duplicate vertex labels (after rendering)")
         vs = tuple(by_render[r] for r in sorted(by_render))
         pos = {v: i for i, v in enumerate(vs)}
-
-        edge_set = set()
+        adj = [0] * len(vs)
         for e in edges:
             u, v = e
             i, j = pos.get(u), pos.get(v)
@@ -94,27 +99,47 @@ class Graph:
                 raise ValueError(f"edge endpoint not a vertex: {e!r}")
             if i == j:
                 raise ValueError(f"self-pair {e!r} in edge list; loops go in loops=")
-            edge_set.add((i, j) if i < j else (j, i))
-
-        loop_set = set()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         for v in loops:
             if v not in pos:
                 raise ValueError(f"loop at non-vertex: {v!r}")
-            loop_set.add(pos[v])
+            adj[pos[v]] |= 1 << pos[v]
+        self._fill(vs, adj, name, pos)
 
-        self.vertices = vs
-        self.edges = tuple((vs[i], vs[j]) for i, j in sorted(edge_set))
-        self.loops = tuple(vs[i] for i in sorted(loop_set))
-        self.name = name
-        adj = {v: set() for v in vs}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        for v in self.loops:
-            adj[v].add(v)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
+    @classmethod
+    def _from_masks(cls, vertices, adj, name=None) -> "Graph":
+        """Trusted entry: vertices in canonical order and their symmetric masks."""
+        G = object.__new__(cls)
+        G._fill(tuple(vertices), adj, name, None)
+        return G
+
+    def _fill(self, vertices, adj, name, index):
+        self.vertices, self._adj, self.name = vertices, tuple(adj), name
+        self._looped = sum(1 << i for i, a in enumerate(adj) if a >> i & 1)
+        self._index = index or {v: i for i, v in enumerate(vertices)}
+        self._edges = None
+
+    def _at(self, v) -> int:
+        """The position of vertex v in the canonical order."""
+        try:
+            return self._index[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise ValueError(f"not a vertex: {v!r}") from None
 
     # -- basic queries ----------------------------------------------------
+
+    @property
+    def edges(self) -> tuple:
+        if self._edges is None:
+            vs = self.vertices
+            self._edges = tuple((vs[i], vs[j]) for i, a in enumerate(self._adj)
+                                for j in bits(a & -(2 << i)))
+        return self._edges
+
+    @property
+    def loops(self) -> tuple:
+        return tuple(map(self.vertices.__getitem__, bits(self._looped)))
 
     @property
     def vertex_count(self) -> int:
@@ -122,62 +147,59 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return (sum(map(int.bit_count, self._adj)) - self._looped.bit_count()) // 2
 
     @property
     def loop_count(self) -> int:
-        return len(self.loops)
+        return self._looped.bit_count()
 
     def __contains__(self, label) -> bool:
-        return label in self._adj
+        try:
+            return label in self._index
+        except TypeError:  # an unhashable label is no vertex
+            return False
 
     def neighbors(self, v) -> frozenset:
         """Open neighborhood N(v); contains v itself exactly when v is looped."""
-        return self._adj[v]
+        return frozenset(map(self.vertices.__getitem__, bits(self._adj[self._at(v)])))
 
     def closed_neighborhood(self, v) -> frozenset:
-        return self._adj[v] | {v}
+        return self.neighbors(v) | {v}
 
     def closed_neighborhood_set(self, labels) -> frozenset:
-        out = set()
-        for v in labels:
-            out |= self.closed_neighborhood(v)
-        return frozenset(out)
+        return frozenset().union(*map(self.closed_neighborhood, labels))
 
     def has_edge(self, u, v) -> bool:
         """Adjacency test; has_edge(v, v) is True exactly for looped v."""
-        return v in self._adj[u]
+        return bool(self._adj[self._at(u)] >> self._at(v) & 1)
 
     def is_looped(self, v) -> bool:
-        return v in self._adj[v]
+        return self.has_edge(v, v)
 
     def isolated_vertices(self):
         """Vertices with empty open neighborhood (a looped vertex is never isolated)."""
-        return tuple(v for v in self.vertices if not self._adj[v])
+        return tuple(v for v, a in zip(self.vertices, self._adj) if not a)
 
     def unlooped_vertices(self):
-        return tuple(v for v in self.vertices if v not in self._adj[v])
+        return tuple(v for i, v in enumerate(self.vertices) if not self._looped >> i & 1)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.vertices, self.edges, self.loops) == (other.vertices, other.edges, other.loops)
+        return (self.vertices, self._adj) == (other.vertices, other._adj)
 
     def __hash__(self):
-        return hash((self.vertices, self.edges, self.loops))
+        return hash((self.vertices, self._adj))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
-        loops = f", {self.loop_count} loops" if self.loops else ""
+        loops = f", {self.loop_count} loops" if self._looped else ""
         return f"<Graph{tag}: {self.vertex_count} vertices, {self.edge_count} edges{loops}>"
 
 
 def is_simplicial_vertex(G: Graph, v) -> bool:
     """True when N(v) is nonempty, loop-free, and induces a complete subgraph."""
-    if v not in G:
-        raise ValueError(f"not a vertex: {v!r}")
-    adj = adjacency_masks(G)
-    return simplicial_in(adj, (1 << len(adj)) - 1, G.vertices.index(v))
+    return simplicial_in(G._adj, (1 << len(G._adj)) - 1, G._at(v))
 
 
 # -- adjacency bitmasks ------------------------------------------------------
@@ -186,9 +208,8 @@ def is_simplicial_vertex(G: Graph, v) -> bool:
 # the mask of its vertices (``alive``), and N(v) inside it is adj[v] & alive.
 
 def adjacency_masks(G: Graph) -> list:
-    """N(v) of each vertex as a bitmask; a looped vertex's mask holds its own bit."""
-    pos = {v: i for i, v in enumerate(G.vertices)}
-    return [sum(1 << pos[w] for w in G.neighbors(v)) for v in G.vertices]
+    """A copy of G's masks: N(v) of each vertex, a looped vertex's holding its own bit."""
+    return list(G._adj)
 
 
 def bits(mask: int):
@@ -197,6 +218,21 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def select_bits(adj, alive: int):
+    """The positions in ``alive``, and their masks cut to ``alive`` and re-indexed."""
+    keep = list(bits(alive))
+    if len(keep) == len(adj):
+        return keep, list(adj)
+    new = {i: k for k, i in enumerate(keep)}
+    return keep, [sum(1 << new[j] for j in bits(adj[i] & alive)) for i in keep]
+
+
+def masked_subgraph(vertices, adj, alive: int, name=None) -> Graph:
+    """The graph on the vertices in ``alive`` with the edges of ``adj`` among them."""
+    keep, masks = select_bits(adj, alive)
+    return Graph._from_masks([vertices[i] for i in keep], masks, name)
 
 
 def simplicial_in(adj: list, alive: int, v: int) -> bool:
@@ -249,19 +285,16 @@ def categorical_product(G: Graph, H: Graph) -> Graph:
     """Categorical (tensor) product: (g,h) ~ (g',h') iff g ~ g' and h ~ h'."""
     if not G.vertices or not H.vertices:
         raise ValueError("categorical_product needs nonempty factors")
-    verts = [(g, h) for g in G.vertices for h in H.vertices]
-    edges = []
-    loops = []
-    for i, (g, h) in enumerate(verts):
-        if G.has_edge(g, g) and H.has_edge(h, h):
-            loops.append((g, h))
-        for (g2, h2) in verts[i + 1:]:
-            if G.has_edge(g, g2) and H.has_edge(h, h2):
-                edges.append(((g, h), (g2, h2)))
-    name = None
-    if G.name and H.name:
-        name = f"{G.name}x{H.name}"
-    return Graph(verts, edges, loops, name=name)
+    # The order is row-major, (g, h) at bit g*|H| + h: "(a,b)" strings sort as
+    # the pairs (a, b) do, as a rendering is a proper prefix of another only
+    # where a letter or digit follows, and those sort after "," and ")".
+    # N((g, h)) is N(h) in the row of each g' in N(g): the mask of N(g) spread
+    # to one bit per row, times N(h), a product that never carries.
+    width = len(H.vertices)
+    rows = [sum(1 << j * width for j in bits(a)) for a in G._adj]
+    name = f"{G.name}x{H.name}" if G.name and H.name else None
+    return Graph._from_masks([(g, h) for g in G.vertices for h in H.vertices],
+                             [row * b for row in rows for b in H._adj], name)
 
 
 APEX = "w"
@@ -271,26 +304,22 @@ def generalized_mycielskian(G: Graph, r: int) -> Graph:
     """Level-r Mycielskian: quotient of G x looped_path(r) identifying level r to one apex.
 
     Vertices are (v, j) for 0 <= j < r plus the apex "w".  The apex is
-    adjacent to (v, r-1) exactly when v is non-isolated in G.
+    adjacent to (v, r-1) exactly when v is non-isolated in G.  Levels below r
+    are G x looped_path(r-1); the apex, "w" after every "(", comes last.
     """
     if r < 1:
         raise ValueError(f"generalized_mycielskian needs r >= 1, got {r}")
     if G.loops:
         raise ValueError("generalized_mycielskian needs a simple (loop-free) graph")
-    prod = categorical_product(G, looped_path(r))
-
-    def collapse(v):
-        return APEX if v[1] == r else v
-
-    verts = {collapse(v) for v in prod.vertices}
-    edges = set()
-    for u, v in prod.edges:
-        cu, cv = collapse(u), collapse(v)
-        if cu == cv:
-            continue  # a would-be loop at the apex is discarded
-        edges.add((cu, cv))
+    L = looped_path(r - 1)
+    levels = categorical_product(G, L)
+    adj, apex = list(levels._adj), 1 << len(levels._adj)
+    top = [i * r + L._at(r - 1) for i, a in enumerate(G._adj) if a]
+    for k in top:
+        adj[k] |= apex
+    adj.append(sum(1 << k for k in top))
     name = f"M{r}({G.name})" if G.name else None
-    return Graph(verts, edges, name=name)
+    return Graph._from_masks(levels.vertices + (APEX,), adj, name)
 
 
 def tower_gadget(n: int, i: int, j: int) -> Graph:
@@ -305,9 +334,9 @@ def tower_gadget(n: int, i: int, j: int) -> Graph:
     if j < 0:
         raise ValueError(f"tower_gadget needs j >= 0, got {j}")
     tower = generalized_mycielskian(complete(n), j + 1)
-    keep = [v for v in tower.vertices if v != APEX and v[1] < j] + [(i, j)]
-    g = induced_subgraph(tower, keep)
-    return Graph(g.vertices, g.edges, g.loops, name=f"gadget(n={n},i={i},t={j})")
+    keep = sum(1 << k for k, v in enumerate(tower.vertices)
+               if v != APEX and v[1] < j or v == (i, j))
+    return masked_subgraph(tower.vertices, tower._adj, keep, f"gadget(n={n},i={i},t={j})")
 
 
 def cycle_ladder(n: int, i: int) -> Graph:
@@ -321,7 +350,7 @@ def cycle_ladder(n: int, i: int) -> Graph:
         raise ValueError(f"cycle_ladder needs i >= 0, got {i}")
     if i == 0:
         g = cycle(n)
-        return Graph(g.vertices, g.edges, name=f"C{n}^0")
+        return Graph._from_masks(g.vertices, g._adj, f"C{n}^0")
     xs = [f"x{k}" for k in range(1, i + 1)]
     ys = [f"y{k}" for k in range(1, i + 1)]
     verts = list(range(1, n + 1)) + xs + ys
@@ -371,9 +400,6 @@ def ladder_replace_triangle(G: Graph, v1, v2, v3) -> Graph:
 
 
 def _ladder(G: Graph, v1, v2, v3, v4) -> Graph:
-    for v in (v1, v2, v3, v4):
-        if v not in G:
-            raise ValueError(f"not a vertex: {v!r}")
     for u, v in [(v1, v4), (v2, v3), (v1, v2)]:
         if not G.has_edge(u, v):
             raise ValueError(f"required edge missing: ({u!r}, {v!r})")
@@ -387,22 +413,17 @@ def _ladder(G: Graph, v1, v2, v3, v4) -> Graph:
 # -- surgery ---------------------------------------------------------------
 
 def induced_subgraph(G: Graph, labels) -> Graph:
-    keep = set()
+    keep = 0
     for v in labels:
-        if v not in G:
-            raise ValueError(f"not a vertex: {v!r}")
-        keep.add(v)
-    edges = [e for e in G.edges if e[0] in keep and e[1] in keep]
-    loops = [v for v in G.loops if v in keep]
-    return Graph(keep, edges, loops)
+        keep |= 1 << G._at(v)
+    return masked_subgraph(G.vertices, G._adj, keep)
 
 
 def delete_vertices(G: Graph, labels) -> Graph:
-    drop = set(labels)
-    for v in drop:
-        if v not in G:
-            raise ValueError(f"not a vertex: {v!r}")
-    return induced_subgraph(G, [v for v in G.vertices if v not in drop])
+    drop = 0
+    for v in labels:
+        drop |= 1 << G._at(v)
+    return masked_subgraph(G.vertices, G._adj, (1 << len(G._adj)) - 1 & ~drop)
 
 
 def add_edge(G: Graph, u, v) -> Graph:

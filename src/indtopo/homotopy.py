@@ -176,12 +176,8 @@ def _subgraph(G: Graph, adj: list, alive: int) -> Graph:
     It keeps G's name while no vertex is gone, as ``graphs.add_edge`` does,
     and has none otherwise, as ``graphs.delete_vertices`` does.
     """
-    vs = G.vertices
-    keep = list(gr.bits(alive))
-    edges = [(vs[i], vs[j]) for i in keep for j in gr.bits(adj[i] & alive & -(2 << i))]
-    loops = [vs[i] for i in keep if adj[i] >> i & 1]
-    name = G.name if alive == (1 << len(vs)) - 1 else None
-    return Graph([vs[i] for i in keep], edges, loops, name=name)
+    name = G.name if alive == (1 << len(adj)) - 1 else None
+    return gr.masked_subgraph(G.vertices, adj, alive, name)
 
 
 def _looped_mask(adj: list) -> int:

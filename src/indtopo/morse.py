@@ -175,26 +175,22 @@ def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     """
     if matching.vertices != K.vertices:
         raise MatchingError("the matching's faces are over another vertex tuple than the complex's")
-    faces, seen, up = K._face_set(), set(), {}
-
-    def take(f):
-        if f not in faces:
-            raise MatchingError(f"not a face of the complex: {f!r}")
-        if f in seen:
-            raise MatchingError(f"face used twice: {K.labels(f)}")
-        seen.add(f)
-
-    for sigma, tau in matching._pairs:
-        take(sigma)
-        take(tau)
+    pairs, critical, faces = matching._pairs, matching._critical, K._face_set()
+    held = {*chain.from_iterable(pairs), *critical}
+    if len(held) < 2 * len(pairs) + len(critical) or not held <= faces:
+        seen = set()  # name the first held mask that is foreign or repeats
+        for f in chain(chain.from_iterable(pairs), critical):
+            if f not in faces:
+                raise MatchingError(f"not a face of the complex: {f!r}")
+            if f in seen:
+                raise MatchingError(f"face used twice: {K.labels(f)}")
+            seen.add(f)
+    for sigma, tau in pairs:
         if sigma | tau != tau or (tau ^ sigma).bit_count() != 1:
             raise MatchingError(f"pair is not a cover: {K.labels(sigma)} - {K.labels(tau)}")
-        up[sigma] = tau
-    for f in matching._critical:
-        take(f)
-    if len(seen) != K.total_faces:
-        raise MatchingError(f"matching covers {len(seen)} of {K.total_faces} faces")
-    return up
+    if len(held) != K.total_faces:
+        raise MatchingError(f"matching covers {len(held)} of {K.total_faces} faces")
+    return dict(pairs)
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):

@@ -460,32 +460,23 @@ def _jobs_gadget(opts):
                    for _, (_, params), _ in jobs if params[1] % 3 == 0]
 
 
-def _neighbors_in_order(G, v):
-    nb = G.neighbors(v)
-    return [w for w in G.vertices if w in nb]
-
-
 def _find_crossing(G):
     """First (v1,v2,v3,v4) with edges (v1,v2), (v1,v4), (v2,v3), all distinct."""
-    for v1 in G.vertices:
-        nb1 = _neighbors_in_order(G, v1)
-        for v2 in nb1:
-            for v4 in nb1:
-                if v4 in (v1, v2):
-                    continue
-                for v3 in _neighbors_in_order(G, v2):
-                    if v3 not in (v1, v2, v4):
-                        return v1, v2, v3, v4
+    adj = gr.adjacency_masks(G)
+    for v1, a1 in enumerate(adj):
+        for v2 in gr.bits(a1):
+            for v4 in gr.bits(a1 & ~(1 << v1 | 1 << v2)):
+                for v3 in gr.bits(adj[v2] & ~(1 << v1 | 1 << v2 | 1 << v4)):
+                    return tuple(G.vertices[v] for v in (v1, v2, v3, v4))
     return None
 
 
 def _find_triangle(G):
-    for v1 in G.vertices:
-        nb = _neighbors_in_order(G, v1)
-        for i, v2 in enumerate(nb):
-            for v3 in nb[i + 1:]:
-                if G.has_edge(v2, v3):
-                    return v1, v2, v3
+    adj = gr.adjacency_masks(G)
+    for v1, a1 in enumerate(adj):
+        for v2 in gr.bits(a1):
+            for v3 in gr.bits(a1 & adj[v2] & -(2 << v2)):
+                return tuple(G.vertices[v] for v in (v1, v2, v3))
     return None
 
 

@@ -8,7 +8,9 @@ isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
 off the whole modified Hasse diagram, ordered matchings from sweeping the
 whole face pool per element, and the canonical graph order from sorting
 rendered label strings, and the reduction lemmas from Graph surgery that
-builds a new graph at every step.
+builds a new graph at every step.  Products, Mycielskians and gadgets are
+built from label pairs and label edge lists through the validating Graph
+constructor, and the crossing and triangle searches walk label sets.
 Nothing below imports library internals beyond the Graph container, the
 label renderer and the homotopy-type algebra (the values reduce() returns),
 so a bug in the fast code paths cannot hide here.
@@ -305,12 +307,10 @@ def _add_edge(G: Graph, u, v) -> Graph:
     return Graph(G.vertices, list(G.edges) + [(u, v)], G.loops, name=G.name)
 
 
-def _fold_step(g: Graph):
-    verts = g.vertices
-    for u in verts:
-        nu = g.neighbors(u)
-        for u2 in verts:
-            if u2 != u and nu <= g.neighbors(u2):
+def _fold_step(g: Graph, nbrs):
+    for u, nu in nbrs.items():
+        for u2, nu2 in nbrs.items():
+            if u2 != u and nu <= nu2:
                 return (_delete_vertices(g, [u2]),
                         {"rule": "fold", "kept": render_label(u), "deleted": render_label(u2)})
     return None
@@ -327,10 +327,9 @@ def _simplicial_split(G: Graph, v):
             for w in G.vertices if w in nbrs]
 
 
-def _cone_witness(G: Graph, a, b):
-    hood = G.closed_neighborhood_set([a, b])
-    return next((w for w in G.vertices
-                 if w not in hood and G.neighbors(w) <= hood), None)
+def _cone_witness(nbrs, a, b):
+    hood = nbrs[a] | nbrs[b] | {a, b}
+    return next((w for w in nbrs if w not in hood and nbrs[w] <= hood), None)
 
 
 def reduce_by_surgery(G: Graph, budget: int = 10_000):
@@ -361,7 +360,8 @@ def reduce_by_surgery(G: Graph, budget: int = 10_000):
             if iso:
                 trace.append({"rule": "cone-isolated", "vertex": render_label(iso[0])})
                 return HomotopyType.contractible(), trace
-            step = _fold_step(g)
+            nbrs = {v: g.neighbors(v) for v in g.vertices}  # N(v) of each, in order
+            step = _fold_step(g, nbrs)
             if step is not None:
                 counter[0] -= 1
                 g, done = step
@@ -390,7 +390,7 @@ def reduce_by_surgery(G: Graph, budget: int = 10_000):
                               "branches": branches})
                 return wedge_all(parts), trace
             for a, b in itertools.combinations(g.unlooped_vertices(), 2):
-                witness = None if g.has_edge(a, b) else _cone_witness(g, a, b)
+                witness = None if g.has_edge(a, b) else _cone_witness(nbrs, a, b)
                 if witness is not None:
                     break
             else:
@@ -406,3 +406,64 @@ def reduce_by_surgery(G: Graph, budget: int = 10_000):
         return go(G)
     finally:
         del go
+
+
+# -- graph builders on labels -----------------------------------------------------
+
+def categorical_product_by_pairs(G: Graph, H: Graph) -> Graph:
+    """G x H from every pair of label pairs: (g,h) ~ (g',h') iff g ~ g' and h ~ h'."""
+    verts = [(g, h) for g in G.vertices for h in H.vertices]
+    edges = [((g, h), (g2, h2)) for i, (g, h) in enumerate(verts) for (g2, h2) in verts[i + 1:]
+             if G.has_edge(g, g2) and H.has_edge(h, h2)]
+    loops = [(g, h) for g, h in verts if G.is_looped(g) and H.is_looped(h)]
+    name = f"{G.name}x{H.name}" if G.name and H.name else None
+    return Graph(verts, edges, loops, name=name)
+
+
+def mycielskian_by_quotient(G: Graph, r: int) -> Graph:
+    """G x looped_path(r) on labels, with level r collapsed to the apex "w"."""
+    path = Graph(range(r + 1), [(i, i + 1) for i in range(r)], loops=[0])
+    prod = categorical_product_by_pairs(G, path)
+
+    def collapse(v):
+        return "w" if v[1] == r else v
+
+    edges = {(collapse(u), collapse(v)) for u, v in prod.edges if collapse(u) != collapse(v)}
+    return Graph({collapse(v) for v in prod.vertices}, edges,
+                 name=f"M{r}({G.name})" if G.name else None)
+
+
+def tower_gadget_by_labels(n: int, i: int, j: int) -> Graph:
+    """Levels below j of the level-(j+1) Mycielskian of K_n, plus (i, j), on labels."""
+    kn = Graph(range(1, n + 1), itertools.combinations(range(1, n + 1), 2), name=f"K{n}")
+    tower = mycielskian_by_quotient(kn, j + 1)
+    keep = {v for v in tower.vertices if v != "w" and v[1] < j} | {(i, j)}
+    return Graph(keep, [e for e in tower.edges if keep.issuperset(e)],
+                 name=f"gadget(n={n},i={i},t={j})")
+
+
+def find_crossing_by_labels(G: Graph):
+    """First (v1, v2, v4, v3) in vertex order with v2, v4 in N(v1) and v3 in N(v2),
+    v4 outside {v1, v2} and v3 outside {v1, v2, v4}; returned as (v1, v2, v3, v4)."""
+    def in_order(v):
+        return [w for w in G.vertices if w in G.neighbors(v)]
+
+    for v1 in G.vertices:
+        for v2 in in_order(v1):
+            for v4 in in_order(v1):
+                if v4 not in (v1, v2):
+                    for v3 in in_order(v2):
+                        if v3 not in (v1, v2, v4):
+                            return v1, v2, v3, v4
+    return None
+
+
+def find_triangle_by_labels(G: Graph):
+    """First (v1, v2, v3) in vertex order with v2, v3 neighbours of v1 and of each other."""
+    for v1 in G.vertices:
+        nb = [w for w in G.vertices if w in G.neighbors(v1)]
+        for k, v2 in enumerate(nb):
+            for v3 in nb[k + 1:]:
+                if G.has_edge(v2, v3):
+                    return v1, v2, v3
+    return None

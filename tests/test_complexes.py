@@ -10,6 +10,7 @@ import oracles
 from indtopo import graphs as gr
 from indtopo.complexes import (
     FaceBudgetError,
+    _independence_masks,
     faces_in_window,
     from_facets,
     independence_complex,
@@ -38,6 +39,26 @@ def test_face_enumeration_matches_subset_sweep():
         for d in range(-1, K.dim + 1):
             got = sorted(K.faces(d), key=key)
             assert got == want.get(d, [()] if d == -1 else [])
+
+
+def test_independence_masks_of_looped_graphs_match_enumeration():
+    """Looped vertices drop out and the bits of the rest are re-indexed: the
+    sets the masks call independent are the brute-force independent sets."""
+    rng = random.Random(53)
+    looped = 0
+    for _ in range(120):
+        n = rng.randint(0, 8)
+        verts = list(range(1, n + 1))
+        G = gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < 0.4],
+                     [v for v in verts if rng.random() < 0.3])
+        looped += bool(G.loops)
+        kept, nbr = _independence_masks(G)
+        assert kept == [v for v in G.vertices if not G.is_looped(v)]
+        independent = {frozenset(kept[i] for i in range(len(kept)) if f >> i & 1)
+                       for f in range(1 << len(kept))
+                       if not any(f >> i & 1 and f & nbr[i] for i in range(len(kept)))}
+        assert independent == set(oracles.brute_independent_sets(G))
+    assert looped > 60
 
 
 def test_empty_face_always_present():

@@ -1,12 +1,16 @@
 """Graph container, family constructors, ladder surgery."""
 
+import io
 import itertools
+import json
 import random
+from functools import reduce
 
 import pytest
 
 import oracles
 from indtopo import graphs as gr
+from indtopo.verify import _find_crossing, _find_triangle
 
 
 # -- vertex labels -----------------------------------------------------------
@@ -128,6 +132,115 @@ def test_canonical_order_and_simplicial_test_against_oracles():
                 seen.add("simplicial" if got else "not simplicial")
     assert seen == {"looped vertex", "isolated vertex", "looped neighbour",
                     "simplicial", "not simplicial"}
+
+
+def test_queries_on_non_vertices():
+    """`in` is False for any non-vertex, unhashable ones too; every other
+    query names the label that is not a vertex, whichever argument it is."""
+    G = gr.complete(3)
+    assert 9 not in G and [1] not in G and (1, 2) not in G and 1 in G
+    for query in (lambda: G.has_edge(1, 9), lambda: G.has_edge(9, 1),
+                  lambda: G.has_edge([1], 2), lambda: G.neighbors(9),
+                  lambda: G.neighbors([1]), lambda: G.is_looped(9),
+                  lambda: G.closed_neighborhood(9)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            query()
+
+
+def _random_looped_graph(rng, name=None):
+    by_render = {}
+    for _ in range(rng.randint(1, 6)):
+        label = _mixed_label(rng)
+        by_render[gr.render_label(label)] = label
+    verts = list(by_render.values())
+    edges = [e for e in itertools.combinations(verts, 2) if rng.random() < 0.4]
+    loops = [v for v in verts if rng.random() < 0.3]
+    return gr.Graph(verts, edges, loops, name=name)
+
+
+def _text_forms(G):
+    out = io.StringIO()
+    gr.write_edgelist(G, out)
+    return json.dumps(gr.graph_to_json_dict(G), indent=2, sort_keys=True), out.getvalue()
+
+
+def assert_same_graph(got, want):
+    """Equal, equally hashed, and alike in every derived list and text form."""
+    assert got == want and hash(got) == hash(want)
+    assert (got.vertices, got.edges, got.loops, got.name) == \
+        (want.vertices, want.edges, want.loops, want.name)
+    assert (got.edge_count, got.loop_count) == (len(want.edges), len(want.loops))
+    assert [got.neighbors(v) for v in got.vertices] == [want.neighbors(v) for v in want.vertices]
+    assert _text_forms(got) == _text_forms(want)
+
+
+def test_mask_products_match_the_pairwise_oracle():
+    """Seeded random factors with mixed labels and loops; a loop needs both."""
+    rng = random.Random(17)
+    looped = 0
+    for _ in range(150):
+        G = _random_looped_graph(rng, rng.choice([None, "G"]))
+        H = _random_looped_graph(rng, rng.choice([None, "H"]))
+        P = gr.categorical_product(G, H)
+        assert_same_graph(P, oracles.categorical_product_by_pairs(G, H))
+        looped += bool(P.loops)
+        keep = [v for v in P.vertices if rng.random() < 0.6]
+        want = oracles._delete_vertices(P, [v for v in P.vertices if v not in keep])
+        assert_same_graph(gr.induced_subgraph(P, keep), want)
+        assert_same_graph(gr.delete_vertices(P, set(P.vertices) - set(keep)), want)
+    assert looped > 20
+
+
+def test_product_order_is_the_rendered_order():
+    """"(10,1)" sorts before "(2,1)": the canonical order is not the numeric one."""
+    P = gr.categorical_product(gr.complete(10), gr.complete(3))
+    assert P.vertices[:4] == ((1, 1), (1, 2), (1, 3), (10, 1))
+    assert_same_graph(P, oracles.categorical_product_by_pairs(gr.complete(10), gr.complete(3)))
+    for sizes in [(3, 10), (2, 3, 4), (2, 3, 11), (2, 2, 2, 3), (11, 2, 3)]:
+        factors = [gr.complete(n) for n in sizes]
+        assert_same_graph(reduce(gr.categorical_product, factors),
+                          reduce(oracles.categorical_product_by_pairs, factors))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kn_lr_mycielskians_and_gadgets_match_the_label_oracles(n):
+    for r in range(12):     # level 10 renders before level 2
+        factors = gr.complete(n), gr.looped_path(r)
+        assert_same_graph(gr.categorical_product(*factors),
+                          oracles.categorical_product_by_pairs(*factors))
+        if r:
+            assert_same_graph(gr.generalized_mycielskian(gr.complete(n), r),
+                              oracles.mycielskian_by_quotient(gr.complete(n), r))
+    if n >= 3:
+        for i, j in itertools.product(range(1, n + 1), range(5)):
+            assert_same_graph(gr.tower_gadget(n, i, j), oracles.tower_gadget_by_labels(n, i, j))
+
+
+def test_mycielskians_of_random_graphs_match_the_quotient_oracle():
+    """Isolated vertices get no apex edge; mixed labels put the apex last."""
+    rng = random.Random(23)
+    for _ in range(60):
+        G = _random_looped_graph(rng, rng.choice([None, "G"]))
+        G = gr.Graph(G.vertices, G.edges, name=G.name)
+        r = rng.randint(1, 4)
+        M = gr.generalized_mycielskian(G, r)
+        assert_same_graph(M, oracles.mycielskian_by_quotient(G, r))
+        assert M.vertices[-1] == gr.APEX
+
+
+def test_crossing_and_triangle_searches_match_the_label_walks():
+    rng = random.Random(31)
+    found = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        verts = list(range(1, n + 1))
+        G = gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < 0.4],
+                     [v for v in verts if rng.random() < 0.15])
+        crossing, triangle = _find_crossing(G), _find_triangle(G)
+        assert crossing == oracles.find_crossing_by_labels(G)
+        assert triangle == oracles.find_triangle_by_labels(G)
+        found.add((crossing is None, triangle is None))
+    assert found >= {(True, True), (False, True), (False, False)}
 
 
 # -- stock families ----------------------------------------------------------

@@ -372,21 +372,22 @@ def test_reduce_equals_the_graph_surgery_oracle():
 ])
 def test_reduce_does_no_graph_surgery(monkeypatch, family, params, stuck):
     """reduce() deletes no vertex through graphs.delete_vertices and builds a
-    Graph only for the Stuck residual."""
+    Graph only for the Stuck residual.  Every Graph, validated or built on
+    masks, is filled in by Graph._fill, so that is what is counted."""
     G = build_graph(FamilySpec(family, params))
     deletes, builds = [], []
-    delete_vertices, init = gr.delete_vertices, gr.Graph.__init__
+    delete_vertices, fill = gr.delete_vertices, gr.Graph._fill
 
     def counting_delete(*args, **kwargs):
         deletes.append(args)
         return delete_vertices(*args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
+    def counting_fill(self, *args):
         builds.append(args)
-        init(self, *args, **kwargs)
+        fill(self, *args)
 
     monkeypatch.setattr(gr, "delete_vertices", counting_delete)
-    monkeypatch.setattr(gr.Graph, "__init__", counting_init)
+    monkeypatch.setattr(gr.Graph, "_fill", counting_fill)
     result, trace = reduce(G)
     assert isinstance(result, Stuck) == stuck and trace
     assert deletes == [] and len(builds) == stuck
