@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: gen, betti, morse, reduce, verify.  Exit codes: 0 success/pass,
-1 mismatch, 2 resource guard tripped, 3 usage error.  The face guard can be
-set with --budget-faces or the INDTOPO_FACE_BUDGET environment variable.
+1 mismatch, 2 resource guard tripped, 3 usage error.  The face guard of
+betti, morse and verify can be set with --budget-faces or the
+INDTOPO_FACE_BUDGET environment variable; reduce has its own step --budget.
 """
 
 import argparse
@@ -46,11 +47,12 @@ def _build_parser() -> _Parser:
                                  "Morse matchings, reductions, verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_window=True, with_coeff=True):
+    def add_common(p, with_window=True, with_coeff=True, with_budget=True):
         p.add_argument("--format", choices=("json", "csv", "table"), default="json",
                        help="output format (default json)")
-        p.add_argument("--budget-faces", type=int, default=None,
-                       help=f"face-count guard (default {ENV_FACE_BUDGET} or library default)")
+        if with_budget:
+            p.add_argument("--budget-faces", type=int, default=None,
+                           help=f"face-count guard (default {ENV_FACE_BUDGET} or library default)")
         p.add_argument("--deterministic", action="store_true",
                        help="omit timestamps and timings from output")
         if with_window:
@@ -67,7 +69,7 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="write a family instance as a graph file")
     add_spec(p_gen)
-    add_common(p_gen, with_window=False, with_coeff=False)
+    add_common(p_gen, with_window=False, with_coeff=False, with_budget=False)
     p_gen.add_argument("--output", help="output path (.json or .edges; default stdout)")
 
     p_betti = sub.add_parser("betti", help="reduced Betti numbers of the independence complex")
@@ -84,7 +86,7 @@ def _build_parser() -> _Parser:
 
     p_reduce = sub.add_parser("reduce", help="drive homotopy-preserving reductions")
     add_spec(p_reduce)
-    add_common(p_reduce, with_window=False, with_coeff=False)
+    add_common(p_reduce, with_window=False, with_coeff=False, with_budget=False)
     p_reduce.add_argument("--budget", type=int, default=10_000,
                           help="maximum lemma applications (default 10000)")
 
@@ -159,10 +161,7 @@ def _cmd_gen(args) -> int:
     elif args.format == "json":
         _emit(_dump_json(gr.graph_to_json_dict(G)))
     else:
-        import io
-        buf = io.StringIO()
-        gr.write_edgelist(G, buf)
-        _emit(buf.getvalue())
+        gr.write_edgelist(G, sys.stdout)
     return EXIT_PASS
 
 
@@ -201,7 +200,7 @@ def _cmd_morse(args) -> int:
     G = build_graph(spec)
     K = independence_complex(G, face_budget=_face_budget(args))
     if args.order:
-        order = [gr.parse_label(tok) for tok in _split_labels(args.order)]
+        order = gr.parse_labels(args.order)
     else:
         order = _default_order(spec, G)
     matching = element_matching(K, order)
@@ -233,27 +232,6 @@ def _cmd_morse(args) -> int:
             lines.append(f"wedge conclusion: {wedge.render()}")
         _emit("\n".join(lines))
     return EXIT_PASS if acyclic else EXIT_MISMATCH
-
-
-def _split_labels(text: str):
-    """Split on commas that are not inside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            tok = "".join(cur).strip()
-            if tok:
-                out.append(tok)
-            cur = []
-        else:
-            cur.append(ch)
-    tok = "".join(cur).strip()
-    if tok:
-        out.append(tok)
-    return out
 
 
 def _cmd_reduce(args) -> int:

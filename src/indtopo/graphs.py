@@ -74,6 +74,21 @@ def parse_label(text: str):
     return validate_label(label)
 
 
+def parse_labels(text: str) -> list:
+    """Labels from comma-separated rendered labels; empty entries are skipped."""
+    labels, rest = [], text.strip()
+    while rest:
+        if rest.startswith(","):
+            rest = rest[1:].lstrip()
+            continue
+        label, rest = _parse_prefix(rest)
+        labels.append(validate_label(label))
+        rest = rest.lstrip()
+        if rest and not rest.startswith(","):
+            raise ValueError(f"expected a comma after a label in {text!r}")
+    return labels
+
+
 class Graph:
     """Immutable labeled graph held as one adjacency bitmask per vertex.
 

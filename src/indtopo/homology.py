@@ -110,97 +110,39 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix) -> SmithNormalForm:
-    """Dense Smith normal form over the integers.
+    """Invariant factors (positive, each dividing the next) and rank over Z.
 
-    Returns the invariant factors (positive, each dividing the next) and the rank.
+    One pivot-and-delete loop: an entry p of least absolute value clears its
+    column and row by floor quotients, and a nonzero remainder pivots next.
+    If p misses an entry, that entry's row is added to p's row; otherwise
+    |p| is the next factor and p's row and column are deleted.
     """
     A = [[int(x) for x in row] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
+    n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row dst += q * row src
-        Ad, As = A[dst], A[src]
-        for k in range(n):
-            Ad[k] += q * As[k]
-
-    def add_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        if A[t][t] < 0:
-            negate_row(t)
-        # clear row and column t, restarting whenever a remainder survives
-        while True:
-            p = A[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // p
-                    add_row(i, t, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        if A[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // p
-                    add_col(j, t, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        if A[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        p = A[t][t]
-        culprit = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % p:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            add_row(t, culprit, 1)
+    factors = []
+    while any(map(any, A)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v)
+        pivot_row, p = A[i], A[i][j]
+        for r, row in enumerate(A):
+            if r != i and row[j]:
+                q = row[j] // p
+                A[r] = [a - q * b for a, b in zip(row, pivot_row)]
+        for c, v in enumerate(pivot_row):
+            if c != j and v:
+                q = v // p
+                for row in A:
+                    row[c] -= q * row[j]
+        if sum(map(bool, pivot_row)) + sum(1 for row in A if row[j]) > 2:
+            continue  # a remainder is left: it pivots next
+        missed = next((row for row in A if any(v % p for v in row)), None)
+        if missed is not None:
+            A[i] = [a + b for a, b in zip(pivot_row, missed)]
             continue
-        t += 1
-
-    factors = tuple(A[i][i] for i in range(limit) if A[i][i])
-    return SmithNormalForm(factors, len(factors))
+        factors.append(abs(p))
+        A = [row[:j] + row[j + 1:] for r, row in enumerate(A) if r != i]
+    return SmithNormalForm(tuple(factors), len(factors))
 
 
 def _integer_reduce(columns):

@@ -494,33 +494,21 @@ def _jobs_suspension(opts):
         jobs.append(("suspension", ("mycielskian-2", f"#{k} n={n}", G, H),
                      {"face_budget": budget}))
 
-    rng = Random(seed + 1)
-    made = 0
-    while made < count:
-        n = rng.randint(4, 8)
-        G = random_graph(n, rng)
-        found = _find_crossing(G)
-        if found is None:
-            continue
-        H = gr.ladder_replace_crossing(G, *found)
-        jobs.append(("suspension",
-                     ("ladder-crossing", f"#{made} n={n} at {found}", G, H),
-                     {"face_budget": budget}))
-        made += 1
-
-    rng = Random(seed + 2)
-    made = 0
-    while made < count:
-        n = rng.randint(3, 8)
-        G = random_graph(n, rng)
-        found = _find_triangle(G)
-        if found is None:
-            continue
-        H = gr.ladder_replace_triangle(G, *found)
-        jobs.append(("suspension",
-                     ("ladder-triangle", f"#{made} n={n} at {found}", G, H),
-                     {"face_budget": budget}))
-        made += 1
+    for offset, least, find, surgery, kind in (
+            (1, 4, _find_crossing, gr.ladder_replace_crossing, "ladder-crossing"),
+            (2, 3, _find_triangle, gr.ladder_replace_triangle, "ladder-triangle")):
+        rng = Random(seed + offset)
+        made = 0
+        while made < count:
+            n = rng.randint(least, 8)
+            G = random_graph(n, rng)
+            found = find(G)
+            if found is None:
+                continue
+            jobs.append(("suspension",
+                         (kind, f"#{made} n={n} at {found}", G, surgery(G, *found)),
+                         {"face_budget": budget}))
+            made += 1
     return jobs
 
 
@@ -660,4 +648,6 @@ def _conjecture_from_table1(n: int, rec: InstanceRecord) -> InstanceRecord:
         conjectural=True,
         seconds=rec.seconds,
         faces=rec.faces,
-        note="evidence only; never gates the exit code unless asked")
+        note=rec.note if rec.budget_exhausted
+        else "evidence only; never gates the exit code unless asked",
+        budget_exhausted=rec.budget_exhausted)

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -59,6 +60,11 @@ def test_gen_edgelist_stdout(capsys):
     code, out, _ = run(capsys, "gen", "cycle", "4", "--format", "table")
     assert code == 0
     assert out.splitlines()[0] == "4 4 0"
+    # the bytes are the edge-list writer's, with no newline added
+    buf = io.StringIO()
+    gr.write_edgelist(gr.generalized_mycielskian(gr.complete(3), 2), buf)
+    code, out, _ = run(capsys, "gen", "mycielskian", "3", "2", "--format", "csv")
+    assert (code, out) == (0, buf.getvalue())
 
 
 def test_gen_rejects_bad_spec(capsys):
@@ -181,6 +187,15 @@ def test_morse_default_order_comes_from_the_family_table(monkeypatch, capsys):
 def test_morse_rejects_bad_order(capsys):
     code, _, err = run(capsys, "morse", "path", "4", "--order", "1,9")
     assert code == 3
+
+
+def test_morse_order_goes_through_the_label_grammar(capsys):
+    code, out, _ = run(capsys, "morse", "product", "2", "2",
+                       "--order", " (2,2) ,, (1,1),")
+    assert code == 0 and json.loads(out)["order"] == ["(2,2)", "(1,1)"]
+    for bad in ("(1,1)x", "(1,1) (1,2)", "(1,1", "(1,1))"):
+        code, out, err = run(capsys, "morse", "product", "2", "2", "--order", bad)
+        assert (code, out) == (3, "") and "error" in err
 
 
 def test_morse_checks_acyclicity_once(monkeypatch, capsys):
@@ -401,6 +416,22 @@ def test_morse_suites_honour_the_face_budget(capsys, suite, passing, over, coeff
     assert code == 2
 
 
+@pytest.mark.parametrize("suites", [("conjecture",), ("table1", "conjecture")])
+def test_conjecture_records_keep_their_budget_status(capsys, suites):
+    report = verify.run_suites(list(suites), face_budget=10)
+    conjecture = report.suites[-1]
+    assert conjecture.name == "conjecture" and conjecture.records
+    for r in conjecture.records:
+        assert r.conjectural and not r.match and r.budget_exhausted
+        assert r.note == "face budget exceeded: 11 > 10"
+    code, _, _ = run(capsys, "verify", *suites, "--budget-faces", "10",
+                     "--strict-conjectures")
+    assert code == 2
+    # conjectures never gate; table1's own rows still do, and ran out of budget
+    code, _, _ = run(capsys, "verify", *suites, "--budget-faces", "10")
+    assert code == (2 if "table1" in suites else 0)
+
+
 def test_suspension_shift_budget_record_is_timed():
     G = gr.Graph(range(12))        # 4096 faces
     rec = check_suspension_shift("suspension", "edgeless 12", G, G, face_budget=100)
@@ -470,6 +501,15 @@ def test_verify_csv(capsys):
 
 
 # -- top-level plumbing -------------------------------------------------------
+
+def test_face_budget_flag_only_where_a_face_guard_runs(capsys):
+    for argv in (("gen", "cycle", "6"), ("reduce", "cycle", "6")):
+        code, out, err = run(capsys, *argv, "--budget-faces", "1")
+        assert (code, out) == (3, "") and "--budget-faces" in err
+        assert run(capsys, *argv)[0] == 0
+    for argv in (("betti", "cycle", "6"), ("morse", "cycle", "6"),
+                 ("verify", "paths_cycles", "--n", "6")):
+        assert run(capsys, *argv, "--budget-faces", "1")[0] == 2
 
 def test_usage_errors_exit_3(capsys):
     assert run(capsys, "betti", "--coeff", "garbage", "path", "3")[0] == 3

@@ -38,6 +38,32 @@ def test_parse_label_rejects_junk():
             gr.parse_label(text)
 
 
+PARSE_LABELS_CASES = {
+    "1,2,3": [1, 2, 3],
+    " 1 , 2 ,3 ": [1, 2, 3],
+    "1,,2": [1, 2],
+    "1,2,": [1, 2],
+    ",1": [1],
+    " , ,": [],
+    "": [],
+    "(1,1),(1,2),(2,1)": [(1, 1), (1, 2), (2, 1)],
+    "(L,(2,1)), w ,-3": [("L", (2, 1)), "w", -3],
+    "(1,(2,3),w),x2": [(1, (2, 3), "w"), "x2"],
+}
+
+
+def test_parse_labels_splits_on_top_level_commas():
+    for text, labels in PARSE_LABELS_CASES.items():
+        assert gr.parse_labels(text) == labels, text
+
+
+def test_parse_labels_rejects_malformed_lists():
+    for text in ["(1,1)x", "1 2", "(1,2", "1)", "(1,2)),3", "((1,2)", "(1, 2)",
+                 "1,(,)", "1,not ok", "(1)"]:
+        with pytest.raises(ValueError):
+            gr.parse_labels(text)
+
+
 # -- the container -----------------------------------------------------------
 
 def test_vertices_and_edges_are_canonically_ordered():

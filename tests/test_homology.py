@@ -41,6 +41,8 @@ def test_snf_examples():
     assert smith_normal_form([[0, 0], [0, 0]]).factors == ()
     assert smith_normal_form([[6]]).factors == (6,)
     assert smith_normal_form([[2, 0], [0, 3]]).factors == (1, 6)
+    # the remainder 1 of 3 by 2 is the next pivot
+    assert smith_normal_form([[2, 3]]).factors == (1,)
 
 
 def test_snf_rejects_ragged():
@@ -62,6 +64,40 @@ def test_snf_invariants_against_determinantal_divisors():
         assert snf.rank == len(fs) == oracles.rank_q(A)
         # factors agree with gcds of minors
         assert fs == oracles.invariant_factors(A)
+
+
+def _unimodular(k, rng):
+    """A k x k integer matrix of determinant 1: elementary row operations on I."""
+    M = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        a, b = rng.sample(range(k), 2)
+        q = rng.choice((1, -1, 2, -2))
+        M[a] = [x + q * y for x, y in zip(M[a], M[b])]
+    return M
+
+
+def _matmul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def test_snf_recovers_the_chain_of_scrambled_diagonals():
+    """U D V with U, V unimodular has D's divisibility chain as its Smith form.
+
+    Sizes 6 to 25, entries up to about 25 bits: an exact answer past the
+    reach of the minors oracle.
+    """
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n = rng.randint(6, 25), rng.randint(6, 25)
+        chain, f = [], 1
+        for _ in range(rng.randint(1, min(m, n))):
+            f *= rng.choice((1, 1, 1, 2, 3))
+            chain.append(f)
+        D = [[chain[i] if i == j and i < len(chain) else 0 for j in range(n)]
+             for i in range(m)]
+        A = _matmul(_matmul(_unimodular(m, rng), D), _unimodular(n, rng))
+        snf = smith_normal_form(A)
+        assert snf.factors == tuple(chain) and snf.rank == len(chain)
 
 
 # -- integer elimination ---------------------------------------------------------
