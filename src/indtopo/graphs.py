@@ -182,7 +182,10 @@ class Graph:
         return self.neighbors(v) | {v}
 
     def closed_neighborhood_set(self, labels) -> frozenset:
-        return frozenset().union(*map(self.closed_neighborhood, labels))
+        mask = 0
+        for i in map(self._at, labels):
+            mask |= self._adj[i] | 1 << i
+        return frozenset(map(self.vertices.__getitem__, bits(mask)))
 
     def has_edge(self, u, v) -> bool:
         """Adjacency test; has_edge(v, v) is True exactly for looped v."""

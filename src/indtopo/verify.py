@@ -2,15 +2,14 @@
 predictions against computed homology, certify the product Morse matching,
 and collect everything into machine-readable reports.
 
-Each suite is a named batch of instances.  A suite builder turns options
-into jobs; jobs are picklable (kind, args) pairs so a worker pool can chew
-through instances; report assembly is single-threaded and deterministic.
+Each suite is a named batch of instances.  A suite builder turns options into
+jobs; jobs are picklable (kind, args, kwargs) triples so a worker pool can
+chew through instances; report assembly is single-threaded and deterministic.
 """
 
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 
@@ -617,6 +616,7 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
             results.append(SuiteResult(name, criterion, records))
             continue
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_run_job, job_list))
         else:

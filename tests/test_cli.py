@@ -39,6 +39,23 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: indtopo")
 
 
+def test_import_and_gen_leave_the_process_pool_unloaded():
+    """The worker pool's modules load only when verify runs with jobs > 1."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import io, sys, contextlib, indtopo\n"
+              "from indtopo import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['gen', 'product', '3', '3']) == 0\n"
+              "pool = ('concurrent.futures.process', 'multiprocessing', '_multiprocessing')\n"
+              "print(sorted(m for m in pool if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # -- gen --------------------------------------------------------------------
 
 def test_gen_json_stdout(capsys):
@@ -475,13 +492,36 @@ def test_verify_jobs_capped_at_processor_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     report = verify.run_suites(["paths_cycles"], jobs=64, overrides={"n": [3]})
     assert seen == [2] and report.ok
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     verify.run_suites(["paths_cycles"], jobs=64, overrides={"n": [3]})
     assert seen == [2]
+
+
+def test_verify_on_a_real_two_worker_pool_matches_one_process(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+    seen, started = [], []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def __exit__(self, *exc):
+            started.append(len(self._processes))
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    overrides = {"n": [3, 4]}
+    pooled = verify.run_suites(["paths_cycles"], jobs=2, overrides=overrides)
+    single = verify.run_suites(["paths_cycles"], jobs=1, overrides=overrides)
+    assert seen == [2] and 1 <= started[0] <= 2
+    assert pooled.ok
+    assert pooled.to_json_dict(deterministic=True) == single.to_json_dict(deterministic=True)
 
 
 def test_verify_conjectural_failure_gates_only_when_strict(monkeypatch, capsys):

@@ -100,6 +100,17 @@ def test_loops_and_neighborhoods():
     assert g.has_edge(3, 3) and not g.has_edge(1, 1)
 
 
+def test_closed_neighborhood_set_is_the_label_union():
+    rng = random.Random(59)
+    for _ in range(300):
+        G = _random_looped_graph(rng)
+        labels = rng.sample(G.vertices, rng.randint(0, len(G.vertices)))
+        want = frozenset().union(*({v} | G.neighbors(v) for v in labels))
+        assert G.closed_neighborhood_set(labels) == want
+    with pytest.raises(ValueError, match=r"not a vertex: \(9, 9\)"):
+        G.closed_neighborhood_set([G.vertices[0], (9, 9)])
+
+
 def test_isolated_excludes_looped():
     g = gr.Graph([1, 2, 3], [], loops=[3])
     assert g.isolated_vertices() == (1, 2)
