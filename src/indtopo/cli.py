@@ -47,18 +47,16 @@ def _build_parser() -> _Parser:
                                  "Morse matchings, reductions, verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_window=True, with_coeff=True, with_budget=True):
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json",
+    def add_common(p, formats=("json", "csv", "table"), with_budget=True,
+                   with_homology=False):
+        p.add_argument("--format", choices=formats, default="json",
                        help="output format (default json)")
         if with_budget:
             p.add_argument("--budget-faces", type=int, default=None,
                            help=f"face-count guard (default {ENV_FACE_BUDGET} or library default)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="omit timestamps and timings from output")
-        if with_window:
+        if with_homology:
             p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"),
                            help="restrict homology to dimensions LO..HI (mod-2)")
-        if with_coeff:
             p.add_argument("--coeff", choices=("z2", "int"), default="z2",
                            help="coefficients for full-range homology")
 
@@ -69,16 +67,16 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="write a family instance as a graph file")
     add_spec(p_gen)
-    add_common(p_gen, with_window=False, with_coeff=False, with_budget=False)
+    add_common(p_gen, with_budget=False)
     p_gen.add_argument("--output", help="output path (.json or .edges; default stdout)")
 
     p_betti = sub.add_parser("betti", help="reduced Betti numbers of the independence complex")
     add_spec(p_betti)
-    add_common(p_betti)
+    add_common(p_betti, with_homology=True)
 
     p_morse = sub.add_parser("morse", help="ordered element matching report")
     add_spec(p_morse)
-    add_common(p_morse, with_window=False, with_coeff=False)
+    add_common(p_morse, ("json", "table"))
     p_morse.add_argument("--order", help="comma-separated vertex labels to sweep, "
                                          "e.g. \"(1,1),(1,2),(2,1)\"")
     p_morse.add_argument("--full", action="store_true",
@@ -86,14 +84,16 @@ def _build_parser() -> _Parser:
 
     p_reduce = sub.add_parser("reduce", help="drive homotopy-preserving reductions")
     add_spec(p_reduce)
-    add_common(p_reduce, with_window=False, with_coeff=False, with_budget=False)
+    add_common(p_reduce, ("json", "table"), with_budget=False)
     p_reduce.add_argument("--budget", type=int, default=10_000,
                           help="maximum lemma applications (default 10000)")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suites", nargs="+",
                           help="suite names or 'all': " + ", ".join(SUITES))
-    add_common(p_verify, with_window=False, with_coeff=False)
+    add_common(p_verify)
+    p_verify.add_argument("--deterministic", action="store_true",
+                          help="omit timestamps and timings from output")
     p_verify.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes for suite instances "

@@ -28,7 +28,7 @@ not be.
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, facet_masks
+from .complexes import SimplicialComplex, faces_in_window, facet_masks
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,5 @@ def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None,
 
     ``faces`` may carry the prebuilt ``faces_in_window(G, d_lo, d_hi)`` skeleton.
     """
-    from .complexes import faces_in_window
     fw = faces if faces is not None else faces_in_window(G, d_lo, d_hi, face_budget=face_budget)
     return _betti_table(fw, d_lo, d_hi, "z2", (d_lo, d_hi))

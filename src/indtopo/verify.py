@@ -10,7 +10,8 @@ chew through instances; report assembly is single-threaded and deterministic.
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from random import Random
 
 from . import graphs as gr
@@ -83,10 +84,6 @@ class SuiteResult:
         return sum(1 for r in self.records if r.match)
 
     @property
-    def failed(self) -> int:
-        return len(self.records) - self.passed
-
-    @property
     def gating_failures(self) -> int:
         return sum(1 for r in self.records if not r.match and not r.conjectural)
 
@@ -98,7 +95,7 @@ class SuiteResult:
             "summary": {
                 "total": len(self.records),
                 "passed": self.passed,
-                "failed": self.failed,
+                "failed": len(self.records) - self.passed,
                 "gating_failures": self.gating_failures,
             },
         }
@@ -173,6 +170,23 @@ class VerificationReport:
 
 # -- shared checkers -------------------------------------------------------------
 
+@contextmanager
+def _record(**fields):
+    """The record of one check, made from the fields known before any work and
+    filled in by the ``with`` block.  A face budget that runs out in the block
+    becomes the record's failure, noted in the budget's words; either way the
+    record is timed."""
+    rec = InstanceRecord(**fields)
+    t0 = time.perf_counter()
+    try:
+        yield rec
+    except FaceBudgetError as e:
+        rec.note = str(e)
+        rec.budget_exhausted = True
+    finally:
+        rec.seconds = time.perf_counter() - t0
+
+
 def _auto_window(pred: HomotopyType, G) -> tuple | None:
     """Full range for small graphs and contractible claims, else predicted dim +/- 1."""
     if G.vertex_count <= FULL_RANGE_VERTEX_LIMIT or pred.is_contractible:
@@ -188,12 +202,9 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
     if window is not None and coefficients != "z2":
         raise ValueError("windowed homology is mod-2 only")
     want = expected.betti()
-    rec = InstanceRecord(
-        instance=instance, coefficients=coefficients, predicted=expected.render(),
-        predicted_betti=want, window=None if window is None else tuple(window),
-        conjectural=conjectural)
-    t0 = time.perf_counter()
-    try:
+    with _record(instance=instance, coefficients=coefficients, predicted=expected.render(),
+                 predicted_betti=want, window=None if window is None else tuple(window),
+                 conjectural=conjectural) as rec:
         if window is None:
             K = independence_complex(G, face_budget=face_budget)
             rec.faces = K.total_faces
@@ -208,10 +219,6 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
         rec.match = bt.matches(want) and not rec.torsion
         if rec.torsion:
             rec.note = "unexpected torsion"
-    except FaceBudgetError as e:
-        rec.note = str(e)
-        rec.budget_exhausted = True
-    rec.seconds = time.perf_counter() - t0
     return rec
 
 
@@ -255,125 +262,89 @@ def check_table1_row(n: int, kind: str = "window",
     return rec
 
 
-def _budget_record(instance: str, coefficients: str, t0: float,
-                   error: FaceBudgetError) -> InstanceRecord:
-    """The timed, failing record of a check whose enumeration hit the face budget."""
-    return InstanceRecord(instance=instance, coefficients=coefficients,
-                          seconds=time.perf_counter() - t0, note=str(error),
-                          budget_exhausted=True)
-
-
 def check_morse_product(m: int, n: int,
                         face_budget: int | None = None) -> InstanceRecord:
     """Certify the ordered matching on Ind(K_m x K_n) against the closed form."""
-    t0 = time.perf_counter()
-    spec = FamilySpec("product", (m, n))
-    expected = predict(spec).homotopy
-    G = build_graph(spec)
-    try:
-        K = independence_complex(G, face_budget=face_budget)
-    except FaceBudgetError as e:
-        return _budget_record(f"morse product {m} {n}", "critical-cells", t0, e)
-    matching = element_matching(K, product_matching_order(m, n))
-    acyclic, witness = verify_acyclic(matching, K)
-    expected_cells = {1 << K.index_of((i, 1)) | 1 << K.index_of((i, j))
-                      for i in range(2, m + 1) for j in range(2, n + 1)}
-    got_cells = set(matching.critical_masks)
-    problems = []
-    if not acyclic:
-        problems.append(f"cycle: {witness}")
-    if not matching.empty_face_matched:
-        problems.append("empty face unmatched")
-    if got_cells != expected_cells:
-        problems.append(f"critical set differs ({len(got_cells)} cells)")
-    counts = matching.critical_counts()
-    return InstanceRecord(
-        instance=f"morse product {m} {n}",
-        predicted=expected.render(),
-        predicted_betti=expected.betti(),
-        computed_betti=counts,
-        coefficients="critical-cells",
-        match=not problems,
-        seconds=time.perf_counter() - t0,
-        faces=K.total_faces,
-        note="; ".join(problems) or "acyclic, empty face matched, critical set exact")
+    with _record(instance=f"morse product {m} {n}", coefficients="critical-cells") as rec:
+        spec = FamilySpec("product", (m, n))
+        expected = predict(spec).homotopy
+        K = independence_complex(build_graph(spec), face_budget=face_budget)
+        # the closed form is left out of a record whose enumeration ran out
+        rec.predicted, rec.predicted_betti = expected.render(), expected.betti()
+        rec.faces = K.total_faces
+        matching = element_matching(K, product_matching_order(m, n))
+        acyclic, witness = verify_acyclic(matching, K)
+        expected_cells = {1 << K.index_of((i, 1)) | 1 << K.index_of((i, j))
+                          for i in range(2, m + 1) for j in range(2, n + 1)}
+        got_cells = set(matching.critical_masks)
+        problems = []
+        if not acyclic:
+            problems.append(f"cycle: {witness}")
+        if not matching.empty_face_matched:
+            problems.append("empty face unmatched")
+        if got_cells != expected_cells:
+            problems.append(f"critical set differs ({len(got_cells)} cells)")
+        rec.computed_betti = matching.critical_counts()
+        rec.match = not problems
+        rec.note = "; ".join(problems) or "acyclic, empty face matched, critical set exact"
+    return rec
 
 
 def check_gadget_reduce(n: int, t: int) -> InstanceRecord:
     """The reduction engine must certify contractibility at t = 0 mod 3."""
-    t0 = time.perf_counter()
-    result, trace = reduce_graph(build_graph(FamilySpec("gadget", (n, t))))
-    good = isinstance(result, HomotopyType) and result.is_contractible
-    stuck = isinstance(result, Stuck)
-    note = f"stuck: {result.reason}" if stuck else f"{len(trace)} top-level steps"
-    return InstanceRecord(
-        instance=f"reduce gadget {n} {t}",
-        predicted="point", predicted_betti={},
-        computed_betti={} if good else {"result": str(result)},
-        coefficients="reduction", match=good,
-        seconds=time.perf_counter() - t0, note=note,
-        budget_exhausted=stuck and result.budget_exhausted)
-
-
-def _betti_of_graph(G, face_budget=None) -> dict:
-    K = independence_complex(G, face_budget=face_budget)
-    return betti_reduced(K).nonzero()
+    with _record(instance=f"reduce gadget {n} {t}", predicted="point", predicted_betti={},
+                 coefficients="reduction") as rec:
+        result, trace = reduce_graph(build_graph(FamilySpec("gadget", (n, t))))
+        rec.match = isinstance(result, HomotopyType) and result.is_contractible
+        rec.computed_betti = {} if rec.match else {"result": str(result)}
+        stuck = isinstance(result, Stuck)
+        rec.note = f"stuck: {result.reason}" if stuck else f"{len(trace)} top-level steps"
+        rec.budget_exhausted = stuck and result.budget_exhausted
+    return rec
 
 
 def check_suspension_shift(kind: str, tag: str, G, H,
                            face_budget: int | None = None) -> InstanceRecord:
     """Betti of Ind(H) must be the +1 shift of Betti of Ind(G)."""
-    t0 = time.perf_counter()
-    try:
-        base = _betti_of_graph(G, face_budget)
-        lifted = _betti_of_graph(H, face_budget)
-    except FaceBudgetError as e:
-        return _budget_record(f"{kind} {tag}", "z2", t0, e)
-    want = {d + 1: v for d, v in base.items()}
-    return InstanceRecord(
-        instance=f"{kind} {tag}",
-        predicted=f"shift of {base or 'all zero'}",
-        predicted_betti=want,
-        computed_betti=lifted,
-        coefficients="z2",
-        match=lifted == want,
-        seconds=time.perf_counter() - t0,
-        note=f"{G.vertex_count}->{H.vertex_count} vertices")
+    with _record(instance=f"{kind} {tag}", coefficients="z2") as rec:
+        base = betti_reduced(independence_complex(G, face_budget=face_budget)).nonzero()
+        lifted = betti_reduced(independence_complex(H, face_budget=face_budget)).nonzero()
+        rec.predicted = f"shift of {base or 'all zero'}"
+        rec.predicted_betti = {d + 1: v for d, v in base.items()}
+        rec.computed_betti = lifted
+        rec.match = lifted == rec.predicted_betti
+        rec.note = f"{G.vertex_count}->{H.vertex_count} vertices"
+    return rec
 
 
 def check_morse_homology_batch(n: int, graphs_orders: list,
                                face_budget: int | None = None) -> InstanceRecord:
     """Random-order matchings on a batch of graphs: acyclicity, weak Morse
     inequalities against mod-2 Betti, and the Euler alternating sum."""
-    t0 = time.perf_counter()
-    instance = f"morse-homology n={n} ({len(graphs_orders)} samples)"
-    bad = []
-    for idx, (G, order) in enumerate(graphs_orders):
-        try:
+    with _record(instance=f"morse-homology n={n} ({len(graphs_orders)} samples)",
+                 coefficients="z2") as rec:
+        bad = []
+        for idx, (G, order) in enumerate(graphs_orders):
             K = independence_complex(G, face_budget=face_budget)
-        except FaceBudgetError as e:
-            return _budget_record(instance, "z2", t0, e)
-        matching = element_matching(K, order)
-        acyclic, witness = verify_acyclic(matching, K)
-        if not acyclic:
-            bad.append(f"#{idx}: cycle {witness}")
-            continue
-        counts = matching.critical_counts()
-        betti = betti_reduced(K).nonzero()
-        if any(counts.get(d, 0) < v for d, v in betti.items()):
-            bad.append(f"#{idx}: Morse inequality fails ({counts} vs {betti})")
-        # counts includes dim -1 when the empty face is critical, so the plain
-        # alternating sum is the reduced Euler characteristic (pairs cancel)
-        morse_euler = sum(-c if d % 2 else c for d, c in counts.items())
-        if morse_euler != K.euler_characteristic_reduced():
-            bad.append(f"#{idx}: Euler sum {morse_euler} != chi")
-        if len(bad) >= 3:
-            break
-    return InstanceRecord(
-        instance=instance, coefficients="z2",
-        match=not bad,
-        seconds=time.perf_counter() - t0,
-        note="; ".join(bad) or "all acyclic, inequalities and Euler sums hold")
+            matching = element_matching(K, order)
+            acyclic, witness = verify_acyclic(matching, K)
+            if not acyclic:
+                bad.append(f"#{idx}: cycle {witness}")
+                continue
+            counts = matching.critical_counts()
+            betti = betti_reduced(K).nonzero()
+            if any(counts.get(d, 0) < v for d, v in betti.items()):
+                bad.append(f"#{idx}: Morse inequality fails ({counts} vs {betti})")
+            # counts includes dim -1 when the empty face is critical, so the plain
+            # alternating sum is the reduced Euler characteristic (pairs cancel)
+            morse_euler = sum(-c if d % 2 else c for d, c in counts.items())
+            if morse_euler != K.euler_characteristic_reduced():
+                bad.append(f"#{idx}: Euler sum {morse_euler} != chi")
+            if len(bad) >= 3:
+                break
+        rec.match = not bad
+        rec.note = "; ".join(bad) or "all acyclic, inequalities and Euler sums hold"
+    return rec
 
 
 # -- job plumbing ----------------------------------------------------------------
@@ -395,9 +366,7 @@ def _run_job(job):
 
 
 def _ints(value, default):
-    if value is None:
-        return list(default)
-    return list(value)
+    return list(default if value is None else value)
 
 
 # -- suite builders ---------------------------------------------------------------
@@ -531,21 +500,17 @@ def _jobs_morse_homology(opts):
     for n in range(1, 7):
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         total = 1 << len(pairs)
-        batch = []
+        # built lazily, so a sampled graph's draws come before its order's shuffle
         if used + total <= cap * 0.6 or total <= 1024:
-            for mask in range(total):
-                edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-                G = gr.Graph(range(1, n + 1), edges)
-                order = list(G.vertices)
-                rng.shuffle(order)
-                batch.append((G, order))
+            graphs = (gr.Graph(range(1, n + 1), [p for i, p in enumerate(pairs) if mask >> i & 1])
+                      for mask in range(total))
         else:
-            remaining = max(cap - used, 100)
-            for _ in range(remaining):
-                G = random_graph(n, rng)
-                order = list(G.vertices)
-                rng.shuffle(order)
-                batch.append((G, order))
+            graphs = (random_graph(n, rng) for _ in range(max(cap - used, 100)))
+        batch = []
+        for G in graphs:
+            order = list(G.vertices)
+            rng.shuffle(order)
+            batch.append((G, order))
         used += len(batch)
         jobs.append(("morse_homology", (n, batch), {"face_budget": opts.get("face_budget")}))
         if used >= cap:
@@ -580,7 +545,8 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
 
     ``jobs`` worker processes are used, at most one per processor.
     """
-    if names == "all" or names == ["all"]:
+    names = [names] if isinstance(names, str) else list(names)
+    if names == ["all"]:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
@@ -634,20 +600,9 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
 
 def _conjecture_from_table1(n: int, rec: InstanceRecord) -> InstanceRecord:
     """Re-badge the published-row record of K_2 x K_3 x K_n as conjecture evidence."""
-    pred = predict(FamilySpec("conjecture_k2k3kn", (n,)))
-    expected = pred.homotopy.betti()
-    match = rec.match and all(rec.computed_betti.get(d, 0) == c for d, c in expected.items())
-    return InstanceRecord(
-        instance=f"conjecture_k2k3kn {n}",
-        predicted=pred.homotopy.render(),
-        predicted_betti=expected,
-        computed_betti=dict(rec.computed_betti),
-        coefficients=rec.coefficients,
-        window=rec.window,
-        match=match,
-        conjectural=True,
-        seconds=rec.seconds,
-        faces=rec.faces,
-        note=rec.note if rec.budget_exhausted
-        else "evidence only; never gates the exit code unless asked",
-        budget_exhausted=rec.budget_exhausted)
+    pred = predict(FamilySpec("conjecture_k2k3kn", (n,))).homotopy
+    match = rec.match and all(rec.computed_betti.get(d, 0) == c for d, c in pred.betti().items())
+    return replace(rec, instance=f"conjecture_k2k3kn {n}", predicted=pred.render(),
+                   predicted_betti=pred.betti(), match=match, conjectural=True,
+                   note=rec.note if rec.budget_exhausted
+                   else "evidence only; never gates the exit code unless asked")

@@ -18,6 +18,9 @@ from indtopo.verify import (
     SuiteResult,
     VerificationReport,
     check_family_instance,
+    check_family_int,
+    check_morse_homology_batch,
+    check_morse_product,
     check_suspension_shift,
     check_table1_row,
 )
@@ -308,6 +311,16 @@ def test_verify_unknown_suite(capsys):
     assert code == 3 and "unknown suite" in err
 
 
+def test_run_suites_takes_one_suite_name_as_a_string():
+    want = verify.run_suites(["table1"], overrides={"n": [2]}).to_json_dict(deterministic=True)
+    for names in ("table1", ("table1",)):
+        report = verify.run_suites(names, overrides={"n": [2]})
+        assert report.to_json_dict(deterministic=True) == want
+    assert [s["suite"] for s in want["suites"]] == ["table1"]
+    with pytest.raises(ValueError, match=r"unknown suite\(s\): table;"):
+        verify.run_suites("table")
+
+
 def test_verify_unpublished_table1_row_is_a_usage_error(capsys):
     for argv in (("table1", "--n", "7"), ("conjecture", "--n", "9")):
         code, _, err = run(capsys, "verify", *argv)
@@ -388,20 +401,61 @@ def test_gadget_reduce_record_carries_the_stuck_kind(monkeypatch, exhausted):
     assert rec.budget_exhausted is exhausted
 
 
+def _budget_json(instance, predicted, predicted_betti, coefficients, window, note):
+    return {"instance": instance, "predicted": predicted, "predicted_betti": predicted_betti,
+            "computed_betti": {}, "coefficients": coefficients, "window": window,
+            "match": False, "conjectural": False, "faces": 0, "torsion": {}, "note": note}
+
+
+# the deterministic JSON of each budget record below, keyed by instance; a
+# record keeps only the fields its checker knew before the enumeration ran out
+BUDGET_RECORDS = {j["instance"]: j for j in (
+    _budget_json("table1 n=3 (window)", "wedge(14, S^3)", {"3": 14}, "z2", [2, 4],
+                 "face budget exceeded: 101 > 100"),
+    _budget_json("table1 n=3 (int)", "wedge(14, S^3)", {"3": 14}, "int", None,
+                 "face budget exceeded: 101 > 100"),
+    _budget_json("mycielskian 3 7", "wedge(12, S^4)", {"4": 12}, "z2", [3, 5],
+                 "face budget exceeded: 101 > 100"),
+    _budget_json("product 3 3", "wedge(4, S^1)", {"1": 4}, "int", None,
+                 "face budget exceeded: 6 > 5"),
+    _budget_json("morse product 3 3", None, None, "critical-cells", None,
+                 "face budget exceeded: 6 > 5"),
+    _budget_json("morse-homology n=3 (1 samples)", None, None, "z2", None,
+                 "face budget exceeded: 6 > 5"),
+    _budget_json("suspension edgeless 12", None, None, "z2", None,
+                 "face budget exceeded: 101 > 100"),
+)}
+
+EDGELESS_12 = gr.Graph(range(12))        # 4096 faces
+
+
+# args end with the face budget; a case with a suite also runs that suite
+# through the CLI at the same budget
 @pytest.mark.parametrize("check, args, suite, overrides, coefficients, window", [
-    (check_table1_row, (3, "window"), "table1", ("--n", "3"), "z2", (2, 4)),
-    (check_table1_row, (3, "int"), "table1", ("--n", "3"), "int", None),
-    (check_family_instance, ("mycielskian", (3, 7)), "mycielskian",
+    (check_table1_row, (3, "window", 100), "table1", ("--n", "3"), "z2", (2, 4)),
+    (check_table1_row, (3, "int", 100), "table1", ("--n", "3"), "int", None),
+    (check_family_instance, ("mycielskian", (3, 7), "z2", "auto", 100), "mycielskian",
      ("--n", "3", "--r", "7"), "z2", (3, 5)),
+    (check_family_int, ("product", (3, 3), 5), None, (), "int", None),
+    (check_morse_product, (3, 3, 5), None, (), "critical-cells", None),
+    (check_morse_homology_batch, (3, [(gr.cycle(5), [1, 2, 3, 4, 5])], 5), None, (),
+     "z2", None),
+    (check_suspension_shift, ("suspension", "edgeless 12", EDGELESS_12, EDGELESS_12, 100),
+     None, (), "z2", None),
 ])
 def test_face_budget_failure_records(capsys, check, args, suite, overrides,
                                      coefficients, window):
-    rec = check(*args, face_budget=100)
+    """A spent face budget gives a failing, timed record of the check."""
+    budget = args[-1]
+    rec = check(*args)
     assert rec.match is False and not rec.conjectural and rec.budget_exhausted
     assert rec.coefficients == coefficients and rec.window == window
-    assert rec.note == "face budget exceeded: 101 > 100"
-    code, _, _ = run(capsys, "verify", suite, *overrides, "--budget-faces", "100")
-    assert code == 2
+    assert rec.note == f"face budget exceeded: {budget + 1} > {budget}"
+    assert rec.seconds > 0 and rec.to_json_dict()["seconds"] == round(rec.seconds, 3)
+    assert rec.to_json_dict(deterministic=True) == BUDGET_RECORDS[rec.instance]
+    if suite is not None:
+        code, _, _ = run(capsys, "verify", suite, *overrides, "--budget-faces", str(budget))
+        assert code == 2
 
 
 def test_paths_cycles_suite_honours_the_face_budget(capsys):
@@ -447,14 +501,6 @@ def test_conjecture_records_keep_their_budget_status(capsys, suites):
     # conjectures never gate; table1's own rows still do, and ran out of budget
     code, _, _ = run(capsys, "verify", *suites, "--budget-faces", "10")
     assert code == (2 if "table1" in suites else 0)
-
-
-def test_suspension_shift_budget_record_is_timed():
-    G = gr.Graph(range(12))        # 4096 faces
-    rec = check_suspension_shift("suspension", "edgeless 12", G, G, face_budget=100)
-    assert rec.match is False and rec.note == "face budget exceeded: 101 > 100"
-    assert rec.budget_exhausted and rec.seconds > 0
-    assert rec.to_json_dict()["seconds"] == round(rec.seconds, 3)
 
 
 def test_family_instance_integer_check_runs_full_range():
@@ -550,6 +596,22 @@ def test_face_budget_flag_only_where_a_face_guard_runs(capsys):
     for argv in (("betti", "cycle", "6"), ("morse", "cycle", "6"),
                  ("verify", "paths_cycles", "--n", "6")):
         assert run(capsys, *argv, "--budget-faces", "1")[0] == 2
+
+
+def test_deterministic_and_csv_flags_only_where_they_act(capsys):
+    """--deterministic is verify's; morse and reduce print json or table only."""
+    for argv in (("gen", "cycle", "6"), ("betti", "cycle", "6"),
+                 ("morse", "cycle", "6"), ("reduce", "cycle", "6")):
+        code, out, err = run(capsys, *argv, "--deterministic")
+        assert (code, out) == (3, "") and "--deterministic" in err
+    for argv in (("morse", "cycle", "6"), ("reduce", "cycle", "6")):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (3, "") and "--format" in err
+        assert run(capsys, *argv, "--format", "table")[0] == 0
+    for argv in (("gen", "cycle", "6"), ("betti", "cycle", "6"),
+                 ("verify", "paths_cycles", "--n", "6", "--deterministic")):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and out
 
 def test_usage_errors_exit_3(capsys):
     assert run(capsys, "betti", "--coeff", "garbage", "path", "3")[0] == 3
