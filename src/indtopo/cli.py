@@ -129,17 +129,19 @@ def _face_budget(args) -> int | None:
     return budget
 
 
-def _spec_from_args(args) -> FamilySpec:
+def _instance_from_args(args):
+    """The instance name, the graph, and the FamilySpec (None for a --file graph)."""
     if args.file:
         if args.family or args.params:
             raise _UsageError("give either a family spec or --file, not both")
-        return FamilySpec("custom-file", path=args.file)
+        return f"custom-file {args.file}", gr.load_graph(args.file), None
     if not args.family:
         raise _UsageError("a family name (with parameters) or --file is required")
     try:
-        return FamilySpec(args.family, tuple(args.params))
+        spec = FamilySpec(args.family, tuple(args.params))
     except ValueError as e:
         raise _UsageError(str(e))
+    return spec.describe(), build_graph(spec), spec
 
 
 def _emit(text: str):
@@ -153,8 +155,7 @@ def _dump_json(obj) -> str:
 # -- subcommand bodies ------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
-    G = build_graph(spec)
+    _, G, _ = _instance_from_args(args)
     if args.output:
         gr.save_graph(G, args.output)
         _emit(f"wrote {G.vertex_count} vertices, {G.edge_count} edges to {args.output}")
@@ -166,8 +167,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    spec = _spec_from_args(args)
-    G = build_graph(spec)
+    name, G, _ = _instance_from_args(args)
     budget = _face_budget(args)
     if args.window:
         lo, hi = args.window
@@ -179,25 +179,23 @@ def _cmd_betti(args) -> int:
         table = betti_reduced(K, coefficients=args.coeff)
     if args.format == "json":
         out = table.to_json_dict()
-        out["instance"] = spec.describe()
+        out["instance"] = name
         _emit(_dump_json(out))
     elif args.format == "csv":
         _emit("\n".join(table.csv_rows()))
     else:
-        _emit(f"{spec.describe()}: {table.render()}")
+        _emit(f"{name}: {table.render()}")
     return EXIT_PASS
 
 
-def _default_order(spec: FamilySpec, G):
-    family = FAMILIES.get(spec.family)
-    if family is not None and family.morse_order is not None:
-        return family.morse_order(*spec.params)
-    return list(G.vertices)
+def _default_order(spec: FamilySpec | None, G):
+    """The family's Morse sweep order, else (a file, or no order) vertex order."""
+    morse_order = spec and FAMILIES[spec.family].morse_order
+    return morse_order(*spec.params) if morse_order else list(G.vertices)
 
 
 def _cmd_morse(args) -> int:
-    spec = _spec_from_args(args)
-    G = build_graph(spec)
+    name, G, spec = _instance_from_args(args)
     K = independence_complex(G, face_budget=_face_budget(args))
     if args.order:
         order = gr.parse_labels(args.order)
@@ -209,7 +207,7 @@ def _cmd_morse(args) -> int:
     counts = matching.critical_counts()
     if args.format == "json":
         out = {
-            "instance": spec.describe(),
+            "instance": name,
             "order": [gr.render_label(v) for v in matching.order],
             "pair_count": matching.pair_count,
             "critical_by_dimension": {str(d): c for d, c in sorted(counts.items())},
@@ -224,7 +222,7 @@ def _cmd_morse(args) -> int:
         _emit(_dump_json(out))
     else:
         hist = ", ".join(f"c{d}={c}" for d, c in sorted(counts.items())) or "none"
-        lines = [f"instance: {spec.describe()}",
+        lines = [f"instance: {name}",
                  f"critical cells: {hist}",
                  f"empty face matched: {matching.empty_face_matched}",
                  f"acyclic: {acyclic}"]
@@ -235,13 +233,14 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    spec = _spec_from_args(args)
-    G = build_graph(spec)
+    if args.budget < 0:
+        raise _UsageError(f"step budget must be at least 0, got {args.budget}")
+    name, G, _ = _instance_from_args(args)
     result, trace = reduce_graph(G, budget=args.budget)
     stuck = isinstance(result, Stuck)
     if args.format == "json":
         out = {
-            "instance": spec.describe(),
+            "instance": name,
             "result": result.render() if not stuck else None,
             "stuck": None if not stuck else {
                 "reason": result.reason,
@@ -255,10 +254,10 @@ def _cmd_reduce(args) -> int:
         _emit(_dump_json(out))
     else:
         if stuck:
-            _emit(f"{spec.describe()}: stuck ({result.reason}) with "
+            _emit(f"{name}: stuck ({result.reason}) with "
                   f"{result.graph.vertex_count} vertices left after {len(trace)} steps")
         else:
-            _emit(f"{spec.describe()}: {result.render()} ({len(trace)} steps)")
+            _emit(f"{name}: {result.render()} ({len(trace)} steps)")
     if stuck and result.budget_exhausted:
         return EXIT_RESOURCE
     return EXIT_PASS

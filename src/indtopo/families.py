@@ -2,10 +2,9 @@
 
 FAMILIES is the one table of families: each name maps to a Family record
 that holds the parameters and their domain, the builder, and the closed form
-for Ind(G) with its provenance.  A FamilySpec pins down one instance of a
-family (for example product 3 4) or points at a graph file (family
-"custom-file").  The command line, the verification harness, and tests all
-read the table, so they construct the exact same labeled graphs.
+for Ind(G) with its provenance.  A FamilySpec pins down one family instance
+(for example product 3 4).  The command line, the verification harness, and
+tests all read the table, so they construct the exact same labeled graphs.
 """
 
 from dataclasses import dataclass
@@ -171,18 +170,13 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One family instance: name and integer parameters, or a graph file path."""
+    """One family instance: family name and integer parameters."""
 
     family: str
     params: tuple = ()
-    path: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if self.family == "custom-file":
-            if not self.path:
-                raise ValueError("custom-file spec needs a file path")
-            return
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"known: {', '.join(sorted(FAMILIES))}")
@@ -194,15 +188,11 @@ class FamilySpec:
             raise ValueError(f"{self.family} parameters out of range: {hint}")
 
     def describe(self) -> str:
-        if self.family == "custom-file":
-            return f"custom-file {self.path}"
         return " ".join([self.family, *map(str, self.params)])
 
 
 def build_graph(spec: FamilySpec) -> Graph:
     """Construct the labeled graph this spec describes."""
-    if spec.family == "custom-file":
-        return gr.load_graph(spec.path)
     return FAMILIES[spec.family].build(*spec.params)
 
 

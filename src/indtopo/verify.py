@@ -543,7 +543,8 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
                strict_conjectures: bool = False) -> VerificationReport:
     """Run the named suites ("all" for every one) and assemble a report.
 
-    ``jobs`` worker processes are used, at most one per processor.
+    The call's jobs run as one list: through one pool of ``jobs`` worker
+    processes (at most one per processor) when ``jobs`` > 1, else in turn.
     """
     names = [names] if isinstance(names, str) else list(names)
     if names == ["all"]:
@@ -563,38 +564,36 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
     jobs = min(jobs, os.cpu_count() or 1)
 
     # every job list is built, and so every usage error raised, before any
-    # job runs; a conjecture suite after table1 re-badges table1's records
-    plan = []
-    for i, name in enumerate(names):
-        reuse = name == "conjecture" and "table1" in names[:i]
-        job_list = None if reuse else SUITES[name][1](opts)
-        if job_list == []:
+    # job runs; all the call's jobs then run as one list.  Table-1 rows are the
+    # only jobs two suites ask for, so each runs once and may fill two slots.
+    todo, slot_of, plan = [], {}, []
+    for name in names:
+        job_list = SUITES[name][1](opts)
+        if not job_list:
             raise ValueError(f"suite {name!r} has no instances for these parameters")
-        plan.append((name, job_list))
+        slots = []
+        for job in job_list:
+            # a table-1 row is keyed by n and kind; any other job is its own key
+            key = (job[1], job[2]["kind"]) if job[0] == "table1" else len(todo)
+            if key not in slot_of:
+                slot_of[key] = len(todo)
+                todo.append(job)
+            slots.append(slot_of[key])
+        plan.append((name, slots))
+
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_run_job, todo))
+    else:
+        done = [_run_job(j) for j in todo]
 
     results = []
-    table1_window_rows = {}
-    for name, job_list in plan:
-        criterion = SUITES[name][0]
-        if job_list is None:
-            records = [_conjecture_from_table1(n, rec)
-                       for n, rec in sorted(table1_window_rows.items())]
-            results.append(SuiteResult(name, criterion, records))
-            continue
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(_run_job, job_list))
-        else:
-            records = [_run_job(j) for j in job_list]
+    for name, slots in plan:
+        records = [done[i] for i in slots]
         if name == "conjecture":
-            records = [_conjecture_from_table1(job[1][0], r)
-                       for job, r in zip(job_list, records)]
-        results.append(SuiteResult(name, criterion, records))
-        if name == "table1":
-            for job, rec in zip(job_list, records):
-                if job[2].get("kind") == "window":
-                    table1_window_rows[job[1][0]] = rec
+            records = [_conjecture_from_table1(todo[i][1][0], done[i]) for i in slots]
+        results.append(SuiteResult(name, SUITES[name][0], records))
     return VerificationReport(results, seed, strict_conjectures)
 
 

@@ -1,14 +1,17 @@
 """Acceptance gate: one test per numbered criterion of the verification contract.
 
 Each test drives the corresponding `indtopo verify` suite at its default
-parameter ranges and seed, then pins the headline numbers as exact integers.
+parameter ranges and seed, then pins the headline numbers as exact integers;
+one more pins the bytes of the `indtopo verify all` JSON built from them.
 Run with `pytest -v tests/test_acceptance.py` for a pass/fail line per
 criterion, or `indtopo verify all` for the same checks outside pytest.
 """
 
+import hashlib
+import json
 import re
 
-from indtopo.verify import TABLE1_ROWS, run_suites
+from indtopo.verify import SUITES, TABLE1_ROWS, VerificationReport, run_suites
 
 SEED = 7
 
@@ -156,3 +159,18 @@ def test_criterion_11_conjectured_product_formula():
         n = _params(r)[-1]
         assert r.predicted_betti == {3: (n - 1) * (3 * n - 2)}
     _gate(suite)
+
+
+# `indtopo verify all --deterministic --format json` at the default ranges
+VERIFY_ALL_SHA1 = "bf60e10d55dc40881d9007f32e7f01fa37bd58be"
+VERIFY_ALL_BYTES = 106_492
+
+
+def test_verify_all_json_bytes_are_pinned():
+    report = VerificationReport([_suite(name) for name in SUITES], SEED)
+    text = json.dumps(report.to_json_dict(deterministic=True), indent=2, sort_keys=True) + "\n"
+    got = (hashlib.sha1(text.encode()).hexdigest(), len(text.encode()))
+    assert got == (VERIFY_ALL_SHA1, VERIFY_ALL_BYTES), (
+        f"verify all JSON is now {got}: diff `indtopo verify all --deterministic "
+        f"--format json` against the parent commit's output; if a record changed on "
+        f"purpose, update the hash and length here and say so in CHANGES.md")

@@ -137,6 +137,7 @@ def test_betti_from_file(tmp_path, capsys):
     gr.save_graph(gr.cycle(7), str(dest))
     code, out, _ = run(capsys, "betti", "--file", str(dest))
     assert code == 0 and json.loads(out)["betti"]["1"] == 1
+    assert json.loads(out)["instance"] == f"custom-file {dest}"
     code, _, _ = run(capsys, "betti", "--file", str(dest), "cycle", "7")
     assert code == 3       # spec and file together is ambiguous
 
@@ -261,6 +262,12 @@ def test_reduce_budget_exit_code(capsys):
     code, out, _ = run(capsys, "reduce", "path", "30", "--budget", "1")
     assert code == 2
     assert json.loads(out)["stuck"]["reason"] == "budget exhausted"
+    # a negative step budget is a usage error, as a negative face budget is
+    code, out, err = run(capsys, "reduce", "cycle", "5", "--budget", "-1")
+    assert (code, out) == (3, "")
+    assert "step budget must be at least 0, got -1" in err
+    code, _, _ = run(capsys, "reduce", "cycle", "5", "--budget", "0")
+    assert code == 2
 
 
 @pytest.mark.parametrize("reason,exhausted,code", [
@@ -319,6 +326,33 @@ def test_run_suites_takes_one_suite_name_as_a_string():
     assert [s["suite"] for s in want["suites"]] == ["table1"]
     with pytest.raises(ValueError, match=r"unknown suite\(s\): table;"):
         verify.run_suites("table")
+
+
+def test_conjecture_records_do_not_depend_on_the_suites_beside_them():
+    overrides = {"n": [3, 2, 2]}
+    seen = []
+    for names in (["conjecture"], ["table1", "conjecture"], ["conjecture", "table1"]):
+        report = verify.run_suites(names, overrides=overrides)
+        suite = next(s for s in report.suites if s.name == "conjecture")
+        seen.append(suite.to_json_dict(deterministic=True))
+    assert seen[0] == seen[1] == seen[2]
+    assert [r["instance"] for r in seen[0]["records"]] == [
+        "conjecture_k2k3kn 3", "conjecture_k2k3kn 2", "conjecture_k2k3kn 2"]
+
+
+@pytest.mark.parametrize("names", [["conjecture", "table1"], ["table1", "conjecture"]])
+def test_each_table1_row_runs_once_per_call(monkeypatch, names):
+    calls = []
+
+    def counting(n, kind="window", face_budget=None):
+        calls.append((n, kind))
+        return check_table1_row(n, kind, face_budget)
+
+    monkeypatch.setitem(verify._JOB_KINDS, "table1", counting)
+    report = verify.run_suites(names, overrides={"n": [2, 3]})
+    assert sorted(calls) == [(2, "int"), (2, "window"), (3, "int"), (3, "window")]
+    assert [len(s.records) for s in report.suites] == [2 if s == "conjecture" else 4
+                                                       for s in names]
 
 
 def test_verify_unpublished_table1_row_is_a_usage_error(capsys):
@@ -562,9 +596,10 @@ def test_verify_on_a_real_two_worker_pool_matches_one_process(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    overrides = {"n": [3, 4]}
-    pooled = verify.run_suites(["paths_cycles"], jobs=2, overrides=overrides)
-    single = verify.run_suites(["paths_cycles"], jobs=1, overrides=overrides)
+    # three suites, one pool
+    names, overrides = ["table1", "paths_cycles", "conjecture"], {"n": [3, 4]}
+    pooled = verify.run_suites(names, jobs=2, overrides=overrides)
+    single = verify.run_suites(names, jobs=1, overrides=overrides)
     assert seen == [2] and 1 <= started[0] <= 2
     assert pooled.ok
     assert pooled.to_json_dict(deterministic=True) == single.to_json_dict(deterministic=True)

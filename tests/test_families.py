@@ -33,16 +33,14 @@ def test_spec_validation():
         FamilySpec("product", (1, 4))         # domain
     with pytest.raises(ValueError):
         FamilySpec("no_such_family", (1,))
-    with pytest.raises(ValueError):
-        FamilySpec("custom-file")             # needs a path
-    FamilySpec("custom-file", path="g.json")
+    with pytest.raises(ValueError, match="unknown family"):
+        FamilySpec("custom-file")             # a graph file is not a family
 
 
 def test_spec_coerces_and_describes():
     s = FamilySpec("kn_lr", ("3", "2"))
     assert s.params == (3, 2)
     assert s.describe() == "kn_lr 3 2"
-    assert FamilySpec("custom-file", path="x.edges").describe() == "custom-file x.edges"
 
 
 def test_build_graph_counts():
@@ -73,14 +71,6 @@ def test_build_multi_k2_is_iterated_product():
     want = gr.categorical_product(
         gr.categorical_product(gr.complete(2), gr.complete(2)), gr.complete(3))
     assert build_graph(FamilySpec("multi_k2_product", (3, 3))) == want
-
-
-def test_build_custom_file_round_trip(tmp_path):
-    G = gr.cycle_ladder(4, 2)
-    dest = tmp_path / "g.json"
-    gr.save_graph(G, str(dest))
-    spec = FamilySpec("custom-file", path=str(dest))
-    assert build_graph(spec) == G
 
 
 def test_random_graph_is_seed_deterministic():
