@@ -40,17 +40,23 @@ class SimplicialComplex:
     dimension, face masks in lexicographic order of their index tuples,
     which is what enumeration produces.  Faces from outside the program come
     in through ``from_facets``.
+
+    ``adjacency`` holds G's adjacency mask of each vertex on Ind(G) and its
+    skeletons, each dimension of which has all of Ind(G)'s faces of that
+    dimension; it is None elsewhere.  The Betti kernel reads its shortcuts
+    off it; equality and hashing never look at it.
     """
 
-    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "source")
+    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "source", "adjacency")
 
-    def __init__(self, vertices, faces_by_dim, source=None):
+    def __init__(self, vertices, faces_by_dim, source=None, adjacency=None):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._faces = {-1: (0,)}
         self._faces.update((d, tuple(fs)) for d, fs in faces_by_dim.items() if d >= 0 and fs)
         self._all_faces = None
         self.source = source
+        self.adjacency = adjacency
 
     # -- structure ---------------------------------------------------------
 
@@ -184,7 +190,7 @@ def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> Simplic
     cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
     by_size = _enumerate_independent(nbr, cap, budget)
     return SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(by_size)},
-                             source=G.name or repr(G))
+                             source=G.name or repr(G), adjacency=nbr)
 
 
 def independence_complex(G: Graph, max_dim: int | None = None,

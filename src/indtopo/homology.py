@@ -22,11 +22,35 @@ highest cleared face first) is a unimodular column operation, which
 changes neither the rank nor the Smith form; with c[s] = 2, say, it need
 not be.
 
+Ind(G) and its skeletons keep G's adjacency masks, and with them the
+apparent pairs of Bauer ("Ripser: efficient computation of Vietoris-Rips
+persistence barcodes", J. Appl. Comput. Topol. 5, 2021) come free, since
+independence complexes are flag complexes.  Rows are in lexicographic
+order, so a face's highest-row facet drops its lowest vertex, and its first
+cofacet adds the lowest vertex free for it (outside it and adjacent to none
+of its vertices).  For a d-face f with lowest vertex l and g = f - l:
+
+1. no vertex below l is free for g: f is g's first cofacet, so no column
+   left of f has row g, and column f is already reduced, with pivot row g
+   and entry +1 (over Z too).  It is counted, and built only when a
+   reduction reaches row g.
+2. otherwise, if the lowest vertex u free for f is below l, f is the
+   highest-row facet of its first cofacet f + u: (f, f + u) is an apparent
+   pair one dimension up, f a unit pivot row there, and column f is
+   skipped as above.  The argument reads only the boundary of f + u, whose
+   facets are all d-faces, so it clears a window's top dimension too,
+   where f + u is never enumerated.
+3. otherwise column f is built.
+
+``from_facets`` complexes hold no masks and build every column not cleared.
+
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import cycle
 
 from .complexes import SimplicialComplex, faces_in_window, facet_masks
 
@@ -38,11 +62,6 @@ class Boundary:
     columns: tuple
 
 
-def _facet_signs(d: int) -> tuple:
-    """Signs of a d-face's d + 1 facets, lowest dropped vertex first: (-1)^k for the k-th."""
-    return tuple(-1 if k % 2 else 1 for k in range(d + 1))
-
-
 def _row_lookup(cx, d: int):
     """The row index of each (d-1)-face, the rows of the d-faces' columns."""
     rows = cx.face_masks(d - 1)
@@ -52,13 +71,14 @@ def _row_lookup(cx, d: int):
 def boundary_matrix(cx, d: int) -> Boundary:
     """The boundary map from d-faces to (d-1)-faces; d = 0 is the augmentation.
 
-    Each column lists its facets by the vertex they drop, lowest first.
+    Each column lists its facets by the vertex they drop, lowest first; the
+    k-th has sign (-1)^k.
     """
     if d < 0:
         raise ValueError(f"boundary_matrix needs d >= 0, got {d}")
-    row_of, signs = _row_lookup(cx, d), _facet_signs(d)
+    row_of = _row_lookup(cx, d)
     return Boundary(cx.face_count(d - 1), tuple(
-        tuple(zip(map(row_of, facet_masks(face)), signs)) for face in cx.face_masks(d)))
+        tuple(_integer_column(row_of, face).items()) for face in cx.face_masks(d)))
 
 
 # -- GF(2) ------------------------------------------------------------------
@@ -68,21 +88,25 @@ def gf2_columns(boundary: Boundary):
     return [sum(1 << r for r, _ in col) for col in boundary.columns]
 
 
-def _gf2_pivots(columns) -> dict:
+def _gf2_pivots(columns, apparent=(), build=None) -> dict:
     """Reduce bitset columns in order; the pivots as {low: reduced column}.
 
-    A column's low is ``col.bit_length()`` (its highest set row, plus one),
-    the same "low" as in `_integer_reduce`; on boundary columns in face
-    order it keeps fill-in small.
+    A column's low is its highest set row, the same "low" as in
+    `_integer_reduce`; on boundary columns in face order it keeps fill-in
+    small.  ``apparent`` maps a row to the face of an apparent column not
+    yet built (none by default): a column reaching that row has ``build``
+    make its pivot then.
     """
     pivots = {}
     for col in columns:
         while col:
-            low = col.bit_length()
+            low = col.bit_length() - 1
             other = pivots.get(low)
             if other is None:
-                pivots[low] = col
-                break
+                if low not in apparent:
+                    pivots[low] = col
+                    break
+                other = pivots[low] = build(apparent.pop(low))
             col ^= other
     return pivots
 
@@ -92,13 +116,12 @@ def gf2_rank(columns) -> int:
     return len(_gf2_pivots(columns))
 
 
-def _bitset_columns(faces, row_of):
-    """Each face mask's column as a bitset of its facets' rows."""
-    for face in faces:
-        col = 0
-        for r in map(row_of, facet_masks(face)):
-            col |= 1 << r
-        yield col
+def _gf2_column(row_of, face: int) -> int:
+    """A face mask's column as a bitset of its facets' rows; signs vanish mod 2."""
+    col = 0
+    for r in map(row_of, facet_masks(face)):
+        col |= 1 << r
+    return col
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -145,15 +168,16 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(tuple(factors), len(factors))
 
 
-def _integer_reduce(columns):
+def _integer_reduce(columns, apparent=(), build=None):
     """(rank, invariant factors of the residual block, unit-pivot rows) of
     integer columns, each a {row: value} dict (consumed).
 
-    Column reduction in the loop shape of `_gf2_pivots`: each column is
-    reduced on its highest row ("low") against earlier columns whose entry
-    there is +-1.  A column left with a unit low becomes that row's pivot;
-    one left with a non-unit low goes to a residual list.  Afterwards every
-    unit-pivot row is cleared from the residual columns, highest row first,
+    Column reduction in the loop shape of `_gf2_pivots`, with the same
+    ``apparent`` and ``build``: each column is reduced on its highest row
+    ("low") against earlier columns whose entry there is +-1.  A column
+    left with a unit low becomes that row's pivot; one left with a non-unit
+    low goes to a residual list.  Afterwards every unit-pivot row, apparent
+    ones included, is cleared from the residual columns, highest row first,
     and only that residual block goes to the dense Smith normal form.
 
     Why this is exact: all of the above are unimodular column operations.
@@ -171,23 +195,32 @@ def _integer_reduce(columns):
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                if col[low] in (1, -1):
-                    pivots[low] = col
-                else:
-                    residual.append(col)
-                break
+                if low not in apparent:
+                    if col[low] in (1, -1):
+                        pivots[low] = col
+                    else:
+                        residual.append(col)
+                    break
+                other = pivots[low] = build(apparent.pop(low))
             _subtract(col, other, col[low] * other[low])
-    if residual:
-        for low in sorted(pivots, reverse=True):
-            other = pivots[low]
-            for col in residual:
-                if low in col:
-                    _subtract(col, other, col[low] * other[low])
+    units = {*pivots, *apparent}
+    for low in sorted(units, reverse=True) if residual else ():
+        other = None
+        for col in residual:
+            if low in col:
+                other = other or pivots.get(low) or build(apparent[low])
+                _subtract(col, other, col[low] * other[low])
     rows = sorted({r for col in residual for r in col})
     if not rows:
-        return len(pivots), (), set(pivots)
+        return len(units), (), units
     snf = smith_normal_form([[col.get(r, 0) for col in residual] for r in rows])
-    return len(pivots) + snf.rank, snf.factors, set(pivots)
+    return len(units) + snf.rank, snf.factors, units
+
+
+def _integer_column(row_of, face: int) -> dict:
+    """A face mask's column as {row: sign} of its facets, the k-th dropped
+    vertex's facet with sign (-1)^k."""
+    return dict(zip(map(row_of, facet_masks(face)), cycle((1, -1))))
 
 
 def _subtract(col: dict, other: dict, q: int):
@@ -258,6 +291,42 @@ class BettiTable:
         return ", ".join(f"b{d}={v}" for d, v in nz.items())
 
 
+def _column_case(adjacency, face: int) -> int:
+    """Which of the three cases of the module docstring a d-face's column is
+    in: 1 apparent, 2 reduces to zero, 3 built; G's adjacency masks decide.
+
+    Only the vertices v below the face's lowest vertex l matter.  v is free
+    for the face when its mask meets none of the face's bits, and free for
+    the face minus l when it meets l's bit alone.
+    """
+    low = face & -face
+    apparent = True
+    for m in adjacency[:low.bit_length() - 1]:
+        m &= face
+        if not m:
+            return 2
+        if m == low:
+            apparent = False
+    return 1 if apparent else 3
+
+
+def _faces_to_build(store, d: int, cleared, apparent: dict, row_of):
+    """The d-faces whose columns are built, in order.
+
+    Cleared faces and case-2 faces are skipped, and each apparent face goes
+    into ``apparent`` by its pivot row instead, while the faces are read, so
+    a reduction sees every apparent column to its left.
+    """
+    adjacency = store.adjacency
+    for j, f in enumerate(store.face_masks(d)):
+        if j not in cleared:
+            case = 3 if adjacency is None else _column_case(adjacency, f)
+            if case == 1:
+                apparent[row_of(f & (f - 1))] = f
+            elif case == 3:
+                yield f
+
+
 def boundary_rank(store, d: int, coefficients: str, cleared):
     """(rank, residual invariant factors, pivot rows) of the boundary map from
     d-faces to (d-1)-faces of a face store, over "z2" or "int" coefficients.
@@ -265,18 +334,19 @@ def boundary_rank(store, d: int, coefficients: str, cleared):
     Columns are built straight from the face masks, one at a time, and the
     d-faces at indices in ``cleared`` are skipped: they must be pivot rows
     of the map one dimension up (every pivot mod 2, unit pivots over Z),
-    whose columns reduce to zero.  The returned pivot rows are what the
-    next dimension down may clear.  Factors are () mod 2.
+    whose columns reduce to zero.  On a store with adjacency masks, apparent
+    columns are counted and built only when a reduction reaches their row,
+    and case-2 columns are skipped too.  The returned pivot rows, apparent
+    ones included, are what the next dimension down may clear.  Factors are
+    () mod 2.
     """
-    faces = store.face_masks(d)
-    if cleared:
-        faces = (f for j, f in enumerate(faces) if j not in cleared)
-    row_of = _row_lookup(store, d)
-    if coefficients == "z2":
-        pivots = _gf2_pivots(_bitset_columns(faces, row_of))
-        return len(pivots), (), {low - 1 for low in pivots}
-    signs = _facet_signs(d)
-    return _integer_reduce(dict(zip(map(row_of, facet_masks(f)), signs)) for f in faces)
+    row_of, apparent, z2 = _row_lookup(store, d), {}, coefficients == "z2"
+    build = partial(_gf2_column if z2 else _integer_column, row_of)
+    columns = map(build, _faces_to_build(store, d, cleared, apparent, row_of))
+    if not z2:
+        return _integer_reduce(columns, apparent, build)
+    pivots = _gf2_pivots(columns, apparent, build)
+    return len(pivots) + len(apparent), (), {*pivots, *apparent}
 
 
 def _betti_table(store, lo: int, hi: int, coefficients: str,

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: independent sets come from a
 full subset sweep, cone links from trying every apex against every face,
 ranks from naive Gaussian elimination on dense matrices (ints mod 2, or
-exact Fractions), invariant factors from gcds of minors,
+exact Fractions), invariant factors from gcds of minors, the cases of
+boundary columns from first cofacets found in the sorted face lists,
 isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
 off the whole modified Hasse diagram, ordered matchings from sweeping the
 whole face pool per element, and the canonical graph order from sorting
@@ -23,6 +24,11 @@ from fractions import Fraction
 
 from indtopo.graphs import Graph, render_label
 from indtopo.homotopy import HomotopyType, Stuck, suspend, wedge_all
+
+# the 6-vertex triangulation of the real projective plane: the standard
+# torsion specimen (mod-2 sees dimensions 1 and 2, the integers see Z/2)
+RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+              (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 
 
 def brute_independent_sets(G: Graph):
@@ -54,6 +60,20 @@ def faces_by_dimension(faces):
         by.setdefault(len(f) - 1, []).append(tuple(sorted(f, key=render_label)))
     key = lambda f: [render_label(v) for v in f]
     return {d: sorted(fs, key=key) for d, fs in sorted(by.items())}
+
+
+def incomparability_graph(facets) -> Graph:
+    """The graph on the nonempty faces the facets span, named like v1_2_3, with
+    an edge between every two faces neither of which contains the other.
+
+    Its independence complex is the order complex of the face poset: the
+    barycentric subdivision of the complex the facets span.
+    """
+    faces = {frozenset(c) for f in facets for k in range(1, len(f) + 1)
+             for c in itertools.combinations(f, k)}
+    name = {f: "v" + "_".join(map(str, sorted(f))) for f in faces}
+    return Graph(name.values(), [(name[a], name[b]) for a, b in itertools.combinations(faces, 2)
+                                 if not (a <= b or b <= a)])
 
 
 def canonical_graph(vertices, edges=(), loops=()):
@@ -184,6 +204,33 @@ def brute_betti(G: Graph, field="gf2"):
         f_d = len(by.get(d, []))
         out[d] = f_d - ranks[d] - ranks.get(d + 1, 0)
     return out
+
+
+def column_cases(by_dim) -> dict:
+    """The case of each face's boundary column, {face: 1, 2 or 3}, read off the
+    sorted face lists of ``faces_by_dimension`` (every face of the complex).
+
+    A face's first cofacet is the first face one dimension up that contains
+    it; a face's highest-row facet is the face without its lowest vertex.
+    Case 1 (apparent): f is the first cofacet of f's highest-row facet.
+    Case 2 (reduces to zero): otherwise, f is the highest-row facet of its
+    own first cofacet.  Case 3: neither.
+    """
+    first = {}
+    for d in sorted(by_dim):
+        for c in by_dim[d]:
+            for k in range(len(c)):
+                first.setdefault(c[:k] + c[k + 1:], c)
+    cases = {}
+    for d, faces in by_dim.items():
+        for f in faces if d >= 0 else ():
+            if first[f[1:]] == f:
+                cases[f] = 1
+            elif f in first and first[f][1:] == f:
+                cases[f] = 2
+            else:
+                cases[f] = 3
+    return cases
 
 
 def matching_is_acyclic(pairs, faces) -> bool:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from indtopo import cli
 from indtopo import graphs as gr
 from indtopo import morse
@@ -140,6 +141,15 @@ def test_betti_from_file(tmp_path, capsys):
     assert json.loads(out)["instance"] == f"custom-file {dest}"
     code, _, _ = run(capsys, "betti", "--file", str(dest), "cycle", "7")
     assert code == 3       # spec and file together is ambiguous
+
+
+def test_betti_prints_the_torsion_of_an_edge_file(tmp_path, capsys):
+    # Ind of this graph is the barycentric subdivision of RP^2
+    dest = tmp_path / "rp2.edges"
+    gr.save_graph(oracles.incomparability_graph(oracles.RP2_FACETS), str(dest))
+    code, out, _ = run(capsys, "betti", "--file", str(dest), "--coeff", "int")
+    assert code == 0 and json.loads(out)["torsion"] == {"1": [2]}
+    assert not any(json.loads(out)["betti"].values())
 
 
 def test_betti_face_budget_exit_code(capsys):

@@ -15,6 +15,7 @@ from indtopo.complexes import (
     from_facets,
     independence_complex,
 )
+from indtopo.homology import betti_reduced
 
 
 def small_graphs():
@@ -141,6 +142,11 @@ def test_from_facets_round_trip():
     K = independence_complex(gr.cycle(6))
     K2 = from_facets(K.vertices, K.facets())
     assert K2 == K
+    # equality is about faces: only K holds adjacency masks, and both have
+    # one hash and one integer Betti table
+    assert K.adjacency is not None and K2.adjacency is None
+    assert hash(K2) == hash(K)
+    assert betti_reduced(K, "int") == betti_reduced(K2, "int")
     # downward closure from scratch
     tri = from_facets([1, 2, 3], [(1, 2, 3)])
     assert tri.f_vector() == (1, 3, 3, 1)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from indtopo.complexes import from_facets, independence_complex
 from indtopo.homology import (
     BettiTable,
     Boundary,
+    _column_case,
     _integer_reduce,
     betti_reduced,
     betti_window,
@@ -20,11 +22,7 @@ from indtopo.homology import (
     gf2_rank,
     smith_normal_form,
 )
-
-# the 6-vertex triangulation of the real projective plane: the standard
-# torsion specimen (mod-2 sees dimensions 1 and 2, the integers see Z/2)
-RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-              (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+from oracles import RP2_FACETS
 
 
 def rand_graph(rng, n, p=0.5):
@@ -391,41 +389,116 @@ def test_torsion_of_rp2_its_suspension_and_its_self_join():
         assert integral.torsion == torsion
 
 
+def test_torsion_through_an_independence_complex():
+    """RP^2 subdivided, as Ind of its face poset's incomparability graph: the
+    apparent-pair shortcuts meet torsion, and again after a suspension."""
+    G = oracles.incomparability_graph(RP2_FACETS)
+    K = independence_complex(G)
+    assert G.vertex_count == 31 and K.f_vector() == (1, 31, 90, 60)
+    assert K.adjacency is not None
+    integral = betti_reduced(K, "int")
+    assert integral.nonzero() == {} and integral.torsion == {1: (2,)}
+    assert betti_reduced(K, "z2").nonzero() == {1: 1, 2: 1}
+    assert betti_window(G, 0, 1).betti == {0: 0, 1: 1}
+    # Ind(G + K_2) is the join of Ind(G) with S^0, its suspension
+    S = independence_complex(gr.Graph([*G.vertices, "x", "y"], [*G.edges, ("x", "y")]))
+    assert S.total_faces == 546
+    integral = betti_reduced(S, "int")
+    assert integral.nonzero() == {} and integral.torsion == {2: (2,)}
+    assert betti_reduced(S, "z2").nonzero() == {2: 1, 3: 1}
+
+
+def test_column_cases_match_the_first_cofacet_oracle():
+    """The three-case rule against its twin read off sorted face lists, on
+    every face of seeded graphs with loops.  Dropping the case-2 columns
+    keeps each map's dense rank, and every Betti route equals the route
+    without shortcuts (the same faces through from_facets)."""
+    rng = random.Random(307)
+    seen = Counter()
+    for _ in range(300):
+        verts = list(range(1, rng.randint(1, 11) + 1))
+        p = rng.choice((0.3, 0.5, 0.7))
+        G = gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p],
+                     [v for v in verts if rng.random() < 0.15])
+        K = independence_complex(G)
+        by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
+        cases = oracles.column_cases(by_dim)
+        for d in range(0, K.dim + 1):
+            mine = [_column_case(K.adjacency, f) for f in K.face_masks(d)]
+            assert mine == [cases[K.labels(f)] for f in K.face_masks(d)], (G, d)
+            seen.update(mine)
+            A = oracles.boundary_rows(by_dim, d, signed=True)
+            kept = [[v for v, case in zip(row, mine) if case != 2] for row in A]
+            assert oracles.rank_gf2(kept) == oracles.rank_gf2(A), (G, d)
+            if len(mine) <= 40:     # exact Fractions are slow on larger maps
+                assert oracles.rank_q(kept) == oracles.rank_q(A), (G, d)
+        F = from_facets(K.vertices, K.facets())
+        assert F.adjacency is None
+        for coefficients in ("z2", "int"):
+            assert betti_reduced(K, coefficients) == betti_reduced(F, coefficients), G
+        full = betti_reduced(F)
+        for lo in range(0, K.dim + 1):
+            for hi in range(lo, K.dim + 2):
+                win = betti_window(G, lo, hi)
+                assert all(win.value(d) == full.value(d) for d in range(lo, hi + 1)), (G, lo, hi)
+    assert min(seen[1], seen[2], seen[3]) > 100
+
+
 def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
-    """Columns reaching either elimination loop number at most
-    sum_d (f_d - rank d_(d+1)): a column whose face is a pivot row one
-    dimension up is never built."""
+    """Columns are counted where they are built, apparent ones built on demand
+    included.  A map of rank r with a apparent columns builds at least r - a,
+    and a Betti table builds at most sum_d (f_d - rank d_(d+1)) less the
+    apparent columns it counted without building: a face that is a pivot
+    row one dimension up is never built."""
     import indtopo.homology as hom
     built = []
 
-    def counting(reduce):
-        def counted(columns):
-            columns = list(columns)
-            built.append(len(columns))
-            return reduce(columns)
+    def counting(column):
+        def counted(*args):
+            built.append(args[-1])
+            return column(*args)
         return counted
 
-    monkeypatch.setattr(hom, "_gf2_pivots", counting(hom._gf2_pivots))
-    monkeypatch.setattr(hom, "_integer_reduce", counting(hom._integer_reduce))
+    monkeypatch.setattr(hom, "_gf2_column", counting(hom._gf2_column))
+    monkeypatch.setattr(hom, "_integer_column", counting(hom._integer_column))
     rng = random.Random(5)
     graphs = [rand_graph(rng, rng.randint(4, 9), rng.choice((0.2, 0.4))) for _ in range(20)]
     graphs.append(gr.categorical_product(gr.complete(3), gr.complete(4)))
-    cleared = 0
+    cleared = needed = 0
     for G in graphs:
         top, faces, dense = _dense_boundaries(G)
-        rank = {d: oracles.rank_q(A) if A and A[0] else 0 for d, A in dense.items()}
+        ranks = {"z2": {d: oracles.rank_gf2(A) if A and A[0] else 0 for d, A in dense.items()},
+                 "int": {d: oracles.rank_q(A) if A and A[0] else 0 for d, A in dense.items()}}
         K = independence_complex(G)
-        bound = sum(faces[d] - rank[d + 1] for d in range(0, top + 1))
-        for coefficients in ("z2", "int"):
+        by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
+        cases = oracles.column_cases(by_dim)
+        case_of = {f: cases[K.labels(f)] for d in range(0, top + 1) for f in K.face_masks(d)}
+        apparent = Counter(d for d in range(0, top + 1) for f in K.face_masks(d)
+                           if case_of[f] == 1)
+        runs = [(0, "z2", lambda: betti_reduced(K, "z2")),
+                (0, "int", lambda: betti_reduced(K, "int"))]
+        runs += [(lo, "z2", lambda lo=lo: betti_window(G, lo, top)) for lo in range(0, top + 1)]
+        for lo, coefficients, run in runs:
+            rank, dims = ranks[coefficients], range(lo, top + 1)
             built.clear()
-            betti_reduced(K, coefficients)
-            assert sum(built) <= bound, (G, coefficients)
-        for lo in range(0, top + 1):
-            built.clear()
-            betti_window(G, lo, top)
-            assert sum(built) <= sum(faces[d] - rank[d + 1] for d in range(lo, top + 1))
-        cleared += sum(faces[d] for d in range(0, top + 1)) - bound
-    assert cleared > 0
+            run()
+            unbuilt = sum(apparent[d] for d in dims) - sum(case_of[f] == 1 for f in built)
+            least = sum(rank[d] - apparent[d] for d in dims)
+            assert least <= len(built) <= sum(faces[d] - rank[d + 1] for d in dims) - unbuilt, \
+                (G, coefficients, lo)
+            needed += least
+        cleared += sum(ranks["int"][d + 1] for d in range(0, top + 1))
+    assert cleared > 0 and needed > 0
+    # without apparent pairs the table-1 window n = 5 builds 15,716 mod-2
+    # columns, and full-range Z homology of Ind(K_2 x K_3 x K_3) builds 832
+    k2k3 = gr.categorical_product(gr.complete(2), gr.complete(3))
+    built.clear()
+    assert betti_window(gr.categorical_product(k2k3, gr.complete(5)), 2, 4).nonzero() == {3: 52}
+    assert 0 < len(built) <= 2000
+    built.clear()
+    K = independence_complex(gr.categorical_product(k2k3, gr.complete(3)))
+    assert betti_reduced(K, "int").nonzero() == {3: 14}
+    assert 0 < len(built) <= 300
 
 
 def test_euler_from_betti_matches_face_count_sweep():
