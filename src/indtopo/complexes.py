@@ -193,6 +193,54 @@ def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> Simplic
                              source=G.name or repr(G), adjacency=nbr)
 
 
+def _classified_skeleton(G: Graph, top: int, face_budget: int | None):
+    """The walk of ``_enumerate_independent`` up to dimension top >= 1, its
+    budget charges too, knowing each face's column case (``homology``).
+
+    Returns the (top-1)-skeleton, its faces' cases by dimension, the case-3
+    top faces and the number of top faces; the rest of the top is not kept.
+    A face carries B, the vertices below its lowest vertex l free for it
+    minus l, and C, those of B not adjacent to l: case 2 if C, else 3 if B,
+    else 1.  A child ANDs both with the new vertex's non-neighbours.
+    """
+    budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
+    verts, nbr = _independence_masks(G)
+    full = (1 << len(nbr)) - 1
+    keep = [full & ~m for m in nbr]
+    out, cases, built = [[0]] + [[] for _ in range(top)], [bytearray() for _ in range(top + 1)], []
+    visited = 0
+
+    def rec(face, k, cand, free, clear):
+        nonlocal visited
+        out[k].append(face)
+        cases[k].append(2 if clear else 3 if free else 1)
+        k += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            visited += 1
+            if visited > budget:
+                _check_budget(visited, budget)
+            m = keep[low.bit_length() - 1]
+            if k <= top:
+                rec(face | low, k, cand & m, free & m, clear & m)
+            elif free & m and not clear & m:
+                built.append(face | low)
+
+    try:
+        for i, m in enumerate(keep):   # the root's children: f - l is empty
+            low = 1 << i
+            visited += 1
+            if visited > budget:
+                _check_budget(visited, budget)
+            rec(low, 1, full & ~(2 * low - 1) & m, low - 1, (low - 1) & m)
+    finally:
+        del rec
+    K = SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(out)},
+                          source=G.name or repr(G), adjacency=nbr)
+    return K, {k - 1: cs for k, cs in enumerate(cases)}, built, visited + 1 - K.total_faces
+
+
 def independence_complex(G: Graph, max_dim: int | None = None,
                          face_budget: int | None = None) -> SimplicialComplex:
     """The complex of independent sets of G (faces avoid edges and looped vertices).

@@ -42,6 +42,10 @@ of its vertices).  For a d-face f with lowest vertex l and g = f - l:
    where f + u is never enumerated.
 3. otherwise column f is built.
 
+A window's walk knows each face's case when it makes the face, and of its
+top dimension stores only the case-3 faces: the apparent ones are counted
+from the case-2 faces g one dimension down (g is the row of g + u, u the
+lowest vertex free for g), and the zero ones are only counted.
 ``from_facets`` complexes hold no masks and build every column not cleared.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import cycle
 
-from .complexes import SimplicialComplex, faces_in_window, facet_masks
+from .complexes import SimplicialComplex, _classified_skeleton, facet_masks
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,7 @@ class BettiTable:
     coefficients: str                     # "z2" or "int"
     torsion: dict = field(default_factory=dict)
     window: tuple | None = None
+    faces: int | None = field(default=None, compare=False)   # counted by a window
 
     def value(self, d: int) -> int:
         if self.window is not None:
@@ -295,39 +300,38 @@ def _column_case(adjacency, face: int) -> int:
     """Which of the three cases of the module docstring a d-face's column is
     in: 1 apparent, 2 reduces to zero, 3 built; G's adjacency masks decide.
 
-    Only the vertices v below the face's lowest vertex l matter.  v is free
-    for the face when its mask meets none of the face's bits, and free for
-    the face minus l when it meets l's bit alone.
+    B is the set of vertices below the face's lowest vertex l free for the
+    face minus l, C those of B not adjacent to l: 2 if C, else 3 if B, else 1.
     """
     low = face & -face
-    apparent = True
-    for m in adjacency[:low.bit_length() - 1]:
-        m &= face
-        if not m:
-            return 2
-        if m == low:
-            apparent = False
-    return 1 if apparent else 3
+    free, rest = low - 1, face ^ low
+    while free and rest:
+        v = rest & -rest
+        rest ^= v
+        free &= ~adjacency[v.bit_length() - 1]
+    return 2 if free & ~adjacency[low.bit_length() - 1] else 3 if free else 1
 
 
-def _faces_to_build(store, d: int, cleared, apparent: dict, row_of):
+def _faces_to_build(store, d: int, cleared, apparent: dict, row_of, cases=None):
     """The d-faces whose columns are built, in order.
 
     Cleared faces and case-2 faces are skipped, and each apparent face goes
     into ``apparent`` by its pivot row instead, while the faces are read, so
-    a reduction sees every apparent column to its left.
+    a reduction sees every apparent column to its left.  Cases come from
+    ``cases`` (one per face) if given, else from the store's masks, if any.
     """
     adjacency = store.adjacency
     for j, f in enumerate(store.face_masks(d)):
         if j not in cleared:
-            case = 3 if adjacency is None else _column_case(adjacency, f)
+            case = (cases[j] if cases else
+                    3 if adjacency is None else _column_case(adjacency, f))
             if case == 1:
                 apparent[row_of(f & (f - 1))] = f
             elif case == 3:
                 yield f
 
 
-def boundary_rank(store, d: int, coefficients: str, cleared):
+def boundary_rank(store, d: int, coefficients: str, cleared, cases=None):
     """(rank, residual invariant factors, pivot rows) of the boundary map from
     d-faces to (d-1)-faces of a face store, over "z2" or "int" coefficients.
 
@@ -338,32 +342,55 @@ def boundary_rank(store, d: int, coefficients: str, cleared):
     columns are counted and built only when a reduction reaches their row,
     and case-2 columns are skipped too.  The returned pivot rows, apparent
     ones included, are what the next dimension down may clear.  Factors are
-    () mod 2.
+    () mod 2.  ``cases`` may give the case of each d-face.
     """
     row_of, apparent, z2 = _row_lookup(store, d), {}, coefficients == "z2"
     build = partial(_gf2_column if z2 else _integer_column, row_of)
-    columns = map(build, _faces_to_build(store, d, cleared, apparent, row_of))
+    columns = map(build, _faces_to_build(store, d, cleared, apparent, row_of, cases))
     if not z2:
         return _integer_reduce(columns, apparent, build)
     pivots = _gf2_pivots(columns, apparent, build)
     return len(pivots) + len(apparent), (), {*pivots, *apparent}
 
 
+def _top_rank(K, d: int, built, cases):
+    """(rank, pivot rows) mod 2 of the map from dimension d, of which only
+    the case-3 faces ``built`` are stored; ``cases`` are the (d-1)-faces'.
+
+    A case-2 g's apparent column g + u (u, below g, the first vertex adjacent
+    to none of g) is built when a reduction reaches row g.  The apparent
+    rows are left out of the pivot rows: case 2, they are skipped anyway.
+    """
+    row_of, adjacency = _row_lookup(K, d), K.adjacency
+    apparent = {r: g for r, (g, case) in enumerate(zip(K.face_masks(d - 1), cases)) if case == 2}
+
+    def build(g):
+        return _gf2_column(row_of, g | next(1 << v for v, m in enumerate(adjacency) if not m & g))
+
+    pivots = _gf2_pivots((_gf2_column(row_of, f) for f in built), apparent, build)
+    return len(pivots) + len(apparent), pivots
+
+
 def _betti_table(store, lo: int, hi: int, coefficients: str,
-                 window: tuple | None = None) -> BettiTable:
+                 window: tuple | None = None, cases=None, top=None) -> BettiTable:
     """Betti numbers of dimensions lo..hi from a face store holding dims lo-1..hi+1.
 
     One top-down pass with clearing: dimension d skips the columns of the
-    pivot rows of dimension d + 1.
+    pivot rows of dimension d + 1.  ``cases`` may give each dimension's
+    column cases, and ``top`` the (rank, pivot rows) of dimension hi + 1.
     """
     ranks = {}
     factors = {}
     cleared = frozenset()
-    for d in range(hi + 1, max(lo, 0) - 1, -1):
+    dims = range(hi + 1, max(lo, 0) - 1, -1)
+    if top is not None:
+        (ranks[hi + 1], cleared), dims = top, dims[1:]
+    for d in dims:
         if store.face_count(d) == 0:
             cleared = frozenset()
             continue
-        ranks[d], factors[d], cleared = boundary_rank(store, d, coefficients, cleared)
+        ranks[d], factors[d], cleared = boundary_rank(
+            store, d, coefficients, cleared, cases and cases[d])
     betti = {}
     torsion = {}
     for d in range(lo, hi + 1):
@@ -381,11 +408,16 @@ def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
     return _betti_table(K, -1, K.dim, coefficients)
 
 
-def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None,
-                 faces=None) -> BettiTable:
+def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None) -> BettiTable:
     """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only.
 
-    ``faces`` may carry the prebuilt ``faces_in_window(G, d_lo, d_hi)`` skeleton.
+    One walk enumerates Ind(G) up to dimension d_hi + 1 and classifies each
+    face as it makes it; ``faces`` counts dimensions d_lo - 1..d_hi + 1.
     """
-    fw = faces if faces is not None else faces_in_window(G, d_lo, d_hi, face_budget=face_budget)
-    return _betti_table(fw, d_lo, d_hi, "z2", (d_lo, d_hi))
+    if d_lo < 0 or d_hi < d_lo:
+        raise ValueError(f"bad window ({d_lo}, {d_hi})")
+    K, cases, built, top_faces = _classified_skeleton(G, d_hi + 1, face_budget)
+    table = _betti_table(K, d_lo, d_hi, "z2", (d_lo, d_hi), cases,
+                         _top_rank(K, d_hi + 1, built, cases[d_hi]))
+    table.faces = top_faces + sum(map(K.face_count, range(d_lo - 1, d_hi + 1)))
+    return table

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from . import graphs as gr
-from .complexes import FaceBudgetError, faces_in_window, independence_complex
+from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph, random_graph
 from .homology import betti_reduced, betti_window
 from .homotopy import HomotopyType, Stuck, predict, reduce as reduce_graph
@@ -211,9 +211,8 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
             bt = betti_reduced(K, coefficients)
             rec.computed_betti = bt.nonzero()
         else:
-            skeleton = faces_in_window(G, *window, face_budget=face_budget)
-            rec.faces = sum(skeleton.face_count(d) for d in range(window[0] - 1, window[1] + 2))
-            bt = betti_window(G, *window, faces=skeleton)
+            bt = betti_window(G, *window, face_budget=face_budget)
+            rec.faces = bt.faces
             rec.computed_betti = dict(bt.betti)
         rec.torsion = dict(bt.torsion)
         rec.match = bt.matches(want) and not rec.torsion

@@ -1,5 +1,6 @@
 """Exact homology: GF(2) ranks, integer invariant factors, Betti tables."""
 
+import gc
 import itertools
 import math
 import random
@@ -9,10 +10,17 @@ import pytest
 
 import oracles
 from indtopo import graphs as gr
-from indtopo.complexes import from_facets, independence_complex
+from indtopo.complexes import (
+    FaceBudgetError,
+    _classified_skeleton,
+    faces_in_window,
+    from_facets,
+    independence_complex,
+)
 from indtopo.homology import (
     BettiTable,
     Boundary,
+    _betti_table,
     _column_case,
     _integer_reduce,
     betti_reduced,
@@ -499,6 +507,96 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
     K = independence_complex(gr.categorical_product(k2k3, gr.complete(3)))
     assert betti_reduced(K, "int").nonzero() == {3: 14}
     assert 0 < len(built) <= 300
+
+
+def _looped_graphs(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        verts = list(range(1, rng.randint(1, max_n) + 1))
+        p = rng.choice((0.2, 0.4, 0.6))
+        yield gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p],
+                       [v for v in verts if rng.random() < 0.15])
+
+
+def _table1_graph(n):
+    return gr.categorical_product(
+        gr.categorical_product(gr.complete(2), gr.complete(3)), gr.complete(n))
+
+
+def test_window_walk_classifies_like_the_first_cofacet_oracle():
+    """The classifying walk's cases are the oracle's on every face below the
+    top, and of the top dimension it keeps exactly the case-3 faces and
+    counts the rest."""
+    seen = Counter()
+    for G in _looped_graphs(401, 200, 11):
+        full = independence_complex(G)
+        cases = oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(G)))
+        for top in range(1, full.dim + 3):
+            K, walk, built, top_faces = _classified_skeleton(G, top, None)
+            assert K == independence_complex(G, top - 1) and K.adjacency == full.adjacency
+            for d in range(0, top):
+                want = [cases[K.labels(f)] for f in K.face_masks(d)]
+                assert list(walk[d]) == want, (G, top, d)
+                seen.update(want)
+            tops = full.face_masks(top)
+            assert built == [f for f in tops if cases[full.labels(f)] == 3], (G, top)
+            assert top_faces == len(tops)
+    assert min(seen[1], seen[2], seen[3]) > 100
+
+
+def _budget_outcome(build, budget):
+    try:
+        build(budget)
+    except FaceBudgetError as e:
+        return str(e)
+    return None
+
+
+def test_window_route_equals_the_stored_skeleton_route():
+    """Every window 0 <= lo <= hi <= 4, and the table-1 windows: the same
+    table and face count as the Betti table of the stored skeleton, and the
+    same face-budget outcome as ``faces_in_window`` just below and at the
+    number of faces enumerated."""
+    cases = [(G, lo, hi) for G in _looped_graphs(409, 60, 10)
+             for lo in range(0, 5) for hi in range(lo, 5)]
+    cases += [(_table1_graph(n), 2, 4) for n in range(2, 6)]
+    for G, lo, hi in cases:
+        fw = faces_in_window(G, lo, hi)
+        win = betti_window(G, lo, hi)
+        assert win == _betti_table(fw, lo, hi, "z2", (lo, hi)), (G, lo, hi)
+        assert win.faces == sum(fw.face_count(d) for d in range(lo - 1, hi + 2))
+        enumerated = fw.total_faces - 1
+        outcomes = []
+        for budget in (enumerated - 1, enumerated):
+            outcome = _budget_outcome(lambda b: betti_window(G, lo, hi, face_budget=b), budget)
+            assert outcome == _budget_outcome(
+                lambda b: faces_in_window(G, lo, hi, face_budget=b), budget), (G, lo, hi, budget)
+            outcomes.append(outcome)
+        assert outcomes[1] is None and (outcomes[0] is None) == (enumerated == 0)
+    with pytest.raises(ValueError, match=r"bad window \(3, 1\)"):
+        betti_window(gr.cycle(5), 3, 1)
+
+
+def test_table1_window_stores_only_the_top_columns_it_builds():
+    """Of the 11,245 five-dimensional faces of Ind(K_2 x K_3 x K_5), the
+    window (2, 4) stores the 160 whose columns it builds; the verify record
+    still counts every face of dimensions 1..5."""
+    from indtopo.verify import check_table1_row
+
+    G = _table1_graph(5)
+    K, cases, built, top_faces = _classified_skeleton(G, 5, None)
+    assert K.dim == 4 and len(built) <= 160 and top_faces == 11_245
+    rec = check_table1_row(5)
+    assert rec.match and rec.faces == 24_971
+    gc.collect()
+    gc.disable()
+    try:
+        assert betti_window(G, 2, 4).nonzero() == {3: 52}
+        with pytest.raises(FaceBudgetError):
+            betti_window(G, 2, 4, face_budget=20_000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_euler_from_betti_matches_face_count_sweep():
