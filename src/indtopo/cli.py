@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from . import graphs as gr
 from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph
-from .homology import betti_reduced, betti_window
+from .homology import betti_window, graph_betti
 from .homotopy import Stuck, reduce as reduce_graph
 from .morse import _wedge_from_critical, element_matching, verify_acyclic
 from .verify import SUITES, run_suites
@@ -175,8 +175,7 @@ def _cmd_betti(args) -> int:
             raise _UsageError("windowed homology is mod-2 only")
         table = betti_window(G, lo, hi, face_budget=budget)
     else:
-        K = independence_complex(G, face_budget=budget)
-        table = betti_reduced(K, coefficients=args.coeff)
+        table = graph_betti(G, args.coeff, budget)
     if args.format == "json":
         out = table.to_json_dict()
         out["instance"] = name

@@ -40,23 +40,17 @@ class SimplicialComplex:
     dimension, face masks in lexicographic order of their index tuples,
     which is what enumeration produces.  Faces from outside the program come
     in through ``from_facets``.
-
-    ``adjacency`` holds G's adjacency mask of each vertex on Ind(G) and its
-    skeletons, each dimension of which has all of Ind(G)'s faces of that
-    dimension; it is None elsewhere.  The Betti kernel reads its shortcuts
-    off it; equality and hashing never look at it.
     """
 
-    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "source", "adjacency")
+    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "source")
 
-    def __init__(self, vertices, faces_by_dim, source=None, adjacency=None):
+    def __init__(self, vertices, faces_by_dim, source=None):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._faces = {-1: (0,)}
         self._faces.update((d, tuple(fs)) for d, fs in faces_by_dim.items() if d >= 0 and fs)
         self._all_faces = None
         self.source = source
-        self.adjacency = adjacency
 
     # -- structure ---------------------------------------------------------
 
@@ -190,24 +184,30 @@ def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> Simplic
     cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
     by_size = _enumerate_independent(nbr, cap, budget)
     return SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(by_size)},
-                             source=G.name or repr(G), adjacency=nbr)
+                             source=G.name or repr(G))
 
 
-def _classified_skeleton(G: Graph, top: int, face_budget: int | None):
-    """The walk of ``_enumerate_independent`` up to dimension top >= 1, its
-    budget charges too, knowing each face's column case (``homology``).
+def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
+    """The walk of ``_enumerate_independent`` up to dimension top (all of
+    Ind(G) for None), its budget charges too, knowing each face's column
+    case (``homology``).
 
-    Returns the (top-1)-skeleton, its faces' cases by dimension, the case-3
-    top faces and the number of top faces; the rest of the top is not kept.
-    A face carries B, the vertices below its lowest vertex l free for it
-    minus l, and C, those of B not adjacent to l: case 2 if C, else 3 if B,
-    else 1.  A child ANDs both with the new vertex's non-neighbours.
+    Returns Ind(G) up to dimension top, of which dimension top keeps only
+    its case-3 faces; each dimension's cases, in face order; G's adjacency
+    masks; and the number of faces walked, the empty face included.  A face
+    carries B, the vertices below its lowest vertex l free for it minus l,
+    and C, those of B not adjacent to l: case 2 if C, else 3 if B, else 1.
+    A child ANDs both with the new vertex's non-neighbours.  The empty face
+    is case 2 when G has a vertex: it is the row of the first vertex's
+    column.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     verts, nbr = _independence_masks(G)
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
-    out, cases, built = [[0]] + [[] for _ in range(top)], [bytearray() for _ in range(top + 1)], []
+    last = len(nbr) if top is None else top    # the largest size classified whole
+    out = [[0]] + [[] for _ in range(last + 1)]
+    cases = [bytearray([2 if full else 1])] + [bytearray() for _ in range(last + 1)]
     visited = 0
 
     def rec(face, k, cand, free, clear):
@@ -222,10 +222,11 @@ def _classified_skeleton(G: Graph, top: int, face_budget: int | None):
             if visited > budget:
                 _check_budget(visited, budget)
             m = keep[low.bit_length() - 1]
-            if k <= top:
+            if k <= last:
                 rec(face | low, k, cand & m, free & m, clear & m)
             elif free & m and not clear & m:
-                built.append(face | low)
+                out[k].append(face | low)
+                cases[k].append(3)
 
     try:
         for i, m in enumerate(keep):   # the root's children: f - l is empty
@@ -237,8 +238,8 @@ def _classified_skeleton(G: Graph, top: int, face_budget: int | None):
     finally:
         del rec
     K = SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(out)},
-                          source=G.name or repr(G), adjacency=nbr)
-    return K, {k - 1: cs for k, cs in enumerate(cases)}, built, visited + 1 - K.total_faces
+                          source=G.name or repr(G))
+    return K, {k - 1: cs for k, cs in enumerate(cases)}, nbr, visited + 1
 
 
 def independence_complex(G: Graph, max_dim: int | None = None,
@@ -285,12 +286,12 @@ def from_facets(vertices, facet_labels, face_budget: int | None = None,
             raise ValueError(f"facet {facet!r} has a label outside the vertices: "
                              f"{v!r}") from None
 
-    seen = set()
+    seen = set()     # the nonempty faces, the ones a budget counts
     for facet in facet_labels:
         f = tuple(sorted(position(v, facet) for v in facet))
         if len(set(f)) != len(f):
             raise ValueError(f"facet {facet!r} repeats a vertex")
-        for k in range(len(f) + 1):
+        for k in range(1, len(f) + 1):
             for sub in combinations(f, k):
                 if sub not in seen:
                     seen.add(sub)

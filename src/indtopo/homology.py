@@ -22,38 +22,42 @@ highest cleared face first) is a unimodular column operation, which
 changes neither the rank nor the Smith form; with c[s] = 2, say, it need
 not be.
 
-Ind(G) and its skeletons keep G's adjacency masks, and with them the
-apparent pairs of Bauer ("Ripser: efficient computation of Vietoris-Rips
-persistence barcodes", J. Appl. Comput. Topol. 5, 2021) come free, since
-independence complexes are flag complexes.  Rows are in lexicographic
-order, so a face's highest-row facet drops its lowest vertex, and its first
-cofacet adds the lowest vertex free for it (outside it and adjacent to none
-of its vertices).  For a d-face f with lowest vertex l and g = f - l:
+Independence complexes are flag complexes, and G's adjacency masks give
+their apparent pairs (Bauer, "Ripser: efficient computation of
+Vietoris-Rips persistence barcodes", J. Appl. Comput. Topol. 5, 2021).
+Rows are in lexicographic order, so a face's highest-row facet drops its
+lowest vertex, and its first cofacet adds the lowest vertex free for it
+(outside it and adjacent to none of its vertices).  For a d-face f with
+lowest vertex l and g = f - l:
 
 1. no vertex below l is free for g: f is g's first cofacet, so no column
    left of f has row g, and column f is already reduced, with pivot row g
-   and entry +1 (over Z too).  It is counted, and built only when a
-   reduction reaches row g.
+   and entry +1 (over Z too).
 2. otherwise, if the lowest vertex u free for f is below l, f is the
    highest-row facet of its first cofacet f + u: (f, f + u) is an apparent
-   pair one dimension up, f a unit pivot row there, and column f is
-   skipped as above.  The argument reads only the boundary of f + u, whose
-   facets are all d-faces, so it clears a window's top dimension too,
-   where f + u is never enumerated.
+   pair one dimension up, f a unit pivot row there, and column f reduces
+   to zero, as a cleared column does.  The argument reads only the
+   boundary of f + u, whose facets are all d-faces, so it holds at a
+   window's top dimension too, where f + u is never enumerated.
 3. otherwise column f is built.
 
-A window's walk knows each face's case when it makes the face, and of its
-top dimension stores only the case-3 faces: the apparent ones are counted
-from the case-2 faces g one dimension down (g is the row of g + u, u the
-lowest vertex free for g), and the zero ones are only counted.
-``from_facets`` complexes hold no masks and build every column not cleared.
+The first two cases pair up: f is case 1 exactly when g is case 2 and f is
+g + u, u the lowest vertex free for g, and the empty face is case 2 when
+there is a vertex.  So one rule serves every dimension: the rows of the
+map from d-faces that apparent columns pivot on are the case-2
+(d-1)-faces g, counted, and column g + u is built only when a reduction
+reaches row g; of the d-faces, only the case-3 ones are read as columns.
+``complexes._classified_skeleton`` decides each face's case as its walk
+makes the face, and keeps of a window's top dimension only the case-3
+faces.  ``graph_betti`` and ``betti_window`` run on that walk;
+``betti_reduced`` takes every face of any complex as case 3 and builds
+every column not cleared.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import cycle
 
 from .complexes import SimplicialComplex, _classified_skeleton, facet_masks
@@ -66,10 +70,10 @@ class Boundary:
     columns: tuple
 
 
-def _row_lookup(cx, d: int):
-    """The row index of each (d-1)-face, the rows of the d-faces' columns."""
+def _rows(cx, d: int) -> dict:
+    """{(d-1)-face: its row index}, the rows of the d-faces' columns."""
     rows = cx.face_masks(d - 1)
-    return dict(zip(rows, range(len(rows)))).__getitem__
+    return dict(zip(rows, range(len(rows))))
 
 
 def boundary_matrix(cx, d: int) -> Boundary:
@@ -80,7 +84,7 @@ def boundary_matrix(cx, d: int) -> Boundary:
     """
     if d < 0:
         raise ValueError(f"boundary_matrix needs d >= 0, got {d}")
-    row_of = _row_lookup(cx, d)
+    row_of = _rows(cx, d).__getitem__
     return Boundary(cx.face_count(d - 1), tuple(
         tuple(_integer_column(row_of, face).items()) for face in cx.face_masks(d)))
 
@@ -97,9 +101,9 @@ def _gf2_pivots(columns, apparent=(), build=None) -> dict:
 
     A column's low is its highest set row, the same "low" as in
     `_integer_reduce`; on boundary columns in face order it keeps fill-in
-    small.  ``apparent`` maps a row to the face of an apparent column not
-    yet built (none by default): a column reaching that row has ``build``
-    make its pivot then.
+    small.  ``apparent`` maps the pivot row of each apparent column not yet
+    built to that row's face (none by default): a column reaching the row
+    has ``build`` make the apparent column from the face then.
     """
     pivots = {}
     for col in columns:
@@ -122,9 +126,11 @@ def gf2_rank(columns) -> int:
 
 def _gf2_column(row_of, face: int) -> int:
     """A face mask's column as a bitset of its facets' rows; signs vanish mod 2."""
-    col = 0
-    for r in map(row_of, facet_masks(face)):
-        col |= 1 << r
+    col, rest = 0, face
+    while rest:
+        low = rest & -rest
+        col |= 1 << row_of(face ^ low)
+        rest ^= low
     return col
 
 
@@ -246,7 +252,7 @@ class BettiTable:
     coefficients: str                     # "z2" or "int"
     torsion: dict = field(default_factory=dict)
     window: tuple | None = None
-    faces: int | None = field(default=None, compare=False)   # counted by a window
+    faces: int | None = field(default=None, compare=False)   # counted by a walk
 
     def value(self, d: int) -> int:
         if self.window is not None:
@@ -296,101 +302,55 @@ class BettiTable:
         return ", ".join(f"b{d}={v}" for d, v in nz.items())
 
 
-def _column_case(adjacency, face: int) -> int:
-    """Which of the three cases of the module docstring a d-face's column is
-    in: 1 apparent, 2 reduces to zero, 3 built; G's adjacency masks decide.
-
-    B is the set of vertices below the face's lowest vertex l free for the
-    face minus l, C those of B not adjacent to l: 2 if C, else 3 if B, else 1.
-    """
-    low = face & -face
-    free, rest = low - 1, face ^ low
-    while free and rest:
-        v = rest & -rest
-        rest ^= v
-        free &= ~adjacency[v.bit_length() - 1]
-    return 2 if free & ~adjacency[low.bit_length() - 1] else 3 if free else 1
-
-
-def _faces_to_build(store, d: int, cleared, apparent: dict, row_of, cases=None):
-    """The d-faces whose columns are built, in order.
-
-    Cleared faces and case-2 faces are skipped, and each apparent face goes
-    into ``apparent`` by its pivot row instead, while the faces are read, so
-    a reduction sees every apparent column to its left.  Cases come from
-    ``cases`` (one per face) if given, else from the store's masks, if any.
-    """
-    adjacency = store.adjacency
-    for j, f in enumerate(store.face_masks(d)):
-        if j not in cleared:
-            case = (cases[j] if cases else
-                    3 if adjacency is None else _column_case(adjacency, f))
-            if case == 1:
-                apparent[row_of(f & (f - 1))] = f
-            elif case == 3:
-                yield f
-
-
-def boundary_rank(store, d: int, coefficients: str, cleared, cases=None):
+def boundary_rank(store, d: int, coefficients: str, cleared, cases, adjacency):
     """(rank, residual invariant factors, pivot rows) of the boundary map from
     d-faces to (d-1)-faces of a face store, over "z2" or "int" coefficients.
 
-    Columns are built straight from the face masks, one at a time, and the
-    d-faces at indices in ``cleared`` are skipped: they must be pivot rows
-    of the map one dimension up (every pivot mod 2, unit pivots over Z),
-    whose columns reduce to zero.  On a store with adjacency masks, apparent
-    columns are counted and built only when a reduction reaches their row,
-    and case-2 columns are skipped too.  The returned pivot rows, apparent
-    ones included, are what the next dimension down may clear.  Factors are
-    () mod 2.  ``cases`` may give the case of each d-face.
+    ``cases`` holds each dimension's column cases in face order (module
+    docstring).  Columns are built straight from the face masks, one at a
+    time, of the case-3 d-faces whose indices are not in ``cleared``, the
+    pivot rows of the map one dimension up (every pivot mod 2, unit pivots
+    over Z), whose columns reduce to zero.  Each case-2 (d-1)-face g is the
+    row of an apparent column, counted, and built from g and G's
+    ``adjacency`` masks only when a reduction reaches row g.  The returned
+    pivot rows are what the next dimension down may clear.  Factors are ()
+    mod 2.
     """
-    row_of, apparent, z2 = _row_lookup(store, d), {}, coefficients == "z2"
-    build = partial(_gf2_column if z2 else _integer_column, row_of)
-    columns = map(build, _faces_to_build(store, d, cleared, apparent, row_of, cases))
-    if not z2:
-        return _integer_reduce(columns, apparent, build)
-    pivots = _gf2_pivots(columns, apparent, build)
-    return len(pivots) + len(apparent), (), {*pivots, *apparent}
+    if not store.face_count(d):     # nothing to build: only apparent columns count
+        return cases[d - 1].count(2), (), ()
+    rows = _rows(store, d)
+    row_of = rows.__getitem__
+    column = _gf2_column if coefficients == "z2" else _integer_column
+    apparent = {r: g for (g, r), case in zip(rows.items(), cases[d - 1])
+                if case == 2} if 2 in cases[d - 1] else {}
+
+    def build_apparent(g):
+        for v, m in enumerate(adjacency):
+            if not m & g:
+                return column(row_of, g | 1 << v)
+
+    columns = (column(row_of, f) for j, (f, case) in enumerate(zip(store.face_masks(d), cases[d]))
+               if case == 3 and j not in cleared)
+    if coefficients == "int":
+        return _integer_reduce(columns, apparent, build_apparent)
+    pivots = _gf2_pivots(columns, apparent, build_apparent)
+    return len(pivots) + len(apparent), (), pivots
 
 
-def _top_rank(K, d: int, built, cases):
-    """(rank, pivot rows) mod 2 of the map from dimension d, of which only
-    the case-3 faces ``built`` are stored; ``cases`` are the (d-1)-faces'.
-
-    A case-2 g's apparent column g + u (u, below g, the first vertex adjacent
-    to none of g) is built when a reduction reaches row g.  The apparent
-    rows are left out of the pivot rows: case 2, they are skipped anyway.
-    """
-    row_of, adjacency = _row_lookup(K, d), K.adjacency
-    apparent = {r: g for r, (g, case) in enumerate(zip(K.face_masks(d - 1), cases)) if case == 2}
-
-    def build(g):
-        return _gf2_column(row_of, g | next(1 << v for v, m in enumerate(adjacency) if not m & g))
-
-    pivots = _gf2_pivots((_gf2_column(row_of, f) for f in built), apparent, build)
-    return len(pivots) + len(apparent), pivots
-
-
-def _betti_table(store, lo: int, hi: int, coefficients: str,
-                 window: tuple | None = None, cases=None, top=None) -> BettiTable:
-    """Betti numbers of dimensions lo..hi from a face store holding dims lo-1..hi+1.
+def _betti_table(store, cases, adjacency, lo: int, hi: int, coefficients: str,
+                 window: tuple | None = None) -> BettiTable:
+    """Betti numbers of dimensions lo..hi from a face store holding dims
+    lo-1..hi+1, of which dim hi+1 needs only its case-3 faces.
 
     One top-down pass with clearing: dimension d skips the columns of the
-    pivot rows of dimension d + 1.  ``cases`` may give each dimension's
-    column cases, and ``top`` the (rank, pivot rows) of dimension hi + 1.
+    pivot rows of dimension d + 1.
     """
     ranks = {}
     factors = {}
     cleared = frozenset()
-    dims = range(hi + 1, max(lo, 0) - 1, -1)
-    if top is not None:
-        (ranks[hi + 1], cleared), dims = top, dims[1:]
-    for d in dims:
-        if store.face_count(d) == 0:
-            cleared = frozenset()
-            continue
+    for d in range(hi + 1, max(lo, 0) - 1, -1):
         ranks[d], factors[d], cleared = boundary_rank(
-            store, d, coefficients, cleared, cases and cases[d])
+            store, d, coefficients, cleared, cases, adjacency)
     betti = {}
     torsion = {}
     for d in range(lo, hi + 1):
@@ -401,11 +361,31 @@ def _betti_table(store, lo: int, hi: int, coefficients: str,
     return BettiTable(betti, coefficients, torsion, window)
 
 
-def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
-    """Full-range reduced Betti numbers of a complex."""
+def _check_coefficients(coefficients: str):
     if coefficients not in ("z2", "int"):
         raise ValueError(f"unknown coefficients {coefficients!r}")
-    return _betti_table(K, -1, K.dim, coefficients)
+
+
+def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
+    """Full-range reduced Betti numbers of any complex, every column not
+    cleared built: each face is case 3 to the kernel.  For Ind(G),
+    ``graph_betti`` reads the apparent pairs too."""
+    _check_coefficients(coefficients)
+    cases = {d: b"\3" * K.face_count(d) for d in K.dims()}
+    return _betti_table(K, cases, (), -1, K.dim, coefficients)
+
+
+def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None) -> BettiTable:
+    """Full-range reduced Betti numbers of Ind(G) over "z2" or "int".
+
+    One walk enumerates Ind(G) and classifies each face as it makes it;
+    ``faces`` counts every face, the empty face included.
+    """
+    _check_coefficients(coefficients)
+    K, cases, adjacency, faces = _classified_skeleton(G, None, face_budget)
+    table = _betti_table(K, cases, adjacency, -1, K.dim, coefficients)
+    table.faces = faces
+    return table
 
 
 def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None) -> BettiTable:
@@ -416,8 +396,7 @@ def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None) -> Bet
     """
     if d_lo < 0 or d_hi < d_lo:
         raise ValueError(f"bad window ({d_lo}, {d_hi})")
-    K, cases, built, top_faces = _classified_skeleton(G, d_hi + 1, face_budget)
-    table = _betti_table(K, d_lo, d_hi, "z2", (d_lo, d_hi), cases,
-                         _top_rank(K, d_hi + 1, built, cases[d_hi]))
-    table.faces = top_faces + sum(map(K.face_count, range(d_lo - 1, d_hi + 1)))
+    K, cases, adjacency, faces = _classified_skeleton(G, d_hi + 1, face_budget)
+    table = _betti_table(K, cases, adjacency, d_lo, d_hi, "z2", (d_lo, d_hi))
+    table.faces = faces - sum(map(K.face_count, range(-1, d_lo - 1)))
     return table

@@ -17,7 +17,7 @@ from random import Random
 from . import graphs as gr
 from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph, random_graph
-from .homology import betti_reduced, betti_window
+from .homology import betti_reduced, betti_window, graph_betti
 from .homotopy import HomotopyType, Stuck, predict, reduce as reduce_graph
 from .morse import element_matching, product_matching_order, verify_acyclic
 
@@ -206,14 +206,12 @@ def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
                  predicted_betti=want, window=None if window is None else tuple(window),
                  conjectural=conjectural) as rec:
         if window is None:
-            K = independence_complex(G, face_budget=face_budget)
-            rec.faces = K.total_faces
-            bt = betti_reduced(K, coefficients)
+            bt = graph_betti(G, coefficients, face_budget)
             rec.computed_betti = bt.nonzero()
         else:
             bt = betti_window(G, *window, face_budget=face_budget)
-            rec.faces = bt.faces
             rec.computed_betti = dict(bt.betti)
+        rec.faces = bt.faces
         rec.torsion = dict(bt.torsion)
         rec.match = bt.matches(want) and not rec.torsion
         if rec.torsion:
@@ -306,8 +304,8 @@ def check_suspension_shift(kind: str, tag: str, G, H,
                            face_budget: int | None = None) -> InstanceRecord:
     """Betti of Ind(H) must be the +1 shift of Betti of Ind(G)."""
     with _record(instance=f"{kind} {tag}", coefficients="z2") as rec:
-        base = betti_reduced(independence_complex(G, face_budget=face_budget)).nonzero()
-        lifted = betti_reduced(independence_complex(H, face_budget=face_budget)).nonzero()
+        base = graph_betti(G, face_budget=face_budget).nonzero()
+        lifted = graph_betti(H, face_budget=face_budget).nonzero()
         rec.predicted = f"shift of {base or 'all zero'}"
         rec.predicted_betti = {d + 1: v for d, v in base.items()}
         rec.computed_betti = lifted

@@ -109,3 +109,15 @@ def test_package_modules_use_every_import():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_package_all_lists_each_import_once():
+    """indtopo.__all__ names each name __init__ imports, and __version__,
+    once and nothing else."""
+    import indtopo
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(set(indtopo.__all__)) == len(indtopo.__all__)
+    assert sorted(indtopo.__all__) == sorted([*imported, "__version__"])

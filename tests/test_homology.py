@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -21,13 +22,13 @@ from indtopo.homology import (
     BettiTable,
     Boundary,
     _betti_table,
-    _column_case,
     _integer_reduce,
     betti_reduced,
     betti_window,
     boundary_matrix,
     gf2_columns,
     gf2_rank,
+    graph_betti,
     smith_normal_form,
 )
 from oracles import RP2_FACETS
@@ -328,11 +329,12 @@ def test_betti_tables_match_dense_oracles():
             return faces[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
 
         K = independence_complex(G)
-        mod2, integral = betti_reduced(K, "z2"), betti_reduced(K, "int")
-        for d in range(-1, top + 1):
-            assert mod2.value(d) == oracle_betti(rank2, d), (G, d)
-            assert integral.value(d) == oracle_betti(rankq, d), (G, d)
-        assert integral.torsion == torsion
+        for route in (partial(betti_reduced, K), partial(graph_betti, G)):
+            mod2, integral = route("z2"), route("int")
+            for d in range(-1, top + 1):
+                assert mod2.value(d) == oracle_betti(rank2, d), (G, d)
+                assert integral.value(d) == oracle_betti(rankq, d), (G, d)
+            assert integral.torsion == torsion
         for lo in range(0, top + 1):
             for hi in range(lo, top + 2):
                 win = betti_window(G, lo, hi)
@@ -399,57 +401,23 @@ def test_torsion_of_rp2_its_suspension_and_its_self_join():
 
 def test_torsion_through_an_independence_complex():
     """RP^2 subdivided, as Ind of its face poset's incomparability graph: the
-    apparent-pair shortcuts meet torsion, and again after a suspension."""
+    every-column route and the apparent-pair shortcuts meet torsion, and
+    again after a suspension."""
     G = oracles.incomparability_graph(RP2_FACETS)
     K = independence_complex(G)
     assert G.vertex_count == 31 and K.f_vector() == (1, 31, 90, 60)
-    assert K.adjacency is not None
-    integral = betti_reduced(K, "int")
-    assert integral.nonzero() == {} and integral.torsion == {1: (2,)}
-    assert betti_reduced(K, "z2").nonzero() == {1: 1, 2: 1}
-    assert betti_window(G, 0, 1).betti == {0: 0, 1: 1}
     # Ind(G + K_2) is the join of Ind(G) with S^0, its suspension
-    S = independence_complex(gr.Graph([*G.vertices, "x", "y"], [*G.edges, ("x", "y")]))
+    H = gr.Graph([*G.vertices, "x", "y"], [*G.edges, ("x", "y")])
+    S = independence_complex(H)
     assert S.total_faces == 546
-    integral = betti_reduced(S, "int")
-    assert integral.nonzero() == {} and integral.torsion == {2: (2,)}
-    assert betti_reduced(S, "z2").nonzero() == {2: 1, 3: 1}
-
-
-def test_column_cases_match_the_first_cofacet_oracle():
-    """The three-case rule against its twin read off sorted face lists, on
-    every face of seeded graphs with loops.  Dropping the case-2 columns
-    keeps each map's dense rank, and every Betti route equals the route
-    without shortcuts (the same faces through from_facets)."""
-    rng = random.Random(307)
-    seen = Counter()
-    for _ in range(300):
-        verts = list(range(1, rng.randint(1, 11) + 1))
-        p = rng.choice((0.3, 0.5, 0.7))
-        G = gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p],
-                     [v for v in verts if rng.random() < 0.15])
-        K = independence_complex(G)
-        by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
-        cases = oracles.column_cases(by_dim)
-        for d in range(0, K.dim + 1):
-            mine = [_column_case(K.adjacency, f) for f in K.face_masks(d)]
-            assert mine == [cases[K.labels(f)] for f in K.face_masks(d)], (G, d)
-            seen.update(mine)
-            A = oracles.boundary_rows(by_dim, d, signed=True)
-            kept = [[v for v, case in zip(row, mine) if case != 2] for row in A]
-            assert oracles.rank_gf2(kept) == oracles.rank_gf2(A), (G, d)
-            if len(mine) <= 40:     # exact Fractions are slow on larger maps
-                assert oracles.rank_q(kept) == oracles.rank_q(A), (G, d)
-        F = from_facets(K.vertices, K.facets())
-        assert F.adjacency is None
-        for coefficients in ("z2", "int"):
-            assert betti_reduced(K, coefficients) == betti_reduced(F, coefficients), G
-        full = betti_reduced(F)
-        for lo in range(0, K.dim + 1):
-            for hi in range(lo, K.dim + 2):
-                win = betti_window(G, lo, hi)
-                assert all(win.value(d) == full.value(d) for d in range(lo, hi + 1)), (G, lo, hi)
-    assert min(seen[1], seen[2], seen[3]) > 100
+    for route, base, lifted in ((betti_reduced, K, S), (graph_betti, G, H)):
+        integral = route(base, "int")
+        assert integral.nonzero() == {} and integral.torsion == {1: (2,)}
+        assert route(base, "z2").nonzero() == {1: 1, 2: 1}
+        integral = route(lifted, "int")
+        assert integral.nonzero() == {} and integral.torsion == {2: (2,)}
+        assert route(lifted, "z2").nonzero() == {2: 1, 3: 1}
+    assert betti_window(G, 0, 1).betti == {0: 0, 1: 1}
 
 
 def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
@@ -457,7 +425,8 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
     included.  A map of rank r with a apparent columns builds at least r - a,
     and a Betti table builds at most sum_d (f_d - rank d_(d+1)) less the
     apparent columns it counted without building: a face that is a pivot
-    row one dimension up is never built."""
+    row one dimension up is never built.  ``betti_reduced`` counts no
+    apparent column; ``graph_betti`` and the windows count Ind(G)'s."""
     import indtopo.homology as hom
     built = []
 
@@ -483,15 +452,20 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
         case_of = {f: cases[K.labels(f)] for d in range(0, top + 1) for f in K.face_masks(d)}
         apparent = Counter(d for d in range(0, top + 1) for f in K.face_masks(d)
                            if case_of[f] == 1)
-        runs = [(0, "z2", lambda: betti_reduced(K, "z2")),
-                (0, "int", lambda: betti_reduced(K, "int"))]
-        runs += [(lo, "z2", lambda lo=lo: betti_window(G, lo, top)) for lo in range(0, top + 1)]
-        for lo, coefficients, run in runs:
+        runs = [(0, coefficients, False, partial(betti_reduced, K, coefficients))
+                for coefficients in ("z2", "int")]
+        runs += [(0, coefficients, True, partial(graph_betti, G, coefficients))
+                 for coefficients in ("z2", "int")]
+        runs += [(lo, "z2", True, partial(betti_window, G, lo, top)) for lo in range(0, top + 1)]
+        for lo, coefficients, shortcuts, run in runs:
             rank, dims = ranks[coefficients], range(lo, top + 1)
             built.clear()
             run()
-            unbuilt = sum(apparent[d] for d in dims) - sum(case_of[f] == 1 for f in built)
-            least = sum(rank[d] - apparent[d] for d in dims)
+            unbuilt = least = 0
+            if shortcuts:
+                unbuilt = sum(apparent[d] for d in dims) - sum(case_of[f] == 1 for f in built)
+                least = -sum(apparent[d] for d in dims)
+            least += sum(rank[d] for d in dims)
             assert least <= len(built) <= sum(faces[d] - rank[d + 1] for d in dims) - unbuilt, \
                 (G, coefficients, lo)
             needed += least
@@ -504,16 +478,15 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
     assert betti_window(gr.categorical_product(k2k3, gr.complete(5)), 2, 4).nonzero() == {3: 52}
     assert 0 < len(built) <= 2000
     built.clear()
-    K = independence_complex(gr.categorical_product(k2k3, gr.complete(3)))
-    assert betti_reduced(K, "int").nonzero() == {3: 14}
+    assert graph_betti(gr.categorical_product(k2k3, gr.complete(3)), "int").nonzero() == {3: 14}
     assert 0 < len(built) <= 300
 
 
-def _looped_graphs(seed, count, max_n):
+def _looped_graphs(seed, count, max_n, densities=(0.2, 0.4, 0.6)):
     rng = random.Random(seed)
     for _ in range(count):
         verts = list(range(1, rng.randint(1, max_n) + 1))
-        p = rng.choice((0.2, 0.4, 0.6))
+        p = rng.choice(densities)
         yield gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p],
                        [v for v in verts if rng.random() < 0.15])
 
@@ -523,24 +496,63 @@ def _table1_graph(n):
         gr.categorical_product(gr.complete(2), gr.complete(3)), gr.complete(n))
 
 
+def test_column_cases_match_the_first_cofacet_oracle():
+    """The classifying walk over the whole of Ind(G) (top None) against its
+    twin read off sorted face lists, on every face of seeded graphs with
+    loops; it counts every face it walks.  Dropping the case-2 columns keeps
+    each map's dense rank, and every Betti route equals the route without
+    shortcuts (the same faces through from_facets)."""
+    seen = Counter()
+    for G in _looped_graphs(307, 300, 11, (0.3, 0.5, 0.7)):
+        full = independence_complex(G)
+        by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
+        cases = oracles.column_cases(by_dim)
+        K, walk, _, faces = _classified_skeleton(G, None, None)
+        assert [K.face_masks(d) for d in range(-1, full.dim + 1)] == \
+            [full.face_masks(d) for d in range(-1, full.dim + 1)], G
+        assert walk[-1] == bytes([2 if full.face_count(0) else 1]), G
+        assert faces == full.total_faces, G
+        for d in range(0, full.dim + 1):
+            want = [cases[K.labels(f)] for f in K.face_masks(d)]
+            assert list(walk[d]) == want, (G, d)
+            seen.update(want)
+            A = oracles.boundary_rows(by_dim, d, signed=True)
+            kept = [[v for v, case in zip(row, walk[d]) if case != 2] for row in A]
+            assert oracles.rank_gf2(kept) == oracles.rank_gf2(A), (G, d)
+            if len(walk[d]) <= 40:     # exact Fractions are slow on larger maps
+                assert oracles.rank_q(kept) == oracles.rank_q(A), (G, d)
+        F = from_facets(full.vertices, full.facets())
+        for coefficients in ("z2", "int"):
+            assert graph_betti(G, coefficients) == betti_reduced(F, coefficients), G
+            assert betti_reduced(full, coefficients) == betti_reduced(F, coefficients), G
+        whole = betti_reduced(F)
+        for lo in range(0, full.dim + 1):
+            for hi in range(lo, full.dim + 2):
+                win = betti_window(G, lo, hi)
+                assert all(win.value(d) == whole.value(d) for d in range(lo, hi + 1)), (G, lo, hi)
+    assert min(seen[1], seen[2], seen[3]) > 100
+
+
 def test_window_walk_classifies_like_the_first_cofacet_oracle():
     """The classifying walk's cases are the oracle's on every face below the
-    top, and of the top dimension it keeps exactly the case-3 faces and
-    counts the rest."""
+    top of a window, of whose top dimension it keeps exactly the case-3
+    faces; it counts every face it walks."""
     seen = Counter()
     for G in _looped_graphs(401, 200, 11):
         full = independence_complex(G)
         cases = oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(G)))
         for top in range(1, full.dim + 3):
-            K, walk, built, top_faces = _classified_skeleton(G, top, None)
-            assert K == independence_complex(G, top - 1) and K.adjacency == full.adjacency
+            K, walk, _, faces = _classified_skeleton(G, top, None)
+            assert [K.face_masks(d) for d in range(-1, top)] == \
+                [full.face_masks(d) for d in range(-1, top)], (G, top)
+            assert walk[-1] == bytes([2 if full.face_count(0) else 1]), G
             for d in range(0, top):
                 want = [cases[K.labels(f)] for f in K.face_masks(d)]
                 assert list(walk[d]) == want, (G, top, d)
                 seen.update(want)
-            tops = full.face_masks(top)
-            assert built == [f for f in tops if cases[full.labels(f)] == 3], (G, top)
-            assert top_faces == len(tops)
+            tops = [f for f in full.face_masks(top) if cases[full.labels(f)] == 3]
+            assert list(K.face_masks(top)) == tops and walk[top] == b"\3" * len(tops), (G, top)
+            assert faces == independence_complex(G, top).total_faces, (G, top)
     assert min(seen[1], seen[2], seen[3]) > 100
 
 
@@ -563,7 +575,8 @@ def test_window_route_equals_the_stored_skeleton_route():
     for G, lo, hi in cases:
         fw = faces_in_window(G, lo, hi)
         win = betti_window(G, lo, hi)
-        assert win == _betti_table(fw, lo, hi, "z2", (lo, hi)), (G, lo, hi)
+        every_column = {d: b"\3" * fw.face_count(d) for d in range(-1, hi + 2)}
+        assert win == _betti_table(fw, every_column, (), lo, hi, "z2", (lo, hi)), (G, lo, hi)
         assert win.faces == sum(fw.face_count(d) for d in range(lo - 1, hi + 2))
         enumerated = fw.total_faces - 1
         outcomes = []
@@ -584,8 +597,8 @@ def test_table1_window_stores_only_the_top_columns_it_builds():
     from indtopo.verify import check_table1_row
 
     G = _table1_graph(5)
-    K, cases, built, top_faces = _classified_skeleton(G, 5, None)
-    assert K.dim == 4 and len(built) <= 160 and top_faces == 11_245
+    K, _, _, faces = _classified_skeleton(G, 5, None)
+    assert K.face_count(5) <= 160 and faces - sum(map(K.face_count, range(-1, 5))) == 11_245
     rec = check_table1_row(5)
     assert rec.match and rec.faces == 24_971
     gc.collect()
