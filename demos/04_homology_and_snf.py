@@ -9,7 +9,8 @@ snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
 print("invariant factors:", snf.factors, "| rank:", snf.rank)
 
 # mod-2 and integer homology agree on torsion-free complexes; graph_betti
-# enumerates Ind(G) itself and skips the columns its apparent pairs settle
+# walks Ind(G) itself, keeps the faces whose columns it must read (case 3)
+# and only counts the others
 print("Ind(C_7) mod 2:   ", graph_betti(gr.cycle(7), coefficients="z2").render())
 print("Ind(C_7) integer: ", graph_betti(gr.cycle(7), coefficients="int").render())
 

@@ -3,7 +3,7 @@
 The published values are 4, 14, 30, 52, 80 for n = 2..6.  Full complexes get
 large fast (75k+ faces at n = 6), so the computation runs mod 2 in the
 dimension window 2..4; the windowed route needs only faces of dimensions
-1..5, and of dimension 5 it stores only those whose columns it must build.
+1..5, and of those it stores only the ones whose columns it may build.
 """
 
 import time

@@ -188,58 +188,93 @@ def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> Simplic
 
 
 def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
-    """The walk of ``_enumerate_independent`` up to dimension top (all of
-    Ind(G) for None), its budget charges too, knowing each face's column
-    case (``homology``).
+    """The case-3 faces of Ind(G) up to dimension top (all of it for None),
+    the only columns the Betti kernel reads (``homology``): returns
+    ({d: case-3 d-faces}, [face count of each size], G's adjacency masks).
 
-    Returns Ind(G) up to dimension top, of which dimension top keeps only
-    its case-3 faces; each dimension's cases, in face order; G's adjacency
-    masks; and the number of faces walked, the empty face included.  A face
-    carries B, the vertices below its lowest vertex l free for it minus l,
-    and C, those of B not adjacent to l: case 2 if C, else 3 if B, else 1.
-    A child ANDs both with the new vertex's non-neighbours.  The empty face
-    is case 2 when G has a vertex: it is the row of the first vertex's
-    column.
+    The walk of ``_enumerate_independent``, a face also carrying B, the
+    vertices below its lowest vertex l free for it minus l, and C, those of B
+    not adjacent to l: case 2 if C, else 3 if B, else 1.  A child ANDs both
+    with the new vertex's non-neighbours, so below a face with B empty every
+    face is case 1, and below one with a vertex of C adjacent to none of its
+    candidates S every face is case 2: such a subtree is counted by size as
+    x^k I(S), I the independence polynomial, each face charged to the
+    budget.  The empty face is case 3 only when G has no vertex.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
-    verts, nbr = _independence_masks(G)
+    _, nbr = _independence_masks(G)
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
-    last = len(nbr) if top is None else top    # the largest size classified whole
-    out = [[0]] + [[] for _ in range(last + 1)]
-    cases = [bytearray([2 if full else 1])] + [bytearray() for _ in range(last + 1)]
-    visited = 0
+    last = len(nbr) if top is None else min(top + 1, len(nbr))  # the largest size walked
+    out = [[] if nbr else [0]] + [[] for _ in range(last)]
+    counts = [1] + [0] * last
+    memo = {}
+    walked = 0          # nonempty faces walked or counted
 
-    def rec(face, k, cand, free, clear):
-        nonlocal visited
-        out[k].append(face)
-        cases[k].append(2 if clear else 3 if free else 1)
-        k += 1
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            visited += 1
-            if visited > budget:
-                _check_budget(visited, budget)
-            m = keep[low.bit_length() - 1]
-            if k <= last:
-                rec(face | low, k, cand & m, free & m, clear & m)
-            elif free & m and not clear & m:
-                out[k].append(face | low)
-                cases[k].append(3)
+    def poly(s, cap):
+        """Independent sets of G[s] by size, up to size cap."""
+        n = s.bit_count()
+        if cap > n:
+            cap = n
+        if cap < 2:
+            return (1, n) if cap else (1,)
+        p = memo.get(key := s * (last + 1) + cap)
+        if p is None:
+            p, rest = [1] + [0] * cap, s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for j, c in enumerate(poly(rest & keep[low.bit_length() - 1], cap - 1), 1):
+                    p[j] += c
+            memo[key] = p   # at most one entry per face counted
+            if len(memo) > budget:
+                _check_budget(budget + 1, budget)
+        return p
+
+    def visit(face, k, cand, free, clear):
+        nonlocal walked
+        c = clear
+        while c and nbr[(c & -c).bit_length() - 1] & cand:
+            c &= c - 1
+        if c or not free:       # one case below: counted, not walked
+            sizes = poly(cand, last - k)
+            for j, n in enumerate(sizes, k):
+                counts[j] += n
+            walked += sum(sizes)
+            if walked > budget:
+                _check_budget(budget + 1, budget)
+            return
+        walked += 1
+        counts[k] += 1
+        if walked > budget:
+            _check_budget(budget + 1, budget)
+        if not clear:
+            out[k].append(face)
+        if k + 1 < last:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                m = keep[low.bit_length() - 1]
+                visit(face | low, k + 1, cand & m, free & m, clear & m)
+        elif k < last:
+            # the children are top faces: counted (the next visit checks the
+            # budget), and the case-3 ones kept
+            walked += cand.bit_count()
+            counts[last] += cand.bit_count()
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                m = keep[low.bit_length() - 1]
+                if free & m and not clear & m:
+                    out[last].append(face | low)
 
     try:
         for i, m in enumerate(keep):   # the root's children: f - l is empty
             low = 1 << i
-            visited += 1
-            if visited > budget:
-                _check_budget(visited, budget)
-            rec(low, 1, full & ~(2 * low - 1) & m, low - 1, (low - 1) & m)
+            visit(low, 1, full & ~(2 * low - 1) & m, low - 1, (low - 1) & m)
     finally:
-        del rec
-    K = SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(out)},
-                          source=G.name or repr(G))
-    return K, {k - 1: cs for k, cs in enumerate(cases)}, nbr, visited + 1
+        del visit, poly
+    return {k - 1: fs for k, fs in enumerate(out) if fs}, counts, nbr
 
 
 def independence_complex(G: Graph, max_dim: int | None = None,

@@ -2,13 +2,13 @@
 
 Reduced throughout: the augmentation map sends every vertex to the empty
 face, so a complex of n isolated points has betti_0 = n - 1 and the empty
-complex {[]} has betti_-1 = 1.  A boundary column comes from its face mask:
-a facet clears one bit, and its sign over Z is the parity of the set bits
-below that bit.  Mod-2 ranks use python-int bitsets.  The
-integer path is one sparse column reduction on +-1 pivots; only the block
-it cannot reduce that way goes to a dense Smith normal form, whose factors
-above 1 are the torsion.  All arithmetic is arbitrary precision (overflow is
-impossible).
+complex {[]} has betti_-1 = 1.  Rows and columns are face masks, compared
+as integers.  A column comes from its face mask: a facet clears one bit,
+and its sign over Z is the parity of the set bits below that bit; mod 2 a
+column is the set of its rows, over Z a {row: sign} dict.  The integer
+path is one sparse column reduction on +-1 pivots; only the block it
+cannot reduce that way goes to a dense Smith normal form, whose factors
+above 1 are the torsion.  All arithmetic is arbitrary precision.
 
 A Betti table reduces its boundary maps top-down with clearing (the "twist"
 of Chen & Kerber, 2011): each dimension's pivot rows are faces whose own
@@ -19,39 +19,37 @@ below s.  Mod 2 that makes the column of s the sum of lower columns, so
 every pivot clears.  Over Z only unit pivots clear: with c[s] = +-1 the
 column of s is a Z-combination of lower columns, and zeroing it (the
 highest cleared face first) is a unimodular column operation, which
-changes neither the rank nor the Smith form; with c[s] = 2, say, it need
-not be.
+changes neither the rank nor the Smith form; with c[s] = 2 it need not be.
 
 Independence complexes are flag complexes, and G's adjacency masks give
-their apparent pairs (Bauer, "Ripser: efficient computation of
-Vietoris-Rips persistence barcodes", J. Appl. Comput. Topol. 5, 2021).
-Rows are in lexicographic order, so a face's highest-row facet drops its
-lowest vertex, and its first cofacet adds the lowest vertex free for it
-(outside it and adjacent to none of its vertices).  For a d-face f with
-lowest vertex l and g = f - l:
+their apparent pairs (Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).
+In mask order a face's highest facet drops its lowest vertex, and its
+first cofacet adds the lowest vertex free for it (outside it and adjacent
+to none of its vertices).  For a d-face f with lowest vertex l, g = f - l:
 
-1. no vertex below l is free for g: f is g's first cofacet, so no column
-   left of f has row g, and column f is already reduced, with pivot row g
-   and entry +1 (over Z too).
+1. no vertex below l is free for g: f = g + l is g's first cofacet, and
+   column f, highest row g with entry +1, is row g's pivot: every other
+   column reaching row g is reduced by it, and it needs no reduction.
 2. otherwise, if the lowest vertex u free for f is below l, f is the
-   highest-row facet of its first cofacet f + u: (f, f + u) is an apparent
-   pair one dimension up, f a unit pivot row there, and column f reduces
-   to zero, as a cleared column does.  The argument reads only the
-   boundary of f + u, whose facets are all d-faces, so it holds at a
-   window's top dimension too, where f + u is never enumerated.
+   highest facet of f + u, so d(d(f + u)) = 0 makes column f a +-1
+   combination of lower columns: it is dropped like a cleared column.
+   This reads only the boundary of f + u, so it holds at a window's top.
 3. otherwise column f is built.
 
-The first two cases pair up: f is case 1 exactly when g is case 2 and f is
-g + u, u the lowest vertex free for g, and the empty face is case 2 when
-there is a vertex.  So one rule serves every dimension: the rows of the
-map from d-faces that apparent columns pivot on are the case-2
-(d-1)-faces g, counted, and column g + u is built only when a reduction
-reaches row g; of the d-faces, only the case-3 ones are read as columns.
-``complexes._classified_skeleton`` decides each face's case as its walk
-makes the face, and keeps of a window's top dimension only the case-3
-faces.  ``graph_betti`` and ``betti_window`` run on that walk;
-``betti_reduced`` takes every face of any complex as case 3 and builds
-every column not cleared.
+These arguments, like clearing, only say which columns span the others,
+so they hold in any column order.  f is case 1 exactly when g is case 2
+and l is the lowest vertex free for g; the empty face is case 2 when there
+is a vertex.  So the case-1 d-faces match the case-2 (d-1)-faces, rank d_d
+is their number plus r_d, the case-3 d-columns that end as new pivots, and
+
+    b_d = f_d - rank d_d - rank d_(d+1) = (case-3 d-faces) - r_d - r_(d+1).
+
+Only case-3 faces are read as columns: a reduction reaching a row g with
+no pivot tests g for case 2 from G's adjacency masks and, if it is, builds
+g + u as the row's pivot.  ``graph_betti`` and ``betti_window`` run on
+``complexes._classified_skeleton``, which keeps only the case-3 faces and
+counts the others; ``betti_reduced`` reads every face of any complex as a
+case-3 column, with no apparent rows.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
@@ -61,6 +59,7 @@ from dataclasses import dataclass, field
 from itertools import cycle
 
 from .complexes import SimplicialComplex, _classified_skeleton, facet_masks
+from .graphs import bits
 
 
 @dataclass(frozen=True)
@@ -70,23 +69,19 @@ class Boundary:
     columns: tuple
 
 
-def _rows(cx, d: int) -> dict:
-    """{(d-1)-face: its row index}, the rows of the d-faces' columns."""
-    rows = cx.face_masks(d - 1)
-    return dict(zip(rows, range(len(rows))))
-
-
 def boundary_matrix(cx, d: int) -> Boundary:
     """The boundary map from d-faces to (d-1)-faces; d = 0 is the augmentation.
 
-    Each column lists its facets by the vertex they drop, lowest first; the
-    k-th has sign (-1)^k.
+    Rows index the (d-1)-faces in store order.  Each column lists its
+    facets by the vertex they drop, lowest first; the k-th has sign (-1)^k.
     """
     if d < 0:
         raise ValueError(f"boundary_matrix needs d >= 0, got {d}")
-    row_of = _rows(cx, d).__getitem__
-    return Boundary(cx.face_count(d - 1), tuple(
-        tuple(_integer_column(row_of, face).items()) for face in cx.face_masks(d)))
+    rows = cx.face_masks(d - 1)
+    row_of = dict(zip(rows, range(len(rows))))
+    return Boundary(len(rows), tuple(
+        tuple((row_of[g], s) for g, s in _integer_column(face).items())
+        for face in cx.face_masks(d)))
 
 
 # -- GF(2) ------------------------------------------------------------------
@@ -96,42 +91,37 @@ def gf2_columns(boundary: Boundary):
     return [sum(1 << r for r, _ in col) for col in boundary.columns]
 
 
-def _gf2_pivots(columns, apparent=(), build=None) -> dict:
-    """Reduce bitset columns in order; the pivots as {low: reduced column}.
-
-    A column's low is its highest set row, the same "low" as in
-    `_integer_reduce`; on boundary columns in face order it keeps fill-in
-    small.  ``apparent`` maps the pivot row of each apparent column not yet
-    built to that row's face (none by default): a column reaching the row
-    has ``build`` make the apparent column from the face then.
+def _gf2_pivots(columns, apparent=None):
+    """Reduce columns, each a set of rows (consumed), in order, each on its
+    highest row, its "low": (the pivots as {low: reduced column}, how many
+    of them the columns made).  ``apparent`` (none by default) gives the
+    apparent column of a row that has one, else None; a column reaching
+    such a row with no pivot there has it built then as the row's pivot.
     """
-    pivots = {}
+    pivots, new = {}, 0
     for col in columns:
         while col:
-            low = col.bit_length() - 1
+            low = max(col)
             other = pivots.get(low)
             if other is None:
-                if low not in apparent:
+                other = apparent and apparent(low)
+                if other is None:
                     pivots[low] = col
+                    new += 1
                     break
-                other = pivots[low] = build(apparent.pop(low))
+                pivots[low] = other
             col ^= other
-    return pivots
+    return pivots, new
 
 
 def gf2_rank(columns) -> int:
     """Rank over GF(2) of bitset columns; pivots on the highest set row."""
-    return len(_gf2_pivots(columns))
+    return _gf2_pivots(set(bits(col)) for col in columns)[1]
 
 
-def _gf2_column(row_of, face: int) -> int:
-    """A face mask's column as a bitset of its facets' rows; signs vanish mod 2."""
-    col, rest = 0, face
-    while rest:
-        low = rest & -rest
-        col |= 1 << row_of(face ^ low)
-        rest ^= low
-    return col
+def _gf2_column(face: int) -> set:
+    """A face mask's column as the set of its facets; signs vanish mod 2."""
+    return set(facet_masks(face))
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -178,17 +168,16 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(tuple(factors), len(factors))
 
 
-def _integer_reduce(columns, apparent=(), build=None):
-    """(rank, invariant factors of the residual block, unit-pivot rows) of
-    integer columns, each a {row: value} dict (consumed).
+def _integer_reduce(columns, apparent=None):
+    """(rank the columns add, invariant factors of the residual block, their
+    unit-pivot rows) of integer columns, each a {row: value} dict (consumed).
 
-    Column reduction in the loop shape of `_gf2_pivots`, with the same
-    ``apparent`` and ``build``: each column is reduced on its highest row
-    ("low") against earlier columns whose entry there is +-1.  A column
-    left with a unit low becomes that row's pivot; one left with a non-unit
-    low goes to a residual list.  Afterwards every unit-pivot row, apparent
-    ones included, is cleared from the residual columns, highest row first,
-    and only that residual block goes to the dense Smith normal form.
+    The loop of `_gf2_pivots`, with the same ``apparent``, reducing only on
+    +-1 entries: a column left with a unit low becomes that row's pivot, one
+    with a non-unit low goes to a residual list.  Then every unit-pivot row
+    of the residual, apparent ones included, is cleared from it, highest
+    first (a pivot subtracted adds only lower rows), and only that residual
+    block goes to the dense Smith normal form.
 
     Why this is exact: all of the above are unimodular column operations.
     The unit-pivot columns are unit-triangular on their pivot rows, and the
@@ -199,38 +188,37 @@ def _integer_reduce(columns, apparent=(), build=None):
     returned; callers read torsion as the factors > 1.
     """
     pivots = {}      # low row -> reduced column whose entry there is +-1
-    residual = []
+    units, residual = set(), []
     for col in columns:
         while col:
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                if low not in apparent:
+                other = apparent and apparent(low)
+                if other is None:
                     if col[low] in (1, -1):
                         pivots[low] = col
+                        units.add(low)
                     else:
                         residual.append(col)
                     break
-                other = pivots[low] = build(apparent.pop(low))
+                pivots[low] = other
             _subtract(col, other, col[low] * other[low])
-    units = {*pivots, *apparent}
-    for low in sorted(units, reverse=True) if residual else ():
-        other = None
-        for col in residual:
+    low = float("inf")
+    while (low := max((r for col in residual for r in col if r < low), default=-1)) >= 0:
+        other = pivots.get(low) or apparent and apparent(low)
+        for col in residual if other else ():
             if low in col:
-                other = other or pivots.get(low) or build(apparent[low])
                 _subtract(col, other, col[low] * other[low])
     rows = sorted({r for col in residual for r in col})
-    if not rows:
-        return len(units), (), units
     snf = smith_normal_form([[col.get(r, 0) for col in residual] for r in rows])
     return len(units) + snf.rank, snf.factors, units
 
 
-def _integer_column(row_of, face: int) -> dict:
-    """A face mask's column as {row: sign} of its facets, the k-th dropped
-    vertex's facet with sign (-1)^k."""
-    return dict(zip(map(row_of, facet_masks(face)), cycle((1, -1))))
+def _integer_column(face: int) -> dict:
+    """A face mask's column as {facet: sign}, the k-th dropped vertex's facet
+    with sign (-1)^k."""
+    return dict(zip(facet_masks(face), cycle((1, -1))))
 
 
 def _subtract(col: dict, other: dict, q: int):
@@ -302,59 +290,37 @@ class BettiTable:
         return ", ".join(f"b{d}={v}" for d, v in nz.items())
 
 
-def boundary_rank(store, d: int, coefficients: str, cleared, cases, adjacency):
-    """(rank, residual invariant factors, pivot rows) of the boundary map from
-    d-faces to (d-1)-faces of a face store, over "z2" or "int" coefficients.
-
-    ``cases`` holds each dimension's column cases in face order (module
-    docstring).  Columns are built straight from the face masks, one at a
-    time, of the case-3 d-faces whose indices are not in ``cleared``, the
-    pivot rows of the map one dimension up (every pivot mod 2, unit pivots
-    over Z), whose columns reduce to zero.  Each case-2 (d-1)-face g is the
-    row of an apparent column, counted, and built from g and G's
-    ``adjacency`` masks only when a reduction reaches row g.  The returned
-    pivot rows are what the next dimension down may clear.  Factors are ()
-    mod 2.
-    """
-    if not store.face_count(d):     # nothing to build: only apparent columns count
-        return cases[d - 1].count(2), (), ()
-    rows = _rows(store, d)
-    row_of = rows.__getitem__
-    column = _gf2_column if coefficients == "z2" else _integer_column
-    apparent = {r: g for (g, r), case in zip(rows.items(), cases[d - 1])
-                if case == 2} if 2 in cases[d - 1] else {}
-
-    def build_apparent(g):
-        for v, m in enumerate(adjacency):
-            if not m & g:
-                return column(row_of, g | 1 << v)
-
-    columns = (column(row_of, f) for j, (f, case) in enumerate(zip(store.face_masks(d), cases[d]))
-               if case == 3 and j not in cleared)
-    if coefficients == "int":
-        return _integer_reduce(columns, apparent, build_apparent)
-    pivots = _gf2_pivots(columns, apparent, build_apparent)
-    return len(pivots) + len(apparent), (), pivots
-
-
-def _betti_table(store, cases, adjacency, lo: int, hi: int, coefficients: str,
+def _betti_table(columns, adjacency, lo: int, hi: int, coefficients: str,
                  window: tuple | None = None) -> BettiTable:
-    """Betti numbers of dimensions lo..hi from a face store holding dims
-    lo-1..hi+1, of which dim hi+1 needs only its case-3 faces.
+    """Betti numbers of dimensions lo..hi over "z2" or "int" from {d: the
+    d-faces read as columns}, dims lo..hi+1: b_d = (columns of d) - r_d -
+    r_(d+1), r_d the rank the d-columns add to the apparent ones'.
 
-    One top-down pass with clearing: dimension d skips the columns of the
-    pivot rows of dimension d + 1.
+    One top-down pass with clearing: dimension d builds, one at a time, the
+    columns of its faces that are not pivot rows of dimension d + 1 (every
+    pivot mod 2, unit pivots over Z).  With G's ``adjacency`` masks, a row
+    with no pivot gets its apparent column if it is case 2.
     """
-    ranks = {}
-    factors = {}
-    cleared = frozenset()
+    column = _gf2_column if coefficients == "z2" else _integer_column
+    apparent = None
+    if adjacency:
+        def apparent(g):
+            # case 2: some vertex below g's lowest is free for g; u is the lowest
+            for u in range((g & -g).bit_length() - 1 if g else len(adjacency)):
+                if not adjacency[u] & g:
+                    return column(g | 1 << u)
+            return None
+
+    ranks, factors, cleared = {}, {}, ()
     for d in range(hi + 1, max(lo, 0) - 1, -1):
-        ranks[d], factors[d], cleared = boundary_rank(
-            store, d, coefficients, cleared, cases, adjacency)
-    betti = {}
-    torsion = {}
+        built = (column(f) for f in columns.get(d, ()) if f not in cleared)
+        if coefficients == "int":
+            ranks[d], factors[d], cleared = _integer_reduce(built, apparent)
+        else:
+            cleared, ranks[d] = _gf2_pivots(built, apparent)
+    betti, torsion = {}, {}
     for d in range(lo, hi + 1):
-        betti[d] = store.face_count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        betti[d] = len(columns.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         tor = tuple(f for f in factors.get(d + 1, ()) if f > 1)
         if tor:
             torsion[d] = tor
@@ -367,36 +333,35 @@ def _check_coefficients(coefficients: str):
 
 
 def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
-    """Full-range reduced Betti numbers of any complex, every column not
-    cleared built: each face is case 3 to the kernel.  For Ind(G),
-    ``graph_betti`` reads the apparent pairs too."""
+    """Full-range reduced Betti numbers of any complex, each face a case-3
+    column; for Ind(G), ``graph_betti`` reads the apparent pairs too."""
     _check_coefficients(coefficients)
-    cases = {d: b"\3" * K.face_count(d) for d in K.dims()}
-    return _betti_table(K, cases, (), -1, K.dim, coefficients)
+    return _betti_table({d: K.face_masks(d) for d in K.dims()}, None, -1, K.dim, coefficients)
 
 
 def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None) -> BettiTable:
     """Full-range reduced Betti numbers of Ind(G) over "z2" or "int".
 
-    One walk enumerates Ind(G) and classifies each face as it makes it;
+    One walk keeps the case-3 faces of Ind(G) and counts the others;
     ``faces`` counts every face, the empty face included.
     """
     _check_coefficients(coefficients)
-    K, cases, adjacency, faces = _classified_skeleton(G, None, face_budget)
-    table = _betti_table(K, cases, adjacency, -1, K.dim, coefficients)
-    table.faces = faces
+    columns, counts, adjacency = _classified_skeleton(G, None, face_budget)
+    top = max(k for k, c in enumerate(counts) if c) - 1
+    table = _betti_table(columns, adjacency, -1, top, coefficients)
+    table.faces = sum(counts)
     return table
 
 
 def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None) -> BettiTable:
     """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only.
 
-    One walk enumerates Ind(G) up to dimension d_hi + 1 and classifies each
-    face as it makes it; ``faces`` counts dimensions d_lo - 1..d_hi + 1.
+    One walk keeps the case-3 faces of Ind(G) up to dimension d_hi + 1 and
+    counts the others; ``faces`` counts dimensions d_lo - 1..d_hi + 1.
     """
     if d_lo < 0 or d_hi < d_lo:
         raise ValueError(f"bad window ({d_lo}, {d_hi})")
-    K, cases, adjacency, faces = _classified_skeleton(G, d_hi + 1, face_budget)
-    table = _betti_table(K, cases, adjacency, d_lo, d_hi, "z2", (d_lo, d_hi))
-    table.faces = faces - sum(map(K.face_count, range(-1, d_lo - 1)))
+    columns, counts, adjacency = _classified_skeleton(G, d_hi + 1, face_budget)
+    table = _betti_table(columns, adjacency, d_lo, d_hi, "z2", (d_lo, d_hi))
+    table.faces = sum(counts[d_lo:d_hi + 3])
     return table

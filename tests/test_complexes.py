@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from indtopo.complexes import (
     from_facets,
     independence_complex,
 )
-from indtopo.homology import betti_reduced, graph_betti
+from indtopo.homology import betti_reduced, betti_window, graph_betti
 
 
 def small_graphs():
@@ -240,10 +241,19 @@ def test_face_budget_guard():
         assert "10" in str(e)
 
 
+def _assert_budget_trips_at(build, c):
+    assert build(c) == c + 1
+    with pytest.raises(FaceBudgetError) as excinfo:
+        build(c - 1)
+    assert str(excinfo.value) == f"face budget exceeded: {c} > {c - 1}"
+
+
 def test_face_budget_trips_at_the_last_face():
     """The guard charges each nonempty face up to the size cap once: a budget
     of exactly that many passes, and one less trips on the last face.  Each
-    builder reports the faces it holds or counted, the empty face included."""
+    builder reports the faces it holds or counted, the empty face included.
+    The Betti walks count whole subtrees at once, in edgeless graphs every
+    one below a vertex, and still trip as if they charged face by face."""
     rng = random.Random(89)
     for _ in range(240):
         n = rng.randint(1, 9)
@@ -259,12 +269,15 @@ def test_face_budget_trips_at_the_last_face():
                 (max_dim + 1, lambda b: independence_complex(G, max_dim, face_budget=b).total_faces),
                 (d_hi + 2, lambda b: faces_in_window(G, 0, d_hi, face_budget=b).total_faces),
                 (n, lambda b: from_facets(K.vertices, K.facets(), face_budget=b).total_faces),
-                (n, lambda b: graph_betti(G, face_budget=b).faces)):
-            c = sum(1 for s in sizes if 0 < s <= cap)
-            assert build(c) == c + 1
-            with pytest.raises(FaceBudgetError) as excinfo:
-                build(c - 1)
-            assert str(excinfo.value) == f"face budget exceeded: {c} > {c - 1}"
+                (n, lambda b: graph_betti(G, face_budget=b).faces),
+                (d_hi + 2, lambda b: betti_window(G, 0, d_hi, face_budget=b).faces)):
+            _assert_budget_trips_at(build, sum(1 for s in sizes if 0 < s <= cap))
+    for n in (10, 11, 12):
+        G = gr.Graph(range(n))
+        _assert_budget_trips_at(lambda b: graph_betti(G, face_budget=b).faces, 2 ** n - 1)
+        for d_hi in (0, 3, n - 2):
+            _assert_budget_trips_at(lambda b: betti_window(G, 0, d_hi, face_budget=b).faces,
+                                    sum(math.comb(n, k) for k in range(1, d_hi + 3)))
 
 
 def test_enumeration_and_reduce_leave_no_cyclic_garbage():

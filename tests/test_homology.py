@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from functools import partial
 
@@ -21,7 +22,6 @@ from indtopo.complexes import (
 from indtopo.homology import (
     BettiTable,
     Boundary,
-    _betti_table,
     _integer_reduce,
     betti_reduced,
     betti_window,
@@ -246,8 +246,15 @@ def test_betti_examples():
 
 
 def test_betti_of_empty_and_contractible():
-    empty = independence_complex(gr.Graph([1], loops=[1]))
-    assert betti_reduced(empty).nonzero() == {-1: 1}
+    """No vertex, or only looped ones: Ind(G) is {[]}, and its lone empty
+    face is a column of its own on every route."""
+    for G in (gr.Graph([]), gr.Graph([1], loops=[1])):
+        for coefficients in ("z2", "int"):
+            table = betti_reduced(independence_complex(G), coefficients)
+            assert table.betti == {-1: 1}, (G, coefficients)
+            assert graph_betti(G, coefficients) == table and graph_betti(G).faces == 1
+        win = betti_window(G, 0, 2)
+        assert win.betti == {0: 0, 1: 0, 2: 0} and win.faces == 1, G
     simplex = independence_complex(gr.Graph([1, 2, 3]))
     assert betti_reduced(simplex).nonzero() == {}
 
@@ -496,30 +503,46 @@ def _table1_graph(n):
         gr.categorical_product(gr.complete(2), gr.complete(3)), gr.complete(n))
 
 
+def _case3_faces(full, cases, d):
+    """The case-3 d-faces of a complex in store order; the empty face is case
+    3 only when there is no vertex."""
+    if d == -1:
+        return [] if full.face_count(0) else [0]
+    return [f for f in full.face_masks(d) if cases[full.labels(f)] == 3]
+
+
+def _check_walk(G, full, cases, top):
+    """The walk up to dimension top keeps exactly the case-3 faces in every
+    dimension, and counts every face of each size up to top + 1."""
+    last = full.dim + 1 if top is None else top + 1
+    columns, counts, _ = _classified_skeleton(G, top, None)
+    for d in range(-1, last):
+        assert columns.get(d, []) == _case3_faces(full, cases, d), (G, top, d)
+    assert set(columns) <= set(range(-1, last)), (G, top)
+    sizes = counts + [0] * (last + 1 - len(counts))
+    assert sizes[:last + 1] == [full.face_count(k - 1) for k in range(last + 1)], (G, top)
+    assert not any(sizes[last + 1:]), (G, top)
+
+
 def test_column_cases_match_the_first_cofacet_oracle():
-    """The classifying walk over the whole of Ind(G) (top None) against its
-    twin read off sorted face lists, on every face of seeded graphs with
-    loops; it counts every face it walks.  Dropping the case-2 columns keeps
-    each map's dense rank, and every Betti route equals the route without
-    shortcuts (the same faces through from_facets)."""
+    """The walk over the whole of Ind(G) (top None) keeps the case-3 faces of
+    its twin read off sorted face lists, and counts the f-vector, on seeded
+    graphs with loops.  Dropping the case-2 columns keeps each map's dense
+    rank, and every Betti route equals the route without shortcuts (the
+    same faces through from_facets)."""
     seen = Counter()
     for G in _looped_graphs(307, 300, 11, (0.3, 0.5, 0.7)):
         full = independence_complex(G)
         by_dim = oracles.faces_by_dimension(oracles.brute_independent_sets(G))
         cases = oracles.column_cases(by_dim)
-        K, walk, _, faces = _classified_skeleton(G, None, None)
-        assert [K.face_masks(d) for d in range(-1, full.dim + 1)] == \
-            [full.face_masks(d) for d in range(-1, full.dim + 1)], G
-        assert walk[-1] == bytes([2 if full.face_count(0) else 1]), G
-        assert faces == full.total_faces, G
+        _check_walk(G, full, cases, None)
         for d in range(0, full.dim + 1):
-            want = [cases[K.labels(f)] for f in K.face_masks(d)]
-            assert list(walk[d]) == want, (G, d)
+            want = [cases[full.labels(f)] for f in full.face_masks(d)]
             seen.update(want)
             A = oracles.boundary_rows(by_dim, d, signed=True)
-            kept = [[v for v, case in zip(row, walk[d]) if case != 2] for row in A]
+            kept = [[v for v, case in zip(row, want) if case != 2] for row in A]
             assert oracles.rank_gf2(kept) == oracles.rank_gf2(A), (G, d)
-            if len(walk[d]) <= 40:     # exact Fractions are slow on larger maps
+            if len(want) <= 40:     # exact Fractions are slow on larger maps
                 assert oracles.rank_q(kept) == oracles.rank_q(A), (G, d)
         F = from_facets(full.vertices, full.facets())
         for coefficients in ("z2", "int"):
@@ -534,25 +557,15 @@ def test_column_cases_match_the_first_cofacet_oracle():
 
 
 def test_window_walk_classifies_like_the_first_cofacet_oracle():
-    """The classifying walk's cases are the oracle's on every face below the
-    top of a window, of whose top dimension it keeps exactly the case-3
-    faces; it counts every face it walks."""
+    """For every window top, the walk keeps the oracle's case-3 faces in
+    every dimension up to the top and counts the f-vector that far."""
     seen = Counter()
     for G in _looped_graphs(401, 200, 11):
         full = independence_complex(G)
         cases = oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(G)))
+        seen.update(cases.values())
         for top in range(1, full.dim + 3):
-            K, walk, _, faces = _classified_skeleton(G, top, None)
-            assert [K.face_masks(d) for d in range(-1, top)] == \
-                [full.face_masks(d) for d in range(-1, top)], (G, top)
-            assert walk[-1] == bytes([2 if full.face_count(0) else 1]), G
-            for d in range(0, top):
-                want = [cases[K.labels(f)] for f in K.face_masks(d)]
-                assert list(walk[d]) == want, (G, top, d)
-                seen.update(want)
-            tops = [f for f in full.face_masks(top) if cases[full.labels(f)] == 3]
-            assert list(K.face_masks(top)) == tops and walk[top] == b"\3" * len(tops), (G, top)
-            assert faces == independence_complex(G, top).total_faces, (G, top)
+            _check_walk(G, full, cases, top)
     assert min(seen[1], seen[2], seen[3]) > 100
 
 
@@ -566,17 +579,17 @@ def _budget_outcome(build, budget):
 
 def test_window_route_equals_the_stored_skeleton_route():
     """Every window 0 <= lo <= hi <= 4, and the table-1 windows: the same
-    table and face count as the Betti table of the stored skeleton, and the
-    same face-budget outcome as ``faces_in_window`` just below and at the
-    number of faces enumerated."""
+    Betti numbers and face count as ``betti_reduced`` of the stored
+    skeleton, and the same face-budget outcome as ``faces_in_window`` just
+    below and at the number of faces enumerated."""
     cases = [(G, lo, hi) for G in _looped_graphs(409, 60, 10)
              for lo in range(0, 5) for hi in range(lo, 5)]
     cases += [(_table1_graph(n), 2, 4) for n in range(2, 6)]
     for G, lo, hi in cases:
         fw = faces_in_window(G, lo, hi)
         win = betti_window(G, lo, hi)
-        every_column = {d: b"\3" * fw.face_count(d) for d in range(-1, hi + 2)}
-        assert win == _betti_table(fw, every_column, (), lo, hi, "z2", (lo, hi)), (G, lo, hi)
+        whole = betti_reduced(fw)
+        assert win.betti == {d: whole.value(d) for d in range(lo, hi + 1)}, (G, lo, hi)
         assert win.faces == sum(fw.face_count(d) for d in range(lo - 1, hi + 2))
         enumerated = fw.total_faces - 1
         outcomes = []
@@ -591,14 +604,26 @@ def test_window_route_equals_the_stored_skeleton_route():
 
 
 def test_table1_window_stores_only_the_top_columns_it_builds():
-    """Of the 11,245 five-dimensional faces of Ind(K_2 x K_3 x K_5), the
-    window (2, 4) stores the 160 whose columns it builds; the verify record
-    still counts every face of dimensions 1..5."""
+    """Of the 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5, the
+    window (2, 4) walks a few thousand and stores only the case-3 ones whose
+    columns it may build; the verify record still counts every face of
+    dimensions 1..5."""
     from indtopo.verify import check_table1_row
 
     G = _table1_graph(5)
-    K, _, _, faces = _classified_skeleton(G, 5, None)
-    assert K.face_count(5) <= 160 and faces - sum(map(K.face_count, range(-1, 5))) == 11_245
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        columns, counts, _ = _classified_skeleton(G, 5, None)
+    finally:
+        sys.setprofile(None)
+    assert sum(counts) == 25_002 and counts[6] == 11_245
+    assert calls["visit"] <= 5_000 and sum(map(len, columns.values())) <= 700
     rec = check_table1_row(5)
     assert rec.match and rec.faces == 24_971
     gc.collect()
