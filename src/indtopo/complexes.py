@@ -9,7 +9,7 @@ of a graph whose every vertex is looped is {[]}, the empty complex.
 
 from itertools import combinations
 
-from .graphs import Graph, adjacency_masks, bits, render_label, select_bits
+from .graphs import Graph, bits, render_label, select_bits
 
 DEFAULT_FACE_BUDGET = 50_000_000
 
@@ -47,8 +47,10 @@ class SimplicialComplex:
     def __init__(self, vertices, faces_by_dim, source=None):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._faces = {-1: (0,)}
-        self._faces.update((d, tuple(fs)) for d, fs in faces_by_dim.items() if d >= 0 and fs)
+        self._faces = faces = {-1: (0,)}
+        for d, fs in faces_by_dim.items():
+            if d >= 0 and fs:
+                faces[d] = tuple(fs)
         self._all_faces = None
         self.source = source
 
@@ -109,7 +111,7 @@ class SimplicialComplex:
     def euler_characteristic_reduced(self) -> int:
         """Sum of (-1)^dim over all faces, the empty face contributing -1."""
         # (-1) ** -1 is a float, so branch on parity instead
-        return sum((-1 if d % 2 else 1) * self.face_count(d) for d in self.dims())
+        return sum(-len(fs) if d % 2 else len(fs) for d, fs in self._faces.items())
 
     def facets(self):
         """Maximal faces, as label tuples in canonical order."""
@@ -136,8 +138,9 @@ class SimplicialComplex:
 
 def _independence_masks(G: Graph):
     """Non-looped vertices in canonical order, plus G's adjacency bitmask of each."""
-    adj = adjacency_masks(G)
-    keep, nbr = select_bits(adj, sum(1 << i for i, a in enumerate(adj) if not a >> i & 1))
+    if not G._looped:
+        return list(G.vertices), G._adj
+    keep, nbr = select_bits(G._adj, ~G._looped & ((1 << len(G._adj)) - 1))
     return [G.vertices[i] for i in keep], nbr
 
 
@@ -147,31 +150,33 @@ def _enumerate_independent(nbr, max_size, budget):
     A face's candidates are a bitmask of the vertices above its last one and
     adjacent to none of its own; the depth-first visit extends it by each,
     lowest bit first, so every list comes out in lexicographic order of
-    index tuples.  Each child face visited is charged against the budget.
+    index tuples.  Each child face is charged against the budget, and only
+    one with candidates below max_size is visited by a call of its own.
     """
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
-    out = [[] for _ in range(max_size + 1)]
+    out = [[0]] + [[] for _ in range(max_size)]
     visited = 0
 
-    def rec(face, k, cand):
+    def rec(face, k, cand):     # list and visit face's children, of size k
         nonlocal visited
-        out[k].append(face)
-        if k == max_size:
-            return
-        k += 1
+        children = out[k]
         while cand:
             low = cand & -cand
             cand ^= low
             visited += 1
             if visited > budget:
                 _check_budget(visited, budget)
-            rec(face | low, k, cand & keep[low.bit_length() - 1])
+            children.append(child := face | low)
+            below = cand & keep[low.bit_length() - 1]
+            if below and k < max_size:
+                rec(child, k + 1, below)
 
     # rec refers to itself through its closure cell, a reference cycle that
     # would keep every face list alive until the cyclic collector runs
     try:
-        rec(0, 0, full)
+        if max_size:
+            rec(0, 1, full)
     finally:
         del rec
     return out

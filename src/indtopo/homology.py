@@ -296,10 +296,10 @@ def _betti_table(columns, adjacency, lo: int, hi: int, coefficients: str,
     d-faces read as columns}, dims lo..hi+1: b_d = (columns of d) - r_d -
     r_(d+1), r_d the rank the d-columns add to the apparent ones'.
 
-    One top-down pass with clearing: dimension d builds, one at a time, the
-    columns of its faces that are not pivot rows of dimension d + 1 (every
-    pivot mod 2, unit pivots over Z).  With G's ``adjacency`` masks, a row
-    with no pivot gets its apparent column if it is case 2.
+    One top-down pass with clearing, from the top dimension with columns:
+    d builds, one at a time, the columns of its faces that are not pivot
+    rows of d + 1 (every pivot mod 2, unit pivots over Z); with G's
+    ``adjacency`` masks, a case-2 row with no pivot gets its apparent column.
     """
     column = _gf2_column if coefficients == "z2" else _integer_column
     apparent = None
@@ -311,20 +311,18 @@ def _betti_table(columns, adjacency, lo: int, hi: int, coefficients: str,
                     return column(g | 1 << u)
             return None
 
-    ranks, factors, cleared = {}, {}, ()
-    for d in range(hi + 1, max(lo, 0) - 1, -1):
+    ranks, torsion, cleared = {}, {}, ()
+    for d in range(min(hi + 1, max(columns, default=-1)), max(lo, 0) - 1, -1):
         built = (column(f) for f in columns.get(d, ()) if f not in cleared)
-        if coefficients == "int":
-            ranks[d], factors[d], cleared = _integer_reduce(built, apparent)
-        else:
+        if coefficients == "z2":
             cleared, ranks[d] = _gf2_pivots(built, apparent)
-    betti, torsion = {}, {}
-    for d in range(lo, hi + 1):
-        betti[d] = len(columns.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        tor = tuple(f for f in factors.get(d + 1, ()) if f > 1)
-        if tor:
-            torsion[d] = tor
-    return BettiTable(betti, coefficients, torsion, window)
+            continue
+        ranks[d], factors, cleared = _integer_reduce(built, apparent)
+        if d > lo and (tor := tuple(f for f in factors if f > 1)):
+            torsion[d - 1] = tor
+    betti = {d: len(columns.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+             for d in range(lo, hi + 1)}
+    return BettiTable(betti, coefficients, dict(sorted(torsion.items())), window)
 
 
 def _check_coefficients(coefficients: str):
@@ -336,7 +334,7 @@ def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
     """Full-range reduced Betti numbers of any complex, each face a case-3
     column; for Ind(G), ``graph_betti`` reads the apparent pairs too."""
     _check_coefficients(coefficients)
-    return _betti_table({d: K.face_masks(d) for d in K.dims()}, None, -1, K.dim, coefficients)
+    return _betti_table(K._faces, None, -1, K.dim, coefficients)
 
 
 def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None) -> BettiTable:

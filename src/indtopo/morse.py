@@ -9,7 +9,6 @@ face's partner is ``big ^ bit``, the checker tests covers on masks, and
 labels are spelled only for output and for a witness.
 """
 
-from collections import Counter
 from itertools import chain
 
 from .complexes import SimplicialComplex
@@ -93,8 +92,11 @@ class Matching:
         return any(small == 0 for small, _ in self._pairs)
 
     def critical_counts(self) -> dict:
-        counts = Counter(map(int.bit_count, self._critical))
-        return {k - 1: counts[k] for k in sorted(counts)}
+        counts = {}
+        for f in self._critical:
+            d = f.bit_count() - 1
+            counts[d] = counts.get(d, 0) + 1
+        return dict(sorted(counts.items()))
 
     def _key(self):
         return self._order, self.vertices, frozenset(self._pairs), frozenset(self._critical)
@@ -125,34 +127,30 @@ class Matching:
 def element_matching(K: SimplicialComplex, order) -> Matching:
     """Run the ordered sweep over the given elements (a duplicate-free subset of V(K))."""
     order = tuple(order)
-    idx = [K.index_of(v) for v in order]  # raises on foreign labels
-    if len(set(idx)) != len(idx):
+    # a face waits in the queue of the first element of the order it holds;
+    # when it survives that sweep unmatched it moves on to its next one
+    before, waiting, swept = {}, {}, 0  # by element bit, in order: earlier elements, queue
+    for v in order:
+        bit = 1 << K.index_of(v)  # raises on foreign labels
+        before[bit], waiting[bit] = swept, []
+        swept |= bit
+    if len(before) != len(order):
         raise MatchingError("duplicate elements in the order")
 
-    # a face waits in the list of the first sweep whose element it holds;
-    # when it survives that sweep unmatched it moves on to its next one
-    sweep_of, before, swept = {}, {}, 0  # by element bit: position, earlier elements
-    for p, x in enumerate(idx):
-        sweep_of[1 << x], before[1 << x] = p, swept
-        swept |= 1 << x
-    waiting = [[] for _ in idx]
-
-    def hand_on(f, rest):  # queue f for its first sweep of an element in rest
-        m = f & rest
-        while m:
-            low = m & -m
-            if not m & before[low]:
-                waiting[sweep_of[low]].append(f)
-                return
-            m ^= low
-
-    for f in K._face_set():
-        hand_on(f, swept)
-    pool, pairs = set(K._face_set()), []
-    for p, x in enumerate(idx):
-        bit = 1 << x
-        later = swept & ~(before[bit] | bit)
-        for big in waiting[p]:
+    faces = K._face_set()
+    pool, pairs, moving = set(faces), [], faces   # moving: all faces, then a sweep's survivors
+    for bit, earlier in before.items():
+        rest = swept & ~earlier         # this element and the later ones
+        for f in moving:                # queue f for its first sweep in rest
+            m = f & rest
+            while m:
+                low = m & -m
+                if not m & before[low]:
+                    waiting[low].append(f)
+                    break
+                m ^= low
+        moving = []
+        for big in waiting.pop(bit):
             if big in pool:
                 # the pairs of one sweep are disjoint, so taking them out at
                 # once leaves the others' membership unchanged
@@ -161,8 +159,7 @@ def element_matching(K: SimplicialComplex, order) -> Matching:
                     pool.discard(big ^ bit)
                     pairs.append((big ^ bit, big))
                 else:
-                    hand_on(big, later)
-        waiting[p] = None
+                    moving.append(big)
     return Matching(order, tuple(pairs), tuple(pool), K)
 
 
@@ -176,7 +173,9 @@ def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     if matching.vertices != K.vertices:
         raise MatchingError("the matching's faces are over another vertex tuple than the complex's")
     pairs, critical, faces = matching._pairs, matching._critical, K._face_set()
-    held = {*chain.from_iterable(pairs), *critical}
+    up = dict(pairs)
+    held = set(up.values())   # a set made from the dict would resize again for its values
+    held.update(up, critical)
     if len(held) < 2 * len(pairs) + len(critical) or not held <= faces:
         seen = set()  # name the first held mask that is foreign or repeats
         for f in chain(chain.from_iterable(pairs), critical):
@@ -188,9 +187,9 @@ def _validate(matching: Matching, K: SimplicialComplex) -> dict:
     for sigma, tau in pairs:
         if sigma | tau != tau or (tau ^ sigma).bit_count() != 1:
             raise MatchingError(f"pair is not a cover: {K.labels(sigma)} - {K.labels(tau)}")
-    if len(held) != K.total_faces:
-        raise MatchingError(f"matching covers {len(held)} of {K.total_faces} faces")
-    return dict(pairs)
+    if len(held) != len(faces):
+        raise MatchingError(f"matching covers {len(held)} of {len(faces)} faces")
+    return up
 
 
 def verify_acyclic(matching: Matching, K: SimplicialComplex):
@@ -208,14 +207,12 @@ def verify_acyclic(matching: Matching, K: SimplicialComplex):
     up = _validate(matching, K)
     steps = {}  # sigma -> the other facets of up[sigma] matched upward, if any
     for sigma, big in up.items():
-        out, g = [], sigma
+        g = sigma
         while g:  # each facet but sigma drops a vertex of sigma
             low = g & -g
             g ^= low
             if big ^ low in up:
-                out.append(big ^ low)
-        if out:
-            steps[sigma] = out
+                steps.setdefault(sigma, []).append(big ^ low)
 
     finished = set()
     for start in steps:

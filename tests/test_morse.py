@@ -7,10 +7,10 @@ import random
 import pytest
 
 import oracles
-from indtopo import cli
+from indtopo import cli, verify
 from indtopo import graphs as gr
 from indtopo.complexes import from_facets, independence_complex
-from indtopo.homology import betti_reduced
+from indtopo.homology import BettiTable, betti_reduced
 from indtopo.morse import (
     Matching,
     MatchingError,
@@ -39,6 +39,7 @@ def test_full_simplex_single_element_clears_everything():
     m = element_matching(K, [1])
     assert m.pairs == (((), (1,)), ((2,), (1, 2)))
     assert m.critical == ()
+    assert m.critical_counts() == {}
     assert m.empty_face_matched
     assert wedge_conclusion(m, K).is_contractible
 
@@ -362,6 +363,7 @@ def test_wedge_conclusion_shapes():
     K2 = independence_complex(gr.complete(2))
     m2 = element_matching(K2, [])
     assert not m2.empty_face_matched
+    assert list(m2.critical_counts().items()) == [(-1, 1), (0, 2)]   # ascending dimensions
     assert wedge_conclusion(m2, K2) is None
 
 
@@ -371,3 +373,56 @@ def test_wedge_conclusion_product_3x3():
     assert wedge_conclusion(m, K).render() == "wedge(4, S^1)"
     # and the conclusion matches the actual homology
     assert betti_reduced(K).nonzero() == {1: 4}
+
+
+# -- the morse_homology batch's failure notes ---------------------------------
+# Ind of the edgeless graph on 1, 2, 3 is the full 2-simplex; its masks are
+# 1, 2, 4 for the vertices.
+
+def _cyclic_matching(K):
+    """1 -> 12 -> 2 -> 23 -> 3 -> 13 -> 1, with the empty face and 123 critical."""
+    return Matching((), ((1, 3), (2, 6), (4, 5)), (0, 7), K)
+
+
+class _OffEuler(Matching):
+    """A matching that reports one critical 5-cell more than it has."""
+    __slots__ = ()
+
+    def critical_counts(self):
+        return {**super().critical_counts(), 5: 1}
+
+
+def test_morse_homology_batch_notes_each_failure_kind(monkeypatch):
+    """A Betti number above its critical count, a cycle and an Euler sum that
+    misses chi each get their note, and the batch stops at the third."""
+    kinds = iter(["inequality", "cycle", "euler", "cycle"])
+    now = []
+
+    def matching(K, order):
+        now[:] = [next(kinds)]
+        if now[0] == "cycle":
+            return _cyclic_matching(K)
+        m = element_matching(K, order)
+        return _OffEuler(m.order, ((0, 1), (2, 3), (4, 5), (6, 7)), (), K) if now[0] == "euler" else m
+
+    def betti(K):
+        return BettiTable({1: 1}, "z2") if now[0] == "inequality" else betti_reduced(K)
+
+    monkeypatch.setattr(verify, "element_matching", matching)
+    monkeypatch.setattr(verify, "betti_reduced", betti)
+    rec = verify.check_morse_homology_batch(3, [(gr.Graph([1, 2, 3]), [1])] * 4)
+    assert rec.match is False
+    notes = rec.note.split("; ")
+    assert len(notes) == 3
+    assert notes[0] == "#0: Morse inequality fails ({} vs {1: 1})"
+    assert notes[1].startswith("#1: cycle [(1,), (1, 2), (2,)")
+    assert notes[2] == "#2: Euler sum -1 != chi"
+
+
+def test_morse_homology_batch_of_cycles_stops_at_three(monkeypatch):
+    monkeypatch.setattr(verify, "element_matching", lambda K, order: _cyclic_matching(K))
+    rec = verify.check_morse_homology_batch(3, [(gr.Graph([1, 2, 3]), [1])] * 6)
+    assert rec.match is False
+    notes = rec.note.split("; ")
+    assert [n.split(":")[0] for n in notes] == ["#0", "#1", "#2"]
+    assert all(" cycle [" in n for n in notes)
