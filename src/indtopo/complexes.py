@@ -42,7 +42,7 @@ class SimplicialComplex:
     in through ``from_facets``.
     """
 
-    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "source")
+    __slots__ = ("vertices", "_index", "_faces", "_all_faces", "_source")
 
     def __init__(self, vertices, faces_by_dim, source=None):
         self.vertices = tuple(vertices)
@@ -52,7 +52,12 @@ class SimplicialComplex:
             if d >= 0 and fs:
                 faces[d] = tuple(fs)
         self._all_faces = None
-        self.source = source
+        self._source = source
+
+    @property
+    def source(self):
+        """Where the complex came from; a graph reads as its repr, rendered here."""
+        return repr(self._source) if isinstance(self._source, Graph) else self._source
 
     # -- structure ---------------------------------------------------------
 
@@ -130,7 +135,7 @@ class SimplicialComplex:
         return hash((self.vertices, tuple(sorted((d, fs) for d, fs in self._faces.items()))))
 
     def __repr__(self):
-        tag = f" from {self.source}" if self.source else ""
+        tag = f" from {source}" if (source := self.source) else ""
         return f"<SimplicialComplex{tag}: dim {self.dim}, {self.total_faces} faces>"
 
 
@@ -189,7 +194,50 @@ def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> Simplic
     cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
     by_size = _enumerate_independent(nbr, cap, budget)
     return SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(by_size)},
-                             source=G.name or repr(G))
+                             source=G.name or G)
+
+
+def _face_polynomial(keep, s, last, budget):
+    """The independent sets of G[s] of each size 0..last, keep[i] being the
+    vertices not adjacent to vertex i (i included).
+
+    The split I(S) = I(S - v) + x I(S - N[v]) on the lowest vertex v of S,
+    unrolled along S - v: I(S) = 1 + x sum_v I(S_v), S_v the vertices of S
+    above v not adjacent to it, memoised on (S, size cap <= |S|).  A
+    polynomial is one int of (len(keep)+1)-bit fields, so x is a shift.  An
+    entry (S, cap) is fixed by the face T + min S, T the vertices taken on
+    the way (S is every vertex of s above max T not adjacent to T), so the
+    memo never holds more entries than there are faces: the budget trips
+    once it does, or once the faces counted exceed it.
+    """
+    w = len(keep) + 1
+    memo = {}
+
+    def poly(s, cap):           # 2 <= cap <= |s|
+        p = memo.get(key := s * w + cap)
+        if p is None:
+            p, rest = 1, s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                t = rest & keep[low.bit_length() - 1]
+                n = t.bit_count()
+                c = cap - 1 if cap <= n else n
+                p += (poly(t, c) if c > 1 else 1 + (n << w)) << w
+            memo[key] = p
+            if len(memo) > budget:
+                _check_budget(len(memo), budget)
+        return p
+
+    cap = min(last, n := s.bit_count())
+    try:
+        p = poly(s, cap) if cap > 1 else 1 + (n << w) if cap else 1
+    finally:
+        del poly
+    counts = [p >> w * k & (1 << w) - 1 for k in range(last + 1)]
+    if sum(counts) > budget + 1:        # the empty face is free
+        _check_budget(budget + 1, budget)
+    return counts
 
 
 def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
@@ -197,88 +245,52 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
     the only columns the Betti kernel reads (``homology``): returns
     ({d: case-3 d-faces}, [face count of each size], G's adjacency masks).
 
-    The walk of ``_enumerate_independent``, a face also carrying B, the
-    vertices below its lowest vertex l free for it minus l, and C, those of B
-    not adjacent to l: case 2 if C, else 3 if B, else 1.  A child ANDs both
-    with the new vertex's non-neighbours, so below a face with B empty every
-    face is case 1, and below one with a vertex of C adjacent to none of its
-    candidates S every face is case 2: such a subtree is counted by size as
-    x^k I(S), I the independence polynomial, each face charged to the
-    budget.  The empty face is case 3 only when G has no vertex.
+    The counts come first (``_face_polynomial``), then the walk of
+    ``_enumerate_independent``, a face also carrying B, the vertices below
+    its lowest vertex l free for it minus l, and C, those of B not adjacent
+    to l: case 2 if C, else 3 if B, else 1.  A child ANDs both with the new
+    vertex's non-neighbours, so below a face with B empty every face is case
+    1, and below one with a vertex of C adjacent to none of its candidates
+    every face is case 2: the walk skips such a child.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     _, nbr = _independence_masks(G)
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
     last = len(nbr) if top is None else min(top + 1, len(nbr))  # the largest size walked
-    out = [[] if nbr else [0]] + [[] for _ in range(last)]
-    counts = [1] + [0] * last
-    memo = {}
-    walked = 0          # nonempty faces walked or counted
-
-    def poly(s, cap):
-        """Independent sets of G[s] by size, up to size cap."""
-        n = s.bit_count()
-        if cap > n:
-            cap = n
-        if cap < 2:
-            return (1, n) if cap else (1,)
-        p = memo.get(key := s * (last + 1) + cap)
-        if p is None:
-            p, rest = [1] + [0] * cap, s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                for j, c in enumerate(poly(rest & keep[low.bit_length() - 1], cap - 1), 1):
-                    p[j] += c
-            memo[key] = p   # at most one entry per face counted
-            if len(memo) > budget:
-                _check_budget(budget + 1, budget)
-        return p
+    counts = _face_polynomial(keep, full, last, budget)
+    out = [[] if nbr else [0]] + [[] for _ in range(last)]   # the empty face: case 3 if no vertex
 
     def visit(face, k, cand, free, clear):
-        nonlocal walked
-        c = clear
-        while c and nbr[(c & -c).bit_length() - 1] & cand:
-            c &= c - 1
-        if c or not free:       # one case below: counted, not walked
-            sizes = poly(cand, last - k)
-            for j, n in enumerate(sizes, k):
-                counts[j] += n
-            walked += sum(sizes)
-            if walked > budget:
-                _check_budget(budget + 1, budget)
-            return
-        walked += 1
-        counts[k] += 1
-        if walked > budget:
-            _check_budget(budget + 1, budget)
         if not clear:
             out[k].append(face)
-        if k + 1 < last:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                m = keep[low.bit_length() - 1]
-                visit(face | low, k + 1, cand & m, free & m, clear & m)
-        elif k < last:
-            # the children are top faces: counted (the next visit checks the
-            # budget), and the case-3 ones kept
-            walked += cand.bit_count()
-            counts[last] += cand.bit_count()
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                m = keep[low.bit_length() - 1]
-                if free & m and not clear & m:
-                    out[last].append(face | low)
+        k += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            m = keep[low.bit_length() - 1]
+            if not free & m:
+                continue
+            c, s = clear & m, cand & m
+            if k == last or not s:      # a leaf, kept if case 3
+                if not c:
+                    out[k].append(face | low)
+                continue
+            x = c
+            while x and nbr[(x & -x).bit_length() - 1] & s:
+                x &= x - 1
+            if not x:
+                visit(face | low, k, s, free & m, c)
 
     try:
-        for i, m in enumerate(keep):   # the root's children: f - l is empty
+        # the root's children, f - l empty: B is every vertex below, so
+        # vertex 0 has only case-1 faces above it; with last 1 all are leaves
+        for i, m in enumerate(keep[1:], 1):
             low = 1 << i
-            visit(low, 1, full & ~(2 * low - 1) & m, low - 1, (low - 1) & m)
+            above = full & ~(2 * low - 1) & m if last > 1 else 0
+            visit(low, 1, above, low - 1, (low - 1) & m)
     finally:
-        del visit, poly
+        del visit
     return {k - 1: fs for k, fs in enumerate(out) if fs}, counts, nbr
 
 

@@ -47,9 +47,11 @@ is their number plus r_d, the case-3 d-columns that end as new pivots, and
 Only case-3 faces are read as columns: a reduction reaching a row g with
 no pivot tests g for case 2 from G's adjacency masks and, if it is, builds
 g + u as the row's pivot.  ``graph_betti`` and ``betti_window`` run on
-``complexes._classified_skeleton``, which keeps only the case-3 faces and
-counts the others; ``betti_reduced`` reads every face of any complex as a
-case-3 column, with no apparent rows.
+``complexes._classified_skeleton``: it counts every face from the memoised
+f-polynomial first, so the face budget trips before any walk, then walks
+only the subtrees that can hold case-3 faces and keeps those.
+``betti_reduced`` reads every face of any complex as a case-3 column, with
+no apparent rows.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
@@ -240,7 +242,7 @@ class BettiTable:
     coefficients: str                     # "z2" or "int"
     torsion: dict = field(default_factory=dict)
     window: tuple | None = None
-    faces: int | None = field(default=None, compare=False)   # counted by a walk
+    faces: int | None = field(default=None, compare=False)   # by the f-polynomial
 
     def value(self, d: int) -> int:
         if self.window is not None:
@@ -340,7 +342,7 @@ def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
 def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None) -> BettiTable:
     """Full-range reduced Betti numbers of Ind(G) over "z2" or "int".
 
-    One walk keeps the case-3 faces of Ind(G) and counts the others;
+    Ind(G)'s faces are counted, then its case-3 faces walked and kept;
     ``faces`` counts every face, the empty face included.
     """
     _check_coefficients(coefficients)
@@ -354,8 +356,8 @@ def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None) -> 
 def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None) -> BettiTable:
     """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only.
 
-    One walk keeps the case-3 faces of Ind(G) up to dimension d_hi + 1 and
-    counts the others; ``faces`` counts dimensions d_lo - 1..d_hi + 1.
+    Ind(G)'s faces up to dimension d_hi + 1 are counted, then its case-3
+    ones walked and kept; ``faces`` counts dimensions d_lo - 1..d_hi + 1.
     """
     if d_lo < 0 or d_hi < d_lo:
         raise ValueError(f"bad window ({d_lo}, {d_hi})")

@@ -97,6 +97,22 @@ def test_face_lookup_and_indexing():
         K.index_of([1])
 
 
+def test_source_names_the_graph_or_reads_its_repr():
+    """An unnamed graph's repr is rendered when the source is read, as it
+    would have been when the complex was built."""
+    for G, source, rest in (
+            (gr.Graph(range(3), [(0, 1)]), "<Graph: 3 vertices, 1 edges>", "dim 1, 6 faces"),
+            (gr.Graph(range(3), [(0, 1)], loops=[2]), "<Graph: 3 vertices, 1 edges, 1 loops>",
+             "dim 0, 3 faces"),
+            (gr.cycle(5), "C5", "dim 1, 11 faces")):
+        K = independence_complex(G)
+        assert K.source == source and repr(K) == f"<SimplicialComplex from {source}: {rest}>"
+    assert from_facets([1, 2], [[1, 2]]).source is None
+    assert repr(from_facets([1, 2], [[1, 2]])) == "<SimplicialComplex: dim 1, 4 faces>"
+    assert repr(from_facets([1, 2], [[1, 2]], source="RP2")) == (
+        "<SimplicialComplex from RP2: dim 1, 4 faces>")
+
+
 def test_euler_characteristic_reduced():
     # chi~(Ind(C_5)) = -1 + 5 - 5 = -1, the value for a circle
     assert independence_complex(gr.cycle(5)).euler_characteristic_reduced() == -1

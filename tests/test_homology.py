@@ -15,6 +15,8 @@ from indtopo import graphs as gr
 from indtopo.complexes import (
     FaceBudgetError,
     _classified_skeleton,
+    _face_polynomial,
+    _independence_masks,
     faces_in_window,
     from_facets,
     independence_complex,
@@ -603,27 +605,92 @@ def test_window_route_equals_the_stored_skeleton_route():
         betti_window(gr.cycle(5), 3, 1)
 
 
-def test_table1_window_stores_only_the_top_columns_it_builds():
-    """Of the 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5, the
-    window (2, 4) walks a few thousand and stores only the case-3 ones whose
-    columns it may build; the verify record still counts every face of
-    dimensions 1..5."""
-    from indtopo.verify import check_table1_row
-
-    G = _table1_graph(5)
-    calls = Counter()
-
+def _profiled(fn, calls):
+    """fn(), counting the calls it makes by function name in ``calls``."""
     def profile(frame, event, arg):
         if event == "call":
             calls[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
-        columns, counts, _ = _classified_skeleton(G, 5, None)
+        return fn()
     finally:
         sys.setprofile(None)
+
+
+def _polynomial_args(G, last, budget):
+    _, nbr = _independence_masks(G)
+    full = (1 << len(nbr)) - 1
+    return [full & ~m for m in nbr], full, len(nbr) if last is None else last, budget
+
+
+def test_face_polynomial_counts_the_brute_force_f_vector():
+    """At every size cap the memoised f-polynomial counts the faces of each
+    size that the subset sweep finds, on seeded graphs with loops.  Its memo
+    never trips a budget of the nonempty faces counted, and one less trips
+    with the budget message."""
+    calls = 0
+    for G in _looped_graphs(503, 1500, 12):
+        sizes = Counter(map(len, oracles.brute_independent_sets(G)))
+        for cap in range(len(_independence_masks(G)[1]) + 1):
+            want = [sizes[k] for k in range(cap + 1)]
+            faces = sum(want) - 1
+            assert _face_polynomial(*_polynomial_args(G, cap, faces)) == want, (G, cap)
+            if faces:
+                with pytest.raises(FaceBudgetError,
+                                   match=f"^face budget exceeded: {faces} > {faces - 1}$"):
+                    _face_polynomial(*_polynomial_args(G, cap, faces - 1))
+            calls += 1
+    assert calls > 9_000
+
+
+def test_face_polynomial_meets_the_euler_characteristic_of_each_closed_form():
+    """The reduced Euler characteristic read off the f-polynomial equals
+    sum_d (-1)^d b_d of the predicted wedge, for every family instance of
+    the default suites (127 of them) and for K_2 x K_3 x K_n, n <= 20: a
+    check that shares nothing with the type rules but their Betti numbers."""
+    from indtopo.families import FamilySpec, build_graph
+    from indtopo.homotopy import predict
+    from indtopo.verify import SUITES
+
+    specs = [FamilySpec(*args) for _, jobs, _ in SUITES.values()
+             for kind, args, _ in jobs({"seed": 7, "face_budget": None})
+             if kind in ("family", "family_int")]
+    assert len(specs) == 127
+    specs += [FamilySpec("conjecture_k2k3kn", (n,)) for n in range(2, 21)]
+    for spec in specs:
+        counts = _face_polynomial(*_polynomial_args(build_graph(spec), None, 10 ** 40))
+        euler = sum(c if k % 2 else -c for k, c in enumerate(counts))   # k = d + 1
+        betti = predict(spec).homotopy.betti()
+        assert euler == sum(-b if d % 2 else b for d, b in betti.items()), spec
+
+
+def test_betti_routes_trip_the_face_budget_before_walking():
+    """Ind(K_2 x K_3 x K_20) has 127,181,295 faces up to dimension 5, the
+    empty face included, over the default budget: both Betti routes raise
+    the budget message from the count alone, with no face walked."""
+    G = _table1_graph(20)
+    assert sum(_face_polynomial(*_polynomial_args(G, 6, 10 ** 9))) == 127_181_295
+    for route in (partial(betti_window, G, 2, 4), partial(graph_betti, G)):
+        calls = Counter()
+        with pytest.raises(FaceBudgetError, match="^face budget exceeded: 50000001 > 50000000$"):
+            _profiled(route, calls)
+        assert calls["_face_polynomial"] == 1 and calls["visit"] == 0
+
+
+def test_table1_window_stores_only_the_top_columns_it_builds():
+    """The 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5 are
+    counted in 1,119 calls of the f-polynomial; the window (2, 4) walks
+    1,573 and stores only the case-3 ones whose columns it may build; the
+    verify record still counts every face of dimensions 1..5."""
+    from indtopo.verify import check_table1_row
+
+    G = _table1_graph(5)
+    calls = Counter()
+    columns, counts, _ = _profiled(partial(_classified_skeleton, G, 5, None), calls)
     assert sum(counts) == 25_002 and counts[6] == 11_245
-    assert calls["visit"] <= 5_000 and sum(map(len, columns.values())) <= 700
+    assert calls["poly"] <= 1_119 and calls["visit"] <= 1_573
+    assert sum(map(len, columns.values())) <= 700
     rec = check_table1_row(5)
     assert rec.match and rec.faces == 24_971
     gc.collect()
