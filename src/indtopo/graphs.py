@@ -253,18 +253,34 @@ def masked_subgraph(vertices, adj, alive: int, name=None) -> Graph:
     return Graph._from_masks([vertices[i] for i in keep], masks, name)
 
 
+def first_simplicial(adj: list, alive: int, among: int):
+    """The lowest vertex of ``among`` simplicial in the subgraph ``alive``, or None.
+
+    v is simplicial when its live neighbourhood is a nonempty clique with no
+    loop: a looped neighbour is in no independent set, so the split over N(v)
+    would miscount (a looped live v is its own neighbour).
+    """
+    while among:
+        low = among & -among
+        v = low.bit_length() - 1
+        among ^= low
+        nbrs = rest = adj[v] & alive
+        while rest:
+            wlow = rest & -rest
+            w = wlow.bit_length() - 1
+            aw = adj[w]
+            if aw & wlow or nbrs & ~(aw | wlow):
+                break
+            rest ^= wlow
+        else:
+            if nbrs:
+                return v
+    return None
+
+
 def simplicial_in(adj: list, alive: int, v: int) -> bool:
     """Mask form of ``is_simplicial_vertex`` for vertex v of the subgraph ``alive``."""
-    nbrs = adj[v] & alive
-    if not nbrs:
-        return False
-    # a looped neighbor is in no independent set, so the split decomposition
-    # over N(v) would miscount; rule it out here (a looped v is its own)
-    for w in bits(nbrs):
-        aw = adj[w]
-        if aw >> w & 1 or nbrs & ~(aw | 1 << w):
-            return False
-    return True
+    return first_simplicial(adj, alive, 1 << v) is not None
 
 
 # -- family constructors ---------------------------------------------------

@@ -11,7 +11,6 @@ The reduction lemmas (fold, simplicial split, cone-certified edge) and the
 vertex order; labels are rendered only for traces and residual graphs.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import graphs as gr
@@ -97,17 +96,16 @@ def join(a: HomotopyType, b: HomotopyType) -> HomotopyType:
 
 def wedge(a: HomotopyType, b: HomotopyType) -> HomotopyType:
     """Wedge sum; contractible is the identity."""
-    out = dict(a.spheres)
-    for d, c in b.spheres:
-        out[d] = out.get(d, 0) + c
-    return HomotopyType(out)
+    return wedge_all((a, b))
 
 
 def wedge_all(types) -> HomotopyType:
-    out = HomotopyType.contractible()
+    """Wedge sum of any number of types, validated once; contractible if none."""
+    out = {}
     for t in types:
-        out = wedge(out, t)
-    return out
+        for d, c in t.spheres:
+            out[d] = out.get(d, 0) + c
+    return HomotopyType(out)
 
 
 # -- closed-form predictions ---------------------------------------------------
@@ -134,19 +132,31 @@ def predict(spec: FamilySpec) -> Prediction:
 # branch is alive & ~N[w], and a cone edge sets two bits in a copied mask list.
 # Labels are rendered only for the trace, and a Graph is built only for a
 # residual handed back to the caller.
+#
+# Each rule's search is a mask loop that takes the first vertex or pair in
+# vertex order, so the trace does not depend on how it is found: folds and
+# cone edges intersect neighbourhoods (_dominated_pair, _cone_edge), a split
+# takes graphs.first_simplicial, and _cone_apex names one witness per edge.
 
 def _dominated_pair(adj: list, alive: int):
-    """First (u, u2) in scan order of distinct live vertices with N(u) <= N(u2), or None."""
-    for u in gr.bits(alive):
-        nu = adj[u] & alive
-        # every such u2 is a neighbour of N(u)'s lowest vertex, so scan only those
-        rest = (adj[(nu & -nu).bit_length() - 1] if nu else alive) & alive & ~(1 << u)
-        while rest:
-            low = rest & -rest
-            u2 = low.bit_length() - 1
-            if not nu & ~adj[u2]:
-                return u, u2
-            rest ^= low
+    """First (u, u2) of distinct live vertices with N(u) <= N(u2), or None.
+
+    u2 must be adjacent to every x in N(u), so per u in vertex order the
+    other live vertices are ANDed with adj[x] for each such x, stopping at
+    0; u2 is the lowest that survives.
+    """
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = alive & ~low
+        nu = adj[low.bit_length() - 1] & alive
+        while nu and c:
+            x = nu & -nu
+            c &= adj[x.bit_length() - 1]
+            nu ^= x
+        if c:
+            return low.bit_length() - 1, (c & -c).bit_length() - 1
     return None
 
 
@@ -156,6 +166,8 @@ def _cone_apex(adj: list, alive: int, a: int, b: int):
     Such a w is an isolated unlooped vertex of the live subgraph minus
     N[{a,b}] (a looped w fails, since w is in N(w)).  It is a cone apex, so
     edge (a, b) can be added without changing the homotopy type of Ind.
+    ``edge_add_if_cone`` and ``reduce`` (once per added edge) both name
+    their witness with it.
     """
     hood = (adj[a] | adj[b] | 1 << a | 1 << b) & alive
     rest = alive & ~hood
@@ -165,6 +177,41 @@ def _cone_apex(adj: list, alive: int, a: int, b: int):
         if not adj[w] & alive & ~hood:
             return w
         rest ^= low
+    return None
+
+
+def _cone_edge(adj: list, alive: int):
+    """First live non-adjacent pair (a, b), a < b, in ``combinations`` order
+    with a cone apex, or None; loops must be out of ``alive``.
+
+    Per a, an apex w outside na = N[a] certifies the b above a, outside na
+    and N[w], and adjacent to all of R = N(w) - na: the candidates that
+    survive one AND with adj[x] per x in R.  The lowest b any w admits wins.
+    """
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        na = (adj[a] | low) & alive
+        above = alive & ~na & -(low << 1)
+        if not above:
+            continue
+        found = 0
+        ws = alive & ~na
+        while ws:
+            wlow = ws & -ws
+            ws ^= wlow
+            aw = adj[wlow.bit_length() - 1]
+            c = above & ~(aw | wlow)
+            r = aw & alive & ~na
+            while r and c:
+                x = r & -r
+                c &= adj[x.bit_length() - 1]
+                r ^= x
+            found |= c
+        if found:
+            return a, (found & -found).bit_length() - 1
     return None
 
 
@@ -278,8 +325,11 @@ def reduce(G: Graph, budget: int = 10_000):
             if not alive:
                 trace.append({"rule": "empty-graph"})
                 return HomotopyType.empty_complex(), trace
-            iso = next((v for v in gr.bits(alive) if not adj[v] & alive), None)
-            if iso is not None:
+            rest = alive
+            while rest and adj[(rest & -rest).bit_length() - 1] & alive:
+                rest &= rest - 1
+            if rest:
+                iso = (rest & -rest).bit_length() - 1
                 trace.append({"rule": "cone-isolated", "vertex": names[iso]})
                 return HomotopyType.contractible(), trace
             pair = _dominated_pair(adj, alive)
@@ -288,8 +338,7 @@ def reduce(G: Graph, budget: int = 10_000):
                 trace.append(_fold_record(names, *pair))
                 alive &= ~(1 << pair[1])
                 continue
-            split_v = next((v for v in gr.bits(alive) if gr.simplicial_in(adj, alive, v)),
-                           None)
+            split_v = gr.first_simplicial(adj, alive, alive)
             if split_v is not None:
                 counter[0] -= 1
                 branches = []
@@ -304,13 +353,11 @@ def reduce(G: Graph, budget: int = 10_000):
                     parts.append(suspend(res))
                 trace.append(step)
                 return wedge_all(parts), trace
-            # looped vertices are gone by now, so every live pair is a candidate
-            for a, b in itertools.combinations(list(gr.bits(alive)), 2):
-                witness = None if adj[a] >> b & 1 else _cone_apex(adj, alive, a, b)
-                if witness is not None:
-                    break
-            else:
+            pair = _cone_edge(adj, alive)
+            if pair is None:
                 return Stuck(_subgraph(G, adj, alive), "no rule fired"), trace
+            a, b = pair
+            witness = _cone_apex(adj, alive, a, b)
             counter[0] -= 1
             trace.append({"rule": "add-edge-cone", "edge": [names[a], names[b]],
                           "isolated_witness": names[witness]})

@@ -8,10 +8,12 @@ boundary columns from first cofacets found in the sorted face lists,
 isomorphism from a permutation sweep, Morse acyclicity from stripping sinks
 off the whole modified Hasse diagram, ordered matchings from sweeping the
 whole face pool per element, and the canonical graph order from sorting
-rendered label strings, and the reduction lemmas from Graph surgery that
-builds a new graph at every step.  Products, Mycielskians and gadgets are
-built from label pairs and label edge lists through the validating Graph
-constructor, and the crossing and triangle searches walk label sets.
+rendered label strings, the reduction lemmas from Graph surgery that
+builds a new graph at every step, and reduce()'s rule searches on masks
+from trying one candidate vertex, pair or apex at a time.  Products,
+Mycielskians and gadgets are built from label pairs and label edge lists
+through the validating Graph constructor, and the crossing and triangle
+searches walk label sets.
 Nothing below imports library internals beyond the Graph container, the
 label renderer and the homotopy-type algebra (the values reduce() returns),
 so a bug in the fast code paths cannot hide here.
@@ -338,6 +340,53 @@ def graphs_isomorphic(G: Graph, H: Graph) -> bool:
         if all(H.has_edge(fmap[u], fmap[v]) for u, v in G.edges):
             return True
     return False
+
+
+# -- reduce()'s rule searches on masks, one candidate at a time ----------------------
+#
+# Vertex i is bit i; adj[i] is N(i), a looped vertex's holding its own bit, and
+# alive is the mask of the subgraph searched.
+
+def _live_neighbours(adj, alive, v) -> set:
+    return {x for x in mask_indices(alive) if adj[v] >> x & 1}
+
+
+def dominated_pair_scan(adj, alive):
+    """First (u, u2) of distinct live vertices with N(u) <= N(u2) inside ``alive``,
+    each u in vertex order tried against each u2 in vertex order."""
+    live = mask_indices(alive)
+    for u in live:
+        for u2 in live:
+            if u2 != u and _live_neighbours(adj, alive, u) <= _live_neighbours(adj, alive, u2):
+                return u, u2
+    return None
+
+
+def cone_apex_scan(adj, alive, a, b):
+    """First live w outside N[{a,b}] whose live neighbours all lie inside it."""
+    hood = {a, b} | _live_neighbours(adj, alive, a) | _live_neighbours(adj, alive, b)
+    return next((w for w in mask_indices(alive)
+                 if w not in hood and _live_neighbours(adj, alive, w) <= hood), None)
+
+
+def cone_edge_by_pairs(adj, alive):
+    """First live non-adjacent pair (a, b), a < b, with a cone apex, trying
+    every pair in ``combinations`` order."""
+    for a, b in itertools.combinations(mask_indices(alive), 2):
+        if not adj[a] >> b & 1 and cone_apex_scan(adj, alive, a, b) is not None:
+            return a, b
+    return None
+
+
+def first_simplicial_scan(adj, alive, among):
+    """Lowest v of ``among`` whose live neighbours are at least one, none of
+    them looped, and pairwise adjacent (a looped live v is its own neighbour)."""
+    for v in mask_indices(among):
+        nbrs = sorted(_live_neighbours(adj, alive, v))
+        if (nbrs and not any(adj[w] >> w & 1 for w in nbrs)
+                and all(adj[x] >> y & 1 for x, y in itertools.combinations(nbrs, 2))):
+            return v
+    return None
 
 
 # -- reduce() as Graph surgery -----------------------------------------------------

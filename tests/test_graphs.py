@@ -171,6 +171,25 @@ def test_canonical_order_and_simplicial_test_against_oracles():
                     "simplicial", "not simplicial"}
 
 
+def test_first_simplicial_is_the_first_vertex_the_pairwise_oracle_accepts():
+    """On seeded looped graphs, for a live subgraph and candidates among its
+    vertices, first_simplicial names the lowest candidate that
+    simplicial_vertex_pairwise accepts in the live subgraph."""
+    rng = random.Random(28)
+    found = 0
+    for _ in range(600):
+        G = _random_looped_graph(rng)
+        adj = gr.adjacency_masks(G)
+        alive = sum(1 << v for v in range(len(adj)) if rng.random() < 0.8)
+        among = rng.choice([alive, alive & rng.getrandbits(len(adj))])
+        H = gr.masked_subgraph(G.vertices, adj, alive)
+        want = next((v for v in oracles.mask_indices(among)
+                     if oracles.simplicial_vertex_pairwise(H, G.vertices[v])), None)
+        assert gr.first_simplicial(adj, alive, among) == want, (G, alive, among)
+        found += want is not None
+    assert found >= 100
+
+
 def test_queries_on_non_vertices():
     """`in` is False for any non-vertex, unhashable ones too; every other
     query names the label that is not a vertex, whichever argument it is."""

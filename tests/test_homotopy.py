@@ -87,8 +87,12 @@ def test_wedge_basics():
     assert wedge(POINT, s(2)) == s(2)
     assert wedge_all([s(0), s(1), s(0)]) == HomotopyType({0: 2, 1: 1})
     assert wedge_all([]) == POINT
+    assert wedge_all(iter([EMPTY])) == EMPTY
     with pytest.raises(ValueError):
         wedge(EMPTY, EMPTY)       # two empty complexes are not a wedge
+    for parts in ([EMPTY, EMPTY], [s(0), EMPTY, POINT], [EMPTY, s(2)]):
+        with pytest.raises(ValueError, match="the empty complex S\\^-1 cannot appear"):
+            wedge_all(parts)
 
 
 def test_join_laws_random():
