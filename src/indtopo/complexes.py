@@ -5,6 +5,8 @@ and the empty face, at dimension -1, is 0.  Each dimension's masks are kept
 in lexicographic order of their index tuples, which fixes every row index
 and every rendered list.  The empty face is always present, so the complex
 of a graph whose every vertex is looped is {[]}, the empty complex.
+The Betti kernel's walk (``_classified_skeleton``) may take its own vertex
+order instead, and returns the masks it walked with its faces.
 """
 
 from itertools import combinations
@@ -240,18 +242,54 @@ def _face_polynomial(keep, s, last, budget):
     return counts
 
 
+def _walk_order(nbr):
+    """The vertex order the walk of ``_classified_skeleton`` takes on large
+    complexes, read off the adjacency masks alone: a permutation of the
+    vertex indices, built one class at a time.
+
+    A class starts at the lowest vertex not yet ordered, v, with the
+    unordered non-neighbours of v as its candidates.  It then takes the
+    candidate with the most neighbours among the candidates (the lowest on
+    ties) and drops that vertex's closed neighbourhood from them, until none
+    is left; the next class starts after it.  Each class is a maximal
+    independent set of the vertices left; on K_2 x K_3 x K_n the first is
+    the six vertices sharing a K_n coordinate.
+    """
+    order, rest = [], (1 << len(nbr)) - 1
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        cand = rest
+        while True:
+            order.append(v)
+            rest ^= 1 << v
+            cand &= ~(nbr[v] | 1 << v)
+            if not cand:
+                break
+            v = max(bits(cand), key=lambda u: (nbr[u] & cand).bit_count())
+    return order
+
+
 def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
     """The case-3 faces of Ind(G) up to dimension top (all of it for None),
     the only columns the Betti kernel reads (``homology``): returns
-    ({d: case-3 d-faces}, [face count of each size], G's adjacency masks).
+    ({d: case-3 d-faces}, [face count of each size], the adjacency masks
+    walked), faces and masks over the walk's vertex order.
 
-    The counts come first (``_face_polynomial``), then the walk of
-    ``_enumerate_independent``, a face also carrying B, the vertices below
-    its lowest vertex l free for it minus l, and C, those of B not adjacent
-    to l: case 2 if C, else 3 if B, else 1.  A child ANDs both with the new
-    vertex's non-neighbours, so below a face with B empty every face is case
-    1, and below one with a vertex of C adjacent to none of its candidates
-    every face is case 2: the walk skips such a child.
+    The counts come first (``_face_polynomial`` on G's own masks, so the
+    counts and any budget error never depend on the order), then the walk
+    of ``_enumerate_independent``, a face also carrying B, the vertices
+    below its lowest vertex l free for it minus l, and C, those of B not
+    adjacent to l: case 2 if C, else 3 if B, else 1.  A child ANDs both with
+    the new vertex's non-neighbours, so below a face with B empty every face
+    is case 1, and below one with a vertex of C adjacent to none of its
+    candidates every face is case 2: the walk skips such a child.
+
+    The cases depend on the vertex order, and on K_2 x K_3 x K_n far fewer
+    faces are case 3 in ``_walk_order`` than in G's own (68 against 604 up
+    to dimension 5 at n = 5, 418 against 41,008 at n = 12).  Relabelling
+    costs O(n^2) bit operations on n vertices, a loss where the walk is
+    cheap, so the walk takes that order only once the faces counted are at
+    least 8 n^2, and G's own order otherwise.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     _, nbr = _independence_masks(G)
@@ -259,6 +297,11 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
     keep = [full & ~m for m in nbr]
     last = len(nbr) if top is None else min(top + 1, len(nbr))  # the largest size walked
     counts = _face_polynomial(keep, full, last, budget)
+    if sum(counts) >= 8 * len(nbr) ** 2:
+        order = _walk_order(nbr)
+        pos = {v: i for i, v in enumerate(order)}
+        nbr = [sum(1 << pos[u] for u in bits(nbr[v])) for v in order]
+        keep = [full & ~m for m in nbr]
     out = [[] if nbr else [0]] + [[] for _ in range(last)]   # the empty face: case 3 if no vertex
 
     def visit(face, k, cand, free, clear):

@@ -53,6 +53,12 @@ only the subtrees that can hold case-3 faces and keeps those.
 ``betti_reduced`` reads every face of any complex as a case-3 column, with
 no apparent rows.
 
+Which pairs are apparent depends on the vertex order, and the Betti
+numbers and face counts do not.  On a large complex the walk takes its own
+order (``complexes._walk_order``), with far fewer case-3 faces on the
+table-1 graphs, and hands back the masks it walked, so that the apparent
+columns built here use the same labels as the faces it kept.
+
 >>> smith_normal_form([[2, 4], [6, 8]]).factors
 (2, 4)
 """

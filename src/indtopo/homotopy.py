@@ -137,15 +137,18 @@ def predict(spec: FamilySpec) -> Prediction:
 # vertex order, so the trace does not depend on how it is found: folds and
 # cone edges intersect neighbourhoods (_dominated_pair, _cone_edge), a split
 # takes graphs.first_simplicial, and _cone_apex names one witness per edge.
+# After a fold the next scan starts where a new pair can first be
+# (_fold_resume), and from vertex 0 after an added edge or in a new branch.
 
-def _dominated_pair(adj: list, alive: int):
-    """First (u, u2) of distinct live vertices with N(u) <= N(u2), or None.
+def _dominated_pair(adj: list, alive: int, start: int = 0):
+    """First (u, u2) of distinct live vertices with N(u) <= N(u2) and
+    u >= start, or None.
 
     u2 must be adjacent to every x in N(u), so per u in vertex order the
     other live vertices are ANDed with adj[x] for each such x, stopping at
     0; u2 is the lowest that survives.
     """
-    rest = alive
+    rest = alive & -(1 << start)
     while rest:
         low = rest & -rest
         rest ^= low
@@ -158,6 +161,15 @@ def _dominated_pair(adj: list, alive: int):
         if c:
             return low.bit_length() - 1, (c & -c).bit_length() - 1
     return None
+
+
+def _fold_resume(adj: list, alive: int, u: int, u2: int) -> int:
+    """Where the next ``_dominated_pair`` scan may start once u2 is folded
+    away for u (``alive`` without u2): no vertex below u had a dominator,
+    and only a live neighbour of u2 loses a neighbour, so only one of those
+    can gain a dominator."""
+    nb = adj[u2] & alive
+    return min(u, (nb & -nb).bit_length() - 1) if nb else u
 
 
 def _cone_apex(adj: list, alive: int, a: int, b: int):
@@ -252,9 +264,11 @@ def fold_reduce(G: Graph):
     looped = _looped_mask(adj)
     alive = (1 << len(adj)) - 1 & ~looped
     trace = _drop_steps(names, looped)
-    while (pair := _dominated_pair(adj, alive)) is not None:
+    start = 0
+    while (pair := _dominated_pair(adj, alive, start)) is not None:
         trace.append(_fold_record(names, *pair))
         alive &= ~(1 << pair[1])
+        start = _fold_resume(adj, alive, *pair)
     return _subgraph(G, adj, alive), trace
 
 
@@ -312,6 +326,7 @@ def reduce(G: Graph, budget: int = 10_000):
 
     def go(adj, alive):
         trace = []
+        start = 0       # no live vertex below it has a dominator
         while True:
             if counter[0] <= 0:
                 return Stuck(_subgraph(G, adj, alive), "budget exhausted",
@@ -332,11 +347,12 @@ def reduce(G: Graph, budget: int = 10_000):
                 iso = (rest & -rest).bit_length() - 1
                 trace.append({"rule": "cone-isolated", "vertex": names[iso]})
                 return HomotopyType.contractible(), trace
-            pair = _dominated_pair(adj, alive)
+            pair = _dominated_pair(adj, alive, start)
             if pair is not None:
                 counter[0] -= 1
                 trace.append(_fold_record(names, *pair))
                 alive &= ~(1 << pair[1])
+                start = _fold_resume(adj, alive, *pair)
                 continue
             split_v = gr.first_simplicial(adj, alive, alive)
             if split_v is not None:
@@ -364,6 +380,7 @@ def reduce(G: Graph, budget: int = 10_000):
             adj = adj.copy()
             adj[a] |= 1 << b
             adj[b] |= 1 << a
+            start = 0
 
     # go refers to itself through its closure cell; break that cycle
     try:

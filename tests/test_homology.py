@@ -17,10 +17,12 @@ from indtopo.complexes import (
     _classified_skeleton,
     _face_polynomial,
     _independence_masks,
+    _walk_order,
     faces_in_window,
     from_facets,
     independence_complex,
 )
+from indtopo.graphs import bits
 from indtopo.homology import (
     BettiTable,
     Boundary,
@@ -491,10 +493,10 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
     assert 0 < len(built) <= 300
 
 
-def _looped_graphs(seed, count, max_n, densities=(0.2, 0.4, 0.6)):
+def _looped_graphs(seed, count, max_n, densities=(0.2, 0.4, 0.6), min_n=1):
     rng = random.Random(seed)
     for _ in range(count):
-        verts = list(range(1, rng.randint(1, max_n) + 1))
+        verts = list(range(1, rng.randint(min_n, max_n) + 1))
         p = rng.choice(densities)
         yield gr.Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p],
                        [v for v in verts if rng.random() < 0.15])
@@ -569,6 +571,107 @@ def test_window_walk_classifies_like_the_first_cofacet_oracle():
         for top in range(1, full.dim + 3):
             _check_walk(G, full, cases, top)
     assert min(seen[1], seen[2], seen[3]) > 100
+
+
+def _relabelled(G, order):
+    """G without its looped vertices, renamed so that its canonical order is
+    ``order`` (of the unlooped vertices' indices): order[i] becomes v<i>."""
+    nbr = _independence_masks(G)[1]
+    name = [""] * len(order)
+    for i, v in enumerate(order):
+        name[v] = f"v{i:03d}"
+    return gr.Graph(sorted(name), [(name[u], name[w]) for u, m in enumerate(nbr)
+                                   for w in bits(m) if u < w])
+
+
+def _walk_ordered(G):
+    return _relabelled(G, _walk_order(_independence_masks(G)[1]))
+
+
+def _rp2_suspensions(k):
+    """The RP^2 graph (Ind: RP^2 subdivided, Z/2 in dimension 1) beside k
+    copies of K_2: Ind is its k-fold suspension."""
+    G = oracles.incomparability_graph(RP2_FACETS)
+    pairs = [(f"x{i}", f"y{i}") for i in range(k)]
+    return gr.Graph([*G.vertices, *itertools.chain(*pairs)], [*G.edges, *pairs])
+
+
+def _sparse_graphs(seed, count):
+    """Seeded graphs of 10-14 vertices, a few looped, sparse enough that
+    many have the 8 n^2 faces on n unlooped vertices at which the walk
+    takes its own order."""
+    return _looped_graphs(seed, count, 14, (0.05, 0.1), min_n=10)
+
+
+def test_walk_order_is_a_deterministic_permutation():
+    """_walk_order is a permutation of the unlooped vertices, the same on
+    every call, and a graph relabelled by it is already in it; on
+    K_2 x K_3 x K_5 it puts the six vertices sharing a K_5 coordinate first."""
+    graphs = [*_looped_graphs(503, 300, 12), *map(_table1_graph, range(2, 6)),
+              _rp2_suspensions(4)]
+    for G in graphs:
+        nbr = _independence_masks(G)[1]
+        order = _walk_order(nbr)
+        assert sorted(order) == list(range(len(nbr))), G
+        assert _walk_order(list(nbr)) == order, G
+        assert _walk_order(_independence_masks(_relabelled(G, order))[1]) == sorted(order), G
+    G = _table1_graph(5)
+    first = [G.vertices[i] for i in _walk_order(_independence_masks(G)[1])[:6]]
+    assert len({v[1] for v in first}) == 1 and len(set(first)) == 6
+
+
+def test_walk_in_its_own_order_keeps_the_oracle_case3_faces():
+    """With G relabelled by _walk_order, the walk keeps exactly the case-3
+    faces read off the relabelled graph's sorted face lists, and counts its
+    f-vector, on the seeded sweep of 1,500 graphs with loops and 40 sparse
+    ones of 10-14 vertices: the relabelled graph is already in that order,
+    so the walk takes it whether or not it relabels.  Where the walk
+    relabels G itself (some of the sparse ones), it returns the relabelled
+    graph's masks, and G's own otherwise."""
+    relabels = 0
+    for G in itertools.chain(_looped_graphs(503, 1500, 12), _sparse_graphs(509, 40)):
+        H = _walk_ordered(G)
+        full = independence_complex(H)
+        cases = oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(H)))
+        _check_walk(H, full, cases, None)
+        nbr = _independence_masks(G)[1]
+        walked = _classified_skeleton(G, None, None)[2]
+        if full.total_faces >= 8 * len(nbr) ** 2:
+            assert walked == list(H._adj), G
+            relabels += bool(nbr)
+        else:
+            assert walked == nbr, G
+    assert relabels >= 10
+
+
+def test_betti_routes_agree_on_a_graph_and_in_its_walk_order():
+    """graph_betti over Z/2 and Z, and betti_window, give the same Betti
+    numbers, torsion and face counts on G as on G relabelled by _walk_order,
+    and the same as betti_reduced of the stored complex: on seeded graphs
+    with loops, sparse ones among them, on the RP^2 graph and its
+    suspensions by up to four K_2 (torsion Z/2; the walk relabels the
+    fourth), and on K_2 x K_3 x K_n, n <= 4 (it relabels n = 4)."""
+    graphs = [*_looped_graphs(601, 150, 12), *_sparse_graphs(607, 15),
+              *map(_rp2_suspensions, range(5)), *map(_table1_graph, range(2, 5))]
+    torsion = 0
+    for G in graphs:
+        H = _walk_ordered(G)
+        K = independence_complex(G)
+        for coefficients in ("z2", "int"):
+            want = betti_reduced(K, coefficients)
+            for X in (G, H):
+                got = graph_betti(X, coefficients)
+                # BettiTable equality compares the torsion, not the faces
+                assert (got, got.faces) == (want, K.total_faces), (G, X, coefficients)
+            torsion += bool(want.torsion)
+        for lo in range(0, min(K.dim, 3) + 1):
+            hi = min(lo + 2, K.dim + 1)
+            want = betti_window(G, lo, hi)
+            stored = betti_reduced(faces_in_window(G, lo, hi))
+            assert want.betti == {d: stored.value(d) for d in range(lo, hi + 1)}, (G, lo, hi)
+            got = betti_window(H, lo, hi)
+            assert (got, got.faces) == (want, want.faces), (G, lo, hi)
+    assert torsion >= 5
 
 
 def _budget_outcome(build, budget):
@@ -680,17 +783,18 @@ def test_betti_routes_trip_the_face_budget_before_walking():
 
 def test_table1_window_stores_only_the_top_columns_it_builds():
     """The 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5 are
-    counted in 1,119 calls of the f-polynomial; the window (2, 4) walks
-    1,573 and stores only the case-3 ones whose columns it may build; the
-    verify record still counts every face of dimensions 1..5."""
+    counted in 1,119 calls of the f-polynomial on G's own masks; the window
+    (2, 4) walks 660 in the walk's order (1,573 in G's) and stores only the
+    case-3 ones whose columns it may build, 68 (604 in G's); the verify
+    record still counts every face of dimensions 1..5."""
     from indtopo.verify import check_table1_row
 
     G = _table1_graph(5)
     calls = Counter()
     columns, counts, _ = _profiled(partial(_classified_skeleton, G, 5, None), calls)
     assert sum(counts) == 25_002 and counts[6] == 11_245
-    assert calls["poly"] <= 1_119 and calls["visit"] <= 1_573
-    assert sum(map(len, columns.values())) <= 700
+    assert calls["poly"] <= 1_119 and calls["visit"] <= 700
+    assert sum(map(len, columns.values())) <= 100
     rec = check_table1_row(5)
     assert rec.match and rec.faces == 24_971
     gc.collect()
@@ -702,6 +806,19 @@ def test_table1_window_stores_only_the_top_columns_it_builds():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_walk_order_is_built_only_where_the_walk_dominates():
+    """The walk takes _walk_order only once the faces counted reach 8 n^2
+    on n unlooped vertices: for the table-1 windows n = 4, 5 (6,846 and
+    24,971 faces in the window, 24 and 30 vertices), not for the n = 3
+    window nor for Ind(K_7 x K_7) (1,730 faces on 49 vertices)."""
+    k7k7 = gr.categorical_product(gr.complete(7), gr.complete(7))
+    for G, top, built in ((_table1_graph(4), 5, 1), (_table1_graph(5), 5, 1),
+                          (_table1_graph(3), 5, 0), (k7k7, None, 0)):
+        calls = Counter()
+        _profiled(partial(_classified_skeleton, G, top, None), calls)
+        assert calls["_walk_order"] == built, G
 
 
 def test_euler_from_betti_matches_face_count_sweep():

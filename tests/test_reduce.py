@@ -17,6 +17,7 @@ from indtopo.homotopy import (
     _cone_apex,
     _cone_edge,
     _dominated_pair,
+    _fold_resume,
     edge_add_if_cone,
     fold_reduce,
     reduce,
@@ -237,11 +238,21 @@ def _seeded_masks(count=1500):
 
 def test_rule_searches_equal_the_one_at_a_time_scans():
     """_dominated_pair, _cone_edge (with the witness _cone_apex names for its
-    pair) and graphs.first_simplicial pick what the brute-force scans pick."""
+    pair) and graphs.first_simplicial pick what the brute-force scans pick.
+    So does _dominated_pair resumed where _fold_resume says, after each fold
+    of a chain run until no pair is left."""
     seen = set()
     for adj, alive in _seeded_masks():
         pair = _dominated_pair(adj, alive)
         assert pair == oracles.dominated_pair_scan(adj, alive), (adj, alive)
+        folded, resumed = alive, pair
+        while resumed is not None:
+            folded &= ~(1 << resumed[1])
+            start = _fold_resume(adj, folded, *resumed)
+            resumed = _dominated_pair(adj, folded, start)
+            assert resumed == oracles.dominated_pair_scan(adj, folded), (adj, folded, start)
+            if start:
+                seen.add("resumed")
         edge = _cone_edge(adj, alive)
         assert edge == oracles.cone_edge_by_pairs(adj, alive), (adj, alive)
         if edge is not None:
@@ -258,7 +269,7 @@ def test_rule_searches_equal_the_one_at_a_time_scans():
         seen.add("cone edge" if edge else "no cone edge")
         seen.add("split" if split_v is not None else "no split")
     assert seen == {0, 1, 2, "isolated", "no isolated", "dense", "fold", "no fold",
-                    "cone edge", "no cone edge", "split", "no split"}
+                    "resumed", "cone edge", "no cone edge", "split", "no split"}
 
 
 # -- the driver -------------------------------------------------------------------
