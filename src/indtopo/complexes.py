@@ -151,29 +151,24 @@ def _independence_masks(G: Graph):
     return [G.vertices[i] for i in keep], nbr
 
 
-def _enumerate_independent(nbr, max_size, budget):
-    """All independent index sets of size <= max_size, as one list per size.
+def _enumerate_independent(keep, max_size):
+    """All independent index sets of size <= max_size, as one list per size,
+    keep[i] being the vertices not adjacent to vertex i (i included).
 
     A face's candidates are a bitmask of the vertices above its last one and
     adjacent to none of its own; the depth-first visit extends it by each,
     lowest bit first, so every list comes out in lexicographic order of
-    index tuples.  Each child face is charged against the budget, and only
-    one with candidates below max_size is visited by a call of its own.
+    index tuples.  Only a child with candidates below max_size is visited by
+    a call of its own.  Nothing is charged against a budget: the caller has
+    counted the faces first (``_skeleton``).
     """
-    full = (1 << len(nbr)) - 1
-    keep = [full & ~m for m in nbr]
     out = [[0]] + [[] for _ in range(max_size)]
-    visited = 0
 
     def rec(face, k, cand):     # list and visit face's children, of size k
-        nonlocal visited
         children = out[k]
         while cand:
             low = cand & -cand
             cand ^= low
-            visited += 1
-            if visited > budget:
-                _check_budget(visited, budget)
             children.append(child := face | low)
             below = cand & keep[low.bit_length() - 1]
             if below and k < max_size:
@@ -183,41 +178,58 @@ def _enumerate_independent(nbr, max_size, budget):
     # would keep every face list alive until the cyclic collector runs
     try:
         if max_size:
-            rec(0, 1, full)
+            rec(0, 1, (1 << len(keep)) - 1)
     finally:
         del rec
     return out
 
 
 def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> SimplicialComplex:
-    """The max_dim-skeleton of Ind(G) (all of it for None), by one enumeration."""
+    """The max_dim-skeleton of Ind(G) (all of it for None), by one enumeration.
+
+    The faces are counted first (``_face_polynomial``), so a budget trips
+    before any face is built.  The count is skipped only where it cannot
+    trip: n unlooped vertices span at most 2^n - 1 nonempty faces.
+    """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     verts, nbr = _independence_masks(G)
     cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
-    by_size = _enumerate_independent(nbr, cap, budget)
+    full = (1 << len(nbr)) - 1
+    keep = [full & ~m for m in nbr]
+    if full > budget:
+        _face_polynomial(keep, cap, budget)
+    by_size = _enumerate_independent(keep, cap)
     return SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(by_size)},
                              source=G.name or G)
 
 
-def _face_polynomial(keep, s, last, budget):
-    """The independent sets of G[s] of each size 0..last, keep[i] being the
-    vertices not adjacent to vertex i (i included).
+def _face_polynomial(keep, last, budget):
+    """How many independent sets there are of each size 0..last, keep[i]
+    being the vertices not adjacent to vertex i (i included); raises
+    FaceBudgetError, with the message of a face-by-face charge, exactly
+    when the nonempty ones exceed the budget.
 
     The split I(S) = I(S - v) + x I(S - N[v]) on the lowest vertex v of S,
     unrolled along S - v: I(S) = 1 + x sum_v I(S_v), S_v the vertices of S
     above v not adjacent to it, memoised on (S, size cap <= |S|).  A
     polynomial is one int of (len(keep)+1)-bit fields, so x is a shift.  An
     entry (S, cap) is fixed by the face T + min S, T the vertices taken on
-    the way (S is every vertex of s above max T not adjacent to T), so the
-    memo never holds more entries than there are faces: the budget trips
-    once it does, or once the faces counted exceed it.
+    the way (S is every vertex above max T not adjacent to T), so the memo
+    never holds more entries than there are faces: the budget trips once
+    it does, or once the faces counted exceed it.  A call that has taken d
+    vertices proves 2^d - 1 faces, all below the size cap, so the budget
+    also trips once 2^d - 1 exceeds it, which bounds the recursion depth by
+    log2(budget + 1).
     """
     w = len(keep) + 1
+    deep = (budget + 1).bit_length()    # the least d with 2^d - 1 > budget
     memo = {}
 
-    def poly(s, cap):           # 2 <= cap <= |s|
+    def poly(s, cap, d):        # 2 <= cap <= |s|, d vertices taken
         p = memo.get(key := s * w + cap)
         if p is None:
+            if d >= deep:
+                _check_budget(budget + 1, budget)
             p, rest = 1, s
             while rest:
                 low = rest & -rest
@@ -225,15 +237,15 @@ def _face_polynomial(keep, s, last, budget):
                 t = rest & keep[low.bit_length() - 1]
                 n = t.bit_count()
                 c = cap - 1 if cap <= n else n
-                p += (poly(t, c) if c > 1 else 1 + (n << w)) << w
+                p += (poly(t, c, d + 1) if c > 1 else 1 + (n << w)) << w
             memo[key] = p
             if len(memo) > budget:
                 _check_budget(len(memo), budget)
         return p
 
-    cap = min(last, n := s.bit_count())
+    cap = min(last, n := len(keep))
     try:
-        p = poly(s, cap) if cap > 1 else 1 + (n << w) if cap else 1
+        p = poly((1 << n) - 1, cap, 0) if cap > 1 else 1 + (n << w) if cap else 1
     finally:
         del poly
     counts = [p >> w * k & (1 << w) - 1 for k in range(last + 1)]
@@ -296,7 +308,7 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
     last = len(nbr) if top is None else min(top + 1, len(nbr))  # the largest size walked
-    counts = _face_polynomial(keep, full, last, budget)
+    counts = _face_polynomial(keep, last, budget)
     if sum(counts) >= 8 * len(nbr) ** 2:
         order = _walk_order(nbr)
         pos = {v: i for i, v in enumerate(order)}

@@ -111,6 +111,18 @@ def test_package_modules_use_every_import():
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
+def test_one_face_guard_per_route():
+    """In complexes, only the f-polynomial count (its nested recursion
+    included) and from_facets charge the face budget: every route to Ind(G)
+    counts before it builds, and the enumerator charges nothing."""
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    charging = {top.name for top in tree.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_check_budget"}
+    assert charging == {"_face_polynomial", "from_facets"}
+
+
 def test_package_all_lists_each_import_once():
     """indtopo.__all__ names each name __init__ imports, and __version__,
     once and nothing else."""

@@ -244,6 +244,18 @@ def test_morse_checks_acyclicity_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_morse_reports_a_cycle_witness_and_exits_1(monkeypatch, capsys):
+    """A matching the checker finds cyclic: the witness in labels, no wedge
+    conclusion, and the mismatch exit code in both formats."""
+    monkeypatch.setattr(cli, "verify_acyclic", lambda matching, K: (False, [(1,), (1, 3)]))
+    code, out, _ = run(capsys, "morse", "path", "4")
+    d = json.loads(out)
+    assert code == 1 and d["acyclic"] is False and d["wedge"] is None
+    assert d["cycle_witness"] == [["1"], ["1", "3"]]
+    code, out, _ = run(capsys, "morse", "path", "4", "--format", "table")
+    assert code == 1 and "acyclic: False" in out and "wedge conclusion" not in out
+
+
 # -- reduce -----------------------------------------------------------------
 
 def test_reduce_gadget_json(capsys):
@@ -266,6 +278,8 @@ def test_reduce_stuck_is_reported_not_failed(capsys):
     assert d["result"] is None
     assert d["stuck"]["reason"] == "no rule fired"
     assert len(d["stuck"]["vertices"]) == 5
+    code, out, _ = run(capsys, "reduce", "cycle", "5", "--format", "table")
+    assert (code, out) == (0, "cycle 5: stuck (no rule fired) with 5 vertices left after 0 steps\n")
 
 
 def test_reduce_budget_exit_code(capsys):
@@ -513,6 +527,22 @@ def test_paths_cycles_suite_honours_the_face_budget(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("betti", "path", "1200"), ("betti", "path", "2000"),
+                                  ("morse", "path", "2000"),
+                                  ("verify", "paths_cycles", "--n", "2000")])
+def test_long_paths_trip_the_default_face_budget(capsys, argv):
+    """The count stops at the depth that proves more faces than the budget:
+    each route exits 2 with the guard's message, and no recursion error."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    if argv[0] == "verify":
+        records = json.loads(out)["suites"][0]["records"]
+        assert [r["instance"] for r in records] == ["path 2000", "cycle 2000"]
+        assert all(r["note"] == "face budget exceeded: 50000001 > 50000000" for r in records)
+    else:
+        assert (out, err) == ("", "resource guard: face budget exceeded: 50000001 > 50000000\n")
+
+
 @pytest.mark.parametrize("suite, passing, over, coefficients", [
     ("morse", "morse product 2 2", "morse product 6 6", "critical-cells"),
     ("morse_homology", "morse-homology n=3 (8 samples)",
@@ -552,6 +582,18 @@ def test_family_instance_integer_check_runs_full_range():
     rec = check_family_instance("path", (21,), coefficients="int")
     assert rec.window is None and rec.coefficients == "int"
     assert rec.computed_betti == {6: 1} and rec.torsion == {} and rec.match
+
+
+def test_unexpected_torsion_fails_the_record(monkeypatch):
+    """Betti numbers as predicted, but with torsion: the record fails, keeps
+    the torsion and says why."""
+    from indtopo.homology import BettiTable
+
+    monkeypatch.setattr(verify, "graph_betti", lambda G, coefficients, face_budget:
+                        BettiTable({1: 4}, coefficients, {0: [2]}, faces=16))
+    rec = check_family_int("product", (3, 3))
+    assert rec.computed_betti == {1: 4} and rec.torsion == {0: [2]}
+    assert not rec.match and not rec.budget_exhausted and rec.note == "unexpected torsion"
 
 
 def test_windowed_checks_refuse_integer_coefficients():
@@ -620,6 +662,10 @@ def test_verify_conjectural_failure_gates_only_when_strict(monkeypatch, capsys):
                         lambda *a, **k: _fake_report(conjectural=True))
     code, _, _ = run(capsys, "verify", "fake")
     assert code == 0
+    code, out, _ = run(capsys, "verify", "fake", "--format", "table")
+    assert code == 0
+    assert "  [FAIL (conjectural)] fake 1: predicted S^1, computed b1=2\n" in out
+    assert out.endswith("result: PASS\n")
 
 
 def test_verify_csv(capsys):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -724,7 +725,7 @@ def _profiled(fn, calls):
 def _polynomial_args(G, last, budget):
     _, nbr = _independence_masks(G)
     full = (1 << len(nbr)) - 1
-    return [full & ~m for m in nbr], full, len(nbr) if last is None else last, budget
+    return [full & ~m for m in nbr], len(nbr) if last is None else last, budget
 
 
 def test_face_polynomial_counts_the_brute_force_f_vector():
@@ -770,15 +771,25 @@ def test_face_polynomial_meets_the_euler_characteristic_of_each_closed_form():
 
 def test_betti_routes_trip_the_face_budget_before_walking():
     """Ind(K_2 x K_3 x K_20) has 127,181,295 faces up to dimension 5, the
-    empty face included, over the default budget: both Betti routes raise
-    the budget message from the count alone, with no face walked."""
+    empty face included, over the default budget: the Betti routes and the
+    stored ones raise the budget message from the count alone, with no face
+    walked or stored, and at a tenth of the budget the count allocates
+    next to nothing."""
     G = _table1_graph(20)
     assert sum(_face_polynomial(*_polynomial_args(G, 6, 10 ** 9))) == 127_181_295
-    for route in (partial(betti_window, G, 2, 4), partial(graph_betti, G)):
+    for route in (partial(betti_window, G, 2, 4), partial(graph_betti, G),
+                  partial(independence_complex, G), partial(faces_in_window, G, 2, 4)):
         calls = Counter()
         with pytest.raises(FaceBudgetError, match="^face budget exceeded: 50000001 > 50000000$"):
             _profiled(route, calls)
-        assert calls["_face_polynomial"] == 1 and calls["visit"] == 0
+        assert calls["_face_polynomial"] == 1 and calls["visit"] == calls["rec"] == 0, route
+    tracemalloc.start()
+    try:
+        with pytest.raises(FaceBudgetError, match="^face budget exceeded: 5000001 > 5000000$"):
+            independence_complex(G, face_budget=5_000_000)
+        assert tracemalloc.get_traced_memory()[1] < 5_000_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_table1_window_stores_only_the_top_columns_it_builds():

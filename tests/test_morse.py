@@ -419,6 +419,19 @@ def test_morse_homology_batch_notes_each_failure_kind(monkeypatch):
     assert notes[2] == "#2: Euler sum -1 != chi"
 
 
+def test_morse_product_record_notes_each_failure_kind(monkeypatch):
+    """A cyclic matching that leaves the empty face unmatched and the wrong
+    critical cells gets all three notes, in that order."""
+    monkeypatch.setattr(verify, "element_matching",
+                        lambda K, order: Matching(order, (), (0, 1), K))
+    monkeypatch.setattr(verify, "verify_acyclic", lambda matching, K: (False, [(1,), (1, 2)]))
+    rec = verify.check_morse_product(2, 2)
+    assert rec.match is False and not rec.budget_exhausted
+    assert rec.note == ("cycle: [(1,), (1, 2)]; empty face unmatched; "
+                        "critical set differs (2 cells)")
+    assert rec.computed_betti == {-1: 1, 0: 1}
+
+
 def test_morse_homology_batch_of_cycles_stops_at_three(monkeypatch):
     monkeypatch.setattr(verify, "element_matching", lambda K, order: _cyclic_matching(K))
     rec = verify.check_morse_homology_batch(3, [(gr.Graph([1, 2, 3]), [1])] * 6)
