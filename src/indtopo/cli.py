@@ -250,7 +250,13 @@ def _cmd_reduce(args) -> int:
             "steps": len(trace),
             "trace": trace,
         }
-        _emit(_dump_json(out))
+        try:
+            text = _dump_json(out)
+        except RecursionError:      # each split nests the trace three containers deeper
+            print("resource guard: the trace nests too deep to write as JSON; "
+                  "--format table prints the result", file=sys.stderr)
+            return EXIT_RESOURCE
+        _emit(text)
     else:
         if stuck:
             _emit(f"{name}: stuck ({result.reason}) with "

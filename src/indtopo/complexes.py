@@ -216,12 +216,15 @@ def _face_polynomial(keep, last, budget):
     entry (S, cap) is fixed by the face T + min S, T the vertices taken on
     the way (S is every vertex above max T not adjacent to T), so the memo
     never holds more entries than there are faces: the budget trips once
-    it does, or once the faces counted exceed it.  A call that has taken d
+    it does, or once the faces counted exceed it, at the root or at any
+    entry below it (each set such an entry counts, joined with T, is a
+    face), so a wide, shallow count stops early too.  A call that has taken d
     vertices proves 2^d - 1 faces, all below the size cap, so the budget
     also trips once 2^d - 1 exceeds it, which bounds the recursion depth by
     log2(budget + 1).
     """
     w = len(keep) + 1
+    ones = (1 << w) - 1     # p % ones sums p's fields: they total < 2^n < ones
     deep = (budget + 1).bit_length()    # the least d with 2^d - 1 > budget
     memo = {}
 
@@ -241,6 +244,8 @@ def _face_polynomial(keep, last, budget):
             memo[key] = p
             if len(memo) > budget:
                 _check_budget(len(memo), budget)
+            if d and p % ones > budget:     # T + each set p counts is a face
+                _check_budget(budget + 1, budget)
         return p
 
     cap = min(last, n := len(keep))

@@ -217,7 +217,7 @@ class Graph:
 
 def is_simplicial_vertex(G: Graph, v) -> bool:
     """True when N(v) is nonempty, loop-free, and induces a complete subgraph."""
-    return simplicial_in(G._adj, (1 << len(G._adj)) - 1, G._at(v))
+    return first_simplicial(G._adj, (1 << len(G._adj)) - 1, 1 << G._at(v)) is not None
 
 
 # -- adjacency bitmasks ------------------------------------------------------
@@ -276,11 +276,6 @@ def first_simplicial(adj: list, alive: int, among: int):
             if nbrs:
                 return v
     return None
-
-
-def simplicial_in(adj: list, alive: int, v: int) -> bool:
-    """Mask form of ``is_simplicial_vertex`` for vertex v of the subgraph ``alive``."""
-    return first_simplicial(adj, alive, 1 << v) is not None
 
 
 # -- family constructors ---------------------------------------------------

@@ -237,10 +237,6 @@ def _subgraph(G: Graph, adj: list, alive: int) -> Graph:
     return gr.masked_subgraph(G.vertices, adj, alive, name)
 
 
-def _looped_mask(adj: list) -> int:
-    return sum(1 << i for i, a in enumerate(adj) if a >> i & 1)
-
-
 def _drop_steps(names: list, looped: int) -> list:
     return [{"rule": "drop-looped", "vertex": names[v]} for v in gr.bits(looped)]
 
@@ -261,7 +257,7 @@ def fold_reduce(G: Graph):
     """
     adj = gr.adjacency_masks(G)
     names = [render_label(v) for v in G.vertices]
-    looped = _looped_mask(adj)
+    looped = G._looped
     alive = (1 << len(adj)) - 1 & ~looped
     trace = _drop_steps(names, looped)
     start = 0
@@ -279,7 +275,7 @@ def simplicial_split(G: Graph, v):
     adj = gr.adjacency_masks(G)
     full = (1 << len(adj)) - 1
     i = G.vertices.index(v)
-    if not gr.simplicial_in(adj, full, i):
+    if gr.first_simplicial(adj, full, 1 << i) is None:
         raise ValueError(f"vertex {v!r} is not simplicial (or is isolated/looped)")
     return [_subgraph(G, adj, full & ~(adj[w] | 1 << w)) for w in gr.bits(adj[i])]
 
@@ -315,75 +311,73 @@ def reduce(G: Graph, budget: int = 10_000):
 
     Rules, in order per pass: drop looped vertices; empty graph => S^-1;
     isolated vertex => contractible cone; fold a dominated vertex; split at
-    the first simplicial vertex (recursing on each piece and wedging the
-    suspensions); as a last resort, add a cone-certified edge.  The budget
-    caps total lemma applications; every step lands in the trace.
+    the first simplicial vertex into the pieces G - N[w], w in N(v); as a
+    last resort, add a cone-certified edge.  The budget caps total lemma
+    applications; every step lands in the trace.
+
+    Pieces are taken depth first from an explicit stack, each with its
+    split depth k and the list its trace goes in; a split's step holds one
+    trace per branch, appended when that branch is taken, so a Stuck in
+    branch i leaves branches 0..i.  A split is a wedge of suspensions, a
+    cone is a point, and S^-1 suspended k times is S^(k-1), so the result
+    is S^(k-1) once per empty graph reached under k splits.
     """
     names = [render_label(v) for v in G.vertices]
-    adj0 = gr.adjacency_masks(G)
-    loops = _looped_mask(adj0)
-    counter = [budget]
-
-    def go(adj, alive):
-        trace = []
+    adj = gr.adjacency_masks(G)
+    loops = G._looped
+    top = []
+    stack = [(adj, (1 << len(adj)) - 1, 0, top)]
+    spheres = {}
+    while stack:
+        adj, alive, depth, parent = stack.pop()
+        parent.append(trace := [])
         start = 0       # no live vertex below it has a dominator
         while True:
-            if counter[0] <= 0:
+            if budget <= 0:
                 return Stuck(_subgraph(G, adj, alive), "budget exhausted",
-                             budget_exhausted=True), trace
+                             budget_exhausted=True), top[0]
             if alive & loops:
                 steps = _drop_steps(names, alive & loops)
-                counter[0] -= len(steps)
+                budget -= len(steps)
                 trace.extend(steps)
                 alive &= ~loops
                 continue
             if not alive:
                 trace.append({"rule": "empty-graph"})
-                return HomotopyType.empty_complex(), trace
+                spheres[depth - 1] = spheres.get(depth - 1, 0) + 1
+                break
             rest = alive
             while rest and adj[(rest & -rest).bit_length() - 1] & alive:
                 rest &= rest - 1
             if rest:
                 iso = (rest & -rest).bit_length() - 1
                 trace.append({"rule": "cone-isolated", "vertex": names[iso]})
-                return HomotopyType.contractible(), trace
+                break
             pair = _dominated_pair(adj, alive, start)
             if pair is not None:
-                counter[0] -= 1
+                budget -= 1
                 trace.append(_fold_record(names, *pair))
                 alive &= ~(1 << pair[1])
                 start = _fold_resume(adj, alive, *pair)
                 continue
             split_v = gr.first_simplicial(adj, alive, alive)
             if split_v is not None:
-                counter[0] -= 1
+                budget -= 1
                 branches = []
-                parts = []
-                step = {"rule": "split", "vertex": names[split_v], "branches": branches}
-                for w in gr.bits(adj[split_v] & alive):
-                    res, sub_trace = go(adj, alive & ~(adj[w] | 1 << w))
-                    branches.append(sub_trace)
-                    if isinstance(res, Stuck):
-                        trace.append(step)
-                        return res, trace
-                    parts.append(suspend(res))
-                trace.append(step)
-                return wedge_all(parts), trace
+                trace.append({"rule": "split", "vertex": names[split_v], "branches": branches})
+                for w in reversed([*gr.bits(adj[split_v] & alive)]):
+                    stack.append((adj, alive & ~(adj[w] | 1 << w), depth + 1, branches))
+                break
             pair = _cone_edge(adj, alive)
             if pair is None:
-                return Stuck(_subgraph(G, adj, alive), "no rule fired"), trace
+                return Stuck(_subgraph(G, adj, alive), "no rule fired"), top[0]
             a, b = pair
             witness = _cone_apex(adj, alive, a, b)
-            counter[0] -= 1
+            budget -= 1
             trace.append({"rule": "add-edge-cone", "edge": [names[a], names[b]],
                           "isolated_witness": names[witness]})
             adj = adj.copy()
             adj[a] |= 1 << b
             adj[b] |= 1 << a
             start = 0
-
-    # go refers to itself through its closure cell; break that cycle
-    try:
-        return go(adj0, (1 << len(adj0)) - 1)
-    finally:
-        del go
+    return HomotopyType(spheres), top[0]

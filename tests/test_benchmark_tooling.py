@@ -123,6 +123,19 @@ def test_one_face_guard_per_route():
     assert charging == {"_face_polynomial", "from_facets"}
 
 
+def test_reduce_is_one_loop_without_recursion():
+    """homotopy.reduce defines no nested function or lambda and never calls
+    itself: its pieces wait on an explicit stack."""
+    tree = ast.parse((PACKAGE / "homotopy.py").read_text())
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "reduce"]
+    inner = list(ast.walk(fn))[1:]
+    assert not [n for n in inner
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert not [n for n in inner if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "reduce"]
+
+
 def test_package_all_lists_each_import_once():
     """indtopo.__all__ names each name __init__ imports, and __version__,
     once and nothing else."""

@@ -294,6 +294,17 @@ def test_reduce_budget_exit_code(capsys):
     assert code == 2
 
 
+def test_reduce_trace_too_deep_for_json_exits_2(capsys):
+    """path 1200 splits 400 levels deep: the table prints the sphere, and the
+    JSON trace, too deep for the encoder, trips a resource guard instead of
+    a traceback."""
+    code, out, err = run(capsys, "reduce", "path", "1200", "--format", "table")
+    assert (code, out, err) == (0, "path 1200: S^399 (401 steps)\n", "")
+    code, out, err = run(capsys, "reduce", "path", "1200")
+    assert (code, out) == (2, "")
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("reason,exhausted,code", [
     ("no rule fired", True, 2),
     ("the budget word alone", False, 0),

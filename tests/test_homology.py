@@ -792,6 +792,30 @@ def test_betti_routes_trip_the_face_budget_before_walking():
         tracemalloc.stop()
 
 
+class _CountingReads(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_wide_face_count_trips_at_the_first_entry_over_the_budget():
+    """Up to size 4, Ind(P_300) has about 3 * 10^8 faces, yet its count is
+    shallow and never reaches the depth bound.  The first memo entry below
+    the root counts over 10^6 sets, each a face with the vertex taken, so a
+    budget of 10^6 trips there, after under a quarter of the reads of
+    ``keep`` that the whole count makes."""
+    G = gr.path(300)
+    keep = _polynomial_args(G, 4, None)[0]
+    whole = _CountingReads(keep)
+    assert sum(_face_polynomial(whole, 4, 10 ** 10)) > 10 ** 8
+    tripped = _CountingReads(keep)
+    with pytest.raises(FaceBudgetError, match="^face budget exceeded: 1000001 > 1000000$"):
+        _face_polynomial(tripped, 4, 10 ** 6)
+    assert 0 < tripped.reads < whole.reads // 4, (tripped.reads, whole.reads)
+
+
 def test_table1_window_stores_only_the_top_columns_it_builds():
     """The 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5 are
     counted in 1,119 calls of the f-polynomial on G's own masks; the window

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -436,6 +437,50 @@ def test_reduce_equals_the_graph_surgery_oracle():
             kinds.add(_outcome(result)[:3] if isinstance(result, Stuck) else "solved")
     assert kinds == {"solved", ("stuck", "no rule fired", False),
                      ("stuck", "budget exhausted", True)}
+
+
+def _steps(trace):
+    return sum(1 + sum(map(_steps, step.get("branches", ()))) for step in trace)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("kn_lr", (3, 6)), ("multi_k2_product", (3, 4)),
+    ("conjecture_k2k3kn", (2,)), ("product", (4, 4)),
+])
+def test_reduce_equals_the_oracle_at_every_budget(family, params):
+    """At each budget from 1 to the steps of a whole run, the outcome and the
+    trace equal the Graph-surgery driver's, on graphs whose splits have
+    several branches: a run stopped inside a later branch keeps the
+    branches before it and the one it stopped in, no more."""
+    G = build_graph(FamilySpec(family, params))
+    total = _steps(reduce(G)[1])
+    later = 0
+    for budget in range(1, total + 1):
+        result, trace = reduce(G, budget)
+        want, want_trace = oracles.reduce_by_surgery(G, budget)
+        assert _outcome(result) == _outcome(want), budget
+        assert trace == want_trace, budget
+        later += isinstance(result, Stuck) and len(trace[-1].get("branches", ())) > 1
+    assert later
+
+
+def _frames():
+    frame, n = sys._getframe(1), 0
+    while frame:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_reduce_does_not_recurse_per_split():
+    """A path of 900 vertices splits 300 levels deep; reduce() keeps its
+    pieces on a stack, so it runs within 150 frames of its caller."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 150)
+    try:
+        result, _ = reduce(gr.path(900))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == HomotopyType.sphere(299)
 
 
 @pytest.mark.parametrize("family, params, stuck", [
