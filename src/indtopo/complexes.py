@@ -189,14 +189,16 @@ def _skeleton(G: Graph, max_dim: int | None, face_budget: int | None) -> Simplic
 
     The faces are counted first (``_face_polynomial``), so a budget trips
     before any face is built.  The count is skipped only where it cannot
-    trip: n unlooped vertices span at most 2^n - 1 nonempty faces.
+    trip: n unlooped vertices span at most 2^n - 1 nonempty faces, and a
+    nonempty face is its lowest vertex v and a set of S_v, the vertices
+    above v not adjacent to it, so there are at most sum_v 2^|S_v|.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     verts, nbr = _independence_masks(G)
     cap = len(verts) if max_dim is None else min(max_dim + 1, len(verts))
     full = (1 << len(nbr)) - 1
     keep = [full & ~m for m in nbr]
-    if full > budget:
+    if full > budget and sum(1 << (m >> v + 1).bit_count() for v, m in enumerate(keep)) > budget:
         _face_polynomial(keep, cap, budget)
     by_size = _enumerate_independent(keep, cap)
     return SimplicialComplex(verts, {k - 1: fs for k, fs in enumerate(by_size)},

@@ -44,6 +44,13 @@ is their number plus r_d, the case-3 d-columns that end as new pivots, and
 
     b_d = f_d - rank d_d - rank d_(d+1) = (case-3 d-faces) - r_d - r_(d+1).
 
+So r_d <= c_(d-1), the case-3 (d-1)-faces, as b_(d-1) >= 0: d stops at
+c_(d-1) new pivots and builds no column when c_(d-1) = 0.  Over Z only
+unit pivots count: c_(d-1) of them and the apparent columns, all +-1 on
+distinct lows, then span every d-column over Q, so the rest, residual
+included, reduce to zero on them; a non-unit pivot may not stop it, as
+later columns may still change the residual's Smith form.
+
 Only case-3 faces are read as columns: a reduction reaching a row g with
 no pivot tests g for case 2 from G's adjacency masks and, if it is, builds
 g + u as the row's pivot.  ``graph_betti`` and ``betti_window`` run on
@@ -99,15 +106,18 @@ def gf2_columns(boundary: Boundary):
     return [sum(1 << r for r, _ in col) for col in boundary.columns]
 
 
-def _gf2_pivots(columns, apparent=None):
+def _gf2_pivots(columns, apparent=None, most=None):
     """Reduce columns, each a set of rows (consumed), in order, each on its
     highest row, its "low": (the pivots as {low: reduced column}, how many
     of them the columns made).  ``apparent`` (none by default) gives the
     apparent column of a row that has one, else None; a column reaching
     such a row with no pivot there has it built then as the row's pivot.
+    Once the columns have made ``most`` pivots (no bound by default), no
+    further column is taken, so a bound of 0 takes none.
     """
     pivots, new = {}, 0
-    for col in columns:
+    columns = iter(columns)
+    while new != most and (col := next(columns, None)) is not None:
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -176,16 +186,17 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(tuple(factors), len(factors))
 
 
-def _integer_reduce(columns, apparent=None):
+def _integer_reduce(columns, apparent=None, most=None):
     """(rank the columns add, invariant factors of the residual block, their
     unit-pivot rows) of integer columns, each a {row: value} dict (consumed).
 
-    The loop of `_gf2_pivots`, with the same ``apparent``, reducing only on
-    +-1 entries: a column left with a unit low becomes that row's pivot, one
-    with a non-unit low goes to a residual list.  Then every unit-pivot row
-    of the residual, apparent ones included, is cleared from it, highest
-    first (a pivot subtracted adds only lower rows), and only that residual
-    block goes to the dense Smith normal form.
+    The loop of `_gf2_pivots`, with the same ``apparent`` and ``most``,
+    reducing only on +-1 entries: a column left with a unit low becomes that
+    row's pivot, one with a non-unit low goes to a residual list; only unit
+    pivots count towards ``most``.  Then every unit-pivot row of the
+    residual, apparent ones included, is cleared from it, highest first (a
+    pivot subtracted adds only lower rows), and only that residual block
+    goes to the dense Smith normal form.
 
     Why this is exact: all of the above are unimodular column operations.
     The unit-pivot columns are unit-triangular on their pivot rows, and the
@@ -197,7 +208,8 @@ def _integer_reduce(columns, apparent=None):
     """
     pivots = {}      # low row -> reduced column whose entry there is +-1
     units, residual = set(), []
-    for col in columns:
+    columns = iter(columns)
+    while len(units) != most and (col := next(columns, None)) is not None:
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -306,8 +318,9 @@ def _betti_table(columns, adjacency, lo: int, hi: int, coefficients: str,
 
     One top-down pass with clearing, from the top dimension with columns:
     d builds, one at a time, the columns of its faces that are not pivot
-    rows of d + 1 (every pivot mod 2, unit pivots over Z); with G's
-    ``adjacency`` masks, a case-2 row with no pivot gets its apparent column.
+    rows of d + 1 (every pivot mod 2, unit pivots over Z), until they have
+    made as many new pivots as d - 1 has columns; with G's ``adjacency``
+    masks, a case-2 row with no pivot gets its apparent column.
     """
     column = _gf2_column if coefficients == "z2" else _integer_column
     apparent = None
@@ -321,11 +334,12 @@ def _betti_table(columns, adjacency, lo: int, hi: int, coefficients: str,
 
     ranks, torsion, cleared = {}, {}, ()
     for d in range(min(hi + 1, max(columns, default=-1)), max(lo, 0) - 1, -1):
+        most = len(columns.get(d - 1, ()))      # r_d <= c_(d-1), as b_(d-1) >= 0
         built = (column(f) for f in columns.get(d, ()) if f not in cleared)
         if coefficients == "z2":
-            cleared, ranks[d] = _gf2_pivots(built, apparent)
+            cleared, ranks[d] = _gf2_pivots(built, apparent, most)
             continue
-        ranks[d], factors, cleared = _integer_reduce(built, apparent)
+        ranks[d], factors, cleared = _integer_reduce(built, apparent, most)
         if d > lo and (tor := tuple(f for f in factors if f > 1)):
             torsion[d - 1] = tor
     betti = {d: len(columns.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)

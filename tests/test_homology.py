@@ -27,6 +27,7 @@ from indtopo.graphs import bits
 from indtopo.homology import (
     BettiTable,
     Boundary,
+    _gf2_pivots,
     _integer_reduce,
     betti_reduced,
     betti_window,
@@ -154,6 +155,26 @@ def test_integer_reduce_reports_unit_pivot_rows_only():
     # the column's low entry is 2: it has rank 1 but clears nothing
     assert _integer_reduce(sparse([[1], [2]])) == (1, (1,), set())
     assert _integer_reduce(sparse([[1, 0], [0, 2]])) == (2, (2,), {0})
+
+
+def test_kernels_stop_at_the_bound_on_unit_pivots_only():
+    # a column left with 2 in row 0 is no unit pivot, so it does not count
+    # towards a bound of 1: the next column's 3 still takes the Z/2 away
+    assert _integer_reduce(iter([{0: 2}, {0: 3}]), None, 1) == (1, (1,), set())
+    assert _integer_reduce(iter([{0: 2}]), None, 1) == (1, (2,), set())
+    # once the pivots reach the bound, no further column is taken
+    for most in (0, 1):
+        pulled = []
+
+        def columns(*cols):
+            for col in cols:
+                pulled.append(col)
+                yield col.copy()
+
+        assert _integer_reduce(columns({1: 1}, {1: 2, 0: 2}), None, most) == \
+            (most, (), {1} if most else set())
+        assert _gf2_pivots(columns({1}, {0, 1}), None, most)[1] == most
+        assert len(pulled) == 2 * most
 
 
 # -- boundary matrices ---------------------------------------------------------
@@ -432,13 +453,9 @@ def test_torsion_through_an_independence_complex():
     assert betti_window(G, 0, 1).betti == {0: 0, 1: 1}
 
 
-def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
-    """Columns are counted where they are built, apparent ones built on demand
-    included.  A map of rank r with a apparent columns builds at least r - a,
-    and a Betti table builds at most sum_d (f_d - rank d_(d+1)) less the
-    apparent columns it counted without building: a face that is a pivot
-    row one dimension up is never built.  ``betti_reduced`` counts no
-    apparent column; ``graph_betti`` and the windows count Ind(G)'s."""
+def _counting_columns(monkeypatch):
+    """The list of the face masks whose columns homology builds from now on,
+    in both rings, apparent ones built on demand included."""
     import indtopo.homology as hom
     built = []
 
@@ -450,6 +467,17 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
 
     monkeypatch.setattr(hom, "_gf2_column", counting(hom._gf2_column))
     monkeypatch.setattr(hom, "_integer_column", counting(hom._integer_column))
+    return built
+
+
+def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
+    """Columns are counted where they are built, apparent ones built on demand
+    included.  A map of rank r with a apparent columns builds at least r - a,
+    and a Betti table builds at most sum_d (f_d - rank d_(d+1)) less the
+    apparent columns it counted without building: a face that is a pivot
+    row one dimension up is never built.  ``betti_reduced`` counts no
+    apparent column; ``graph_betti`` and the windows count Ind(G)'s."""
+    built = _counting_columns(monkeypatch)
     rng = random.Random(5)
     graphs = [rand_graph(rng, rng.randint(4, 9), rng.choice((0.2, 0.4))) for _ in range(20)]
     graphs.append(gr.categorical_product(gr.complete(3), gr.complete(4)))
@@ -483,15 +511,83 @@ def test_clearing_skips_the_columns_of_pivot_rows(monkeypatch):
             needed += least
         cleared += sum(ranks["int"][d + 1] for d in range(0, top + 1))
     assert cleared > 0 and needed > 0
-    # without apparent pairs the table-1 window n = 5 builds 15,716 mod-2
-    # columns, and full-range Z homology of Ind(K_2 x K_3 x K_3) builds 832
-    k2k3 = gr.categorical_product(gr.complete(2), gr.complete(3))
+
+
+def test_rank_bound_stops_each_dimension(monkeypatch):
+    """r_d <= c_(d-1): the columns of d stop at as many new pivots as d - 1
+    has case-3 faces.  The table-1 window n = 5 has no case-3 2-face, so its
+    3-columns are never built: 22 columns in all (518 with no bound, 15,716
+    with no apparent pairs either).  Ind(K_7 x K_7) has no case-3 face one
+    below any dimension with columns, and builds none over Z (84).  Over Z
+    the unit pivots of Ind(K_2 x K_3 x K_3) reach the bound, and it builds
+    102 columns (192, and 832 with no apparent pairs)."""
+    built = _counting_columns(monkeypatch)
+    assert betti_window(_table1_graph(5), 2, 4).nonzero() == {3: 52}
+    assert 0 < len(built) <= 30
     built.clear()
-    assert betti_window(gr.categorical_product(k2k3, gr.complete(5)), 2, 4).nonzero() == {3: 52}
-    assert 0 < len(built) <= 2000
-    built.clear()
-    assert graph_betti(gr.categorical_product(k2k3, gr.complete(3)), "int").nonzero() == {3: 14}
-    assert 0 < len(built) <= 300
+    k7k7 = gr.categorical_product(gr.complete(7), gr.complete(7))
+    assert graph_betti(k7k7, "int").nonzero() == {1: 36}
+    assert built == []
+    assert graph_betti(_table1_graph(3), "int").nonzero() == {3: 14}
+    assert 0 < len(built) <= 120
+
+
+def test_rank_bound_changes_no_result_and_no_new_pivot(monkeypatch):
+    """The kernel with the bound and with none (``most=None``) gives equal
+    Betti numbers and torsion, and the same rows for the new pivots of every
+    dimension (the unit ones over Z), on seeded graphs with loops in both
+    rings and their windows, on their complexes rebuilt from facets, on
+    relabelled RP^2 with cones added, and on RP^2 through an independence
+    complex; the bound saves columns, and never builds one more."""
+    import indtopo.homology as hom
+    gf2_pivots, integer_reduce = hom._gf2_pivots, hom._integer_reduce
+    built, lows, bounded = _counting_columns(monkeypatch), [], [True]
+
+    def gf2(columns, apparent=None, most=None):
+        pivots, new = gf2_pivots(columns, apparent, most if bounded[0] else None)
+        counted = len(built)    # telling the lows apart builds apparent columns
+        lows.append({r for r in pivots if not (apparent and apparent(r))})
+        del built[counted:]
+        return pivots, new
+
+    def integer(columns, apparent=None, most=None):
+        out = integer_reduce(columns, apparent, most if bounded[0] else None)
+        lows.append(set(out[2]))
+        return out
+
+    monkeypatch.setattr(hom, "_gf2_pivots", gf2)
+    monkeypatch.setattr(hom, "_integer_reduce", integer)
+    runs = []
+    rng = random.Random(61)
+    for G in _looped_graphs(61, 300, 11):
+        K = independence_complex(G)
+        facets = from_facets(K.vertices, K.facets())
+        runs += [partial(route, coefficients) for coefficients in ("z2", "int")
+                 for route in (partial(graph_betti, G), partial(betti_reduced, facets))]
+        lo = rng.randint(0, max(K.dim, 0))
+        runs.append(partial(betti_window, G, lo, rng.randint(lo, K.dim + 1)))
+    for _ in range(20):
+        names = rng.sample([*range(1, 12), "a", "b"], 7)
+        facets = [tuple(names[v - 1] for v in f) for f in RP2_FACETS]
+        facets = rng.sample(facets, rng.choice((10, 10, 9))) + [
+            f + (names[6],) for f in rng.sample(facets, rng.randint(0, 2))]
+        runs += [partial(betti_reduced, from_facets(names, facets), coefficients)
+                 for coefficients in ("z2", "int")]
+    G = oracles.incomparability_graph(RP2_FACETS)
+    runs += [partial(graph_betti, G, coefficients) for coefficients in ("z2", "int")]
+    saved = torsion = 0
+    for run in runs:
+        seen = []
+        for bounded[0] in (True, False):
+            lows.clear()
+            built.clear()
+            table = run()
+            seen.append((table.betti, table.torsion, list(lows), len(built)))
+        assert seen[0][:3] == seen[1][:3], run
+        assert seen[0][3] <= seen[1][3], run
+        saved += seen[1][3] - seen[0][3]
+        torsion += bool(seen[0][1])
+    assert saved > 1_000 and torsion >= 10
 
 
 def _looped_graphs(seed, count, max_n, densities=(0.2, 0.4, 0.6), min_n=1):
@@ -790,6 +886,42 @@ def test_betti_routes_trip_the_face_budget_before_walking():
         assert tracemalloc.get_traced_memory()[1] < 5_000_000
     finally:
         tracemalloc.stop()
+
+
+def test_stored_routes_skip_the_count_under_the_lowest_vertex_bound(monkeypatch):
+    """A nonempty face is its lowest vertex v and a set of S_v, the vertices
+    above v not adjacent to it, so sum_v 2^|S_v| bounds the faces, and the
+    stored routes count only when that bound and 2^n - 1 both exceed the
+    budget: on seeded graphs with loops the bound is at least the subset
+    sweep's face count, the count runs exactly then, and a budget one
+    below the faces still trips.  Ind(K_9 x K_9) is built with no count;
+    Ind(K_2 x K_3 x K_20) still counts once and trips."""
+    calls = Counter()
+    _profiled(partial(independence_complex, gr.categorical_product(gr.complete(9), gr.complete(9))),
+              calls)
+    assert calls["_face_polynomial"] == 0 and calls["rec"] > 0
+    calls.clear()
+    with pytest.raises(FaceBudgetError, match="^face budget exceeded: 5000001 > 5000000$"):
+        _profiled(partial(independence_complex, _table1_graph(20), face_budget=5_000_000), calls)
+    assert calls["_face_polynomial"] == 1 and calls["rec"] == 0
+    import indtopo.complexes as cx
+    count, counted = cx._face_polynomial, []
+    monkeypatch.setattr(cx, "_face_polynomial", lambda *args: counted.append(1) or count(*args))
+    skipped = 0
+    for G in _looped_graphs(509, 400, 12):
+        keep, n, _ = _polynomial_args(G, None, None)
+        bound = sum(1 << (m >> v + 1).bit_count() for v, m in enumerate(keep))
+        faces = len(oracles.brute_independent_sets(G)) - 1
+        assert faces <= bound, G
+        for budget in {faces, bound}:
+            counted.clear()
+            assert independence_complex(G, face_budget=budget).total_faces == faces + 1
+            assert len(counted) == (bound > budget < 2 ** n - 1), (G, budget)
+            skipped += budget < 2 ** n - 1 and not counted
+        if faces:
+            with pytest.raises(FaceBudgetError, match=f"^face budget exceeded: {faces} > "):
+                independence_complex(G, face_budget=faces - 1)
+    assert skipped > 100
 
 
 class _CountingReads(list):
