@@ -296,12 +296,13 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
 
     The counts come first (``_face_polynomial`` on G's own masks, so the
     counts and any budget error never depend on the order), then the walk
-    of ``_enumerate_independent``, a face also carrying B, the vertices
-    below its lowest vertex l free for it minus l, and C, those of B not
-    adjacent to l: case 2 if C, else 3 if B, else 1.  A child ANDs both with
-    the new vertex's non-neighbours, so below a face with B empty every face
-    is case 1, and below one with a vertex of C adjacent to none of its
-    candidates every face is case 2: the walk skips such a child.
+    of ``_enumerate_independent``, a face also carrying C and D, the
+    vertices below its lowest vertex l free for it minus l, split by whether
+    they are adjacent to l (D) or not (C): case 2 if C, else 3 if D, else 1.
+    A child keeps l and ANDs C and D with the new vertex's non-neighbours,
+    so below a face with D empty no face is case 3, and below one with a
+    vertex of C adjacent to none of its candidates every face is case 2:
+    the walk skips such a child.
 
     The cases depend on the vertex order, and on K_2 x K_3 x K_n far fewer
     faces are case 3 in ``_walk_order`` than in G's own (68 against 604 up
@@ -323,7 +324,7 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
         keep = [full & ~m for m in nbr]
     out = [[] if nbr else [0]] + [[] for _ in range(last)]   # the empty face: case 3 if no vertex
 
-    def visit(face, k, cand, free, clear):
+    def visit(face, k, cand, adj, clear):
         if not clear:
             out[k].append(face)
         k += 1
@@ -331,7 +332,7 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
             low = cand & -cand
             cand ^= low
             m = keep[low.bit_length() - 1]
-            if not free & m:
+            if not adj & m:             # D empty: no case-3 face below
                 continue
             c, s = clear & m, cand & m
             if k == last or not s:      # a leaf, kept if case 3
@@ -342,15 +343,16 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
             while x and nbr[(x & -x).bit_length() - 1] & s:
                 x &= x - 1
             if not x:
-                visit(face | low, k, s, free & m, c)
+                visit(face | low, k, s, adj & m, c)
 
     try:
-        # the root's children, f - l empty: B is every vertex below, so
-        # vertex 0 has only case-1 faces above it; with last 1 all are leaves
-        for i, m in enumerate(keep[1:], 1):
+        # the root's children, f - l empty: B is every vertex below l, so D
+        # is l's neighbours below it; with last 1 all are leaves
+        for i, m in enumerate(keep):
             low = 1 << i
-            above = full & ~(2 * low - 1) & m if last > 1 else 0
-            visit(low, 1, above, low - 1, (low - 1) & m)
+            if adj := (low - 1) & ~m:
+                above = full & ~(2 * low - 1) & m if last > 1 else 0
+                visit(low, 1, above, adj, (low - 1) & m)
     finally:
         del visit
     return {k - 1: fs for k, fs in enumerate(out) if fs}, counts, nbr

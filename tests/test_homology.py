@@ -951,7 +951,7 @@ def test_wide_face_count_trips_at_the_first_entry_over_the_budget():
 def test_table1_window_stores_only_the_top_columns_it_builds():
     """The 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5 are
     counted in 1,119 calls of the f-polynomial on G's own masks; the window
-    (2, 4) walks 660 in the walk's order (1,573 in G's) and stores only the
+    (2, 4) walks 119 in the walk's order (403 in G's) and stores only the
     case-3 ones whose columns it may build, 68 (604 in G's); the verify
     record still counts every face of dimensions 1..5."""
     from indtopo.verify import check_table1_row
@@ -960,7 +960,7 @@ def test_table1_window_stores_only_the_top_columns_it_builds():
     calls = Counter()
     columns, counts, _ = _profiled(partial(_classified_skeleton, G, 5, None), calls)
     assert sum(counts) == 25_002 and counts[6] == 11_245
-    assert calls["poly"] <= 1_119 and calls["visit"] <= 700
+    assert calls["poly"] <= 1_119 and calls["visit"] <= 130
     assert sum(map(len, columns.values())) <= 100
     rec = check_table1_row(5)
     assert rec.match and rec.faces == 24_971
@@ -973,6 +973,24 @@ def test_table1_window_stores_only_the_top_columns_it_builds():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_walk_visits_grow_with_the_case3_faces_not_the_complex():
+    """The walk skips every child whose D, the vertices below its lowest
+    vertex free for the rest and adjacent to it, is empty, as no face below
+    it is case 3: the K_2 x K_3 x K_15 window (2, 4) keeps 658 faces of
+    21,708,933 in dimensions 1..5 in at most 950 visits (26,565 without
+    the rule), and graph_betti of gadget 6 7 makes at most 560 (32,681)."""
+    from indtopo.families import FamilySpec, build_graph
+
+    calls = Counter()
+    columns, counts, _ = _profiled(partial(_classified_skeleton, _table1_graph(15), 5, None),
+                                   calls)
+    assert sum(map(len, columns.values())) == 658 and sum(counts[2:]) == 21_708_933
+    assert calls["visit"] <= 950
+    calls.clear()
+    got = _profiled(partial(graph_betti, build_graph(FamilySpec("gadget", (6, 7)))), calls)
+    assert got.nonzero() == {4: 125} and calls["visit"] <= 560
 
 
 def test_walk_order_is_built_only_where_the_walk_dominates():
