@@ -108,22 +108,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_range(text: str):
+def _parse_range(flag: str, text: str):
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise _UsageError(f"--{flag} takes integers, ranges LO..HI or a comma list "
+                          f"of them, got {text!r}") from None
     return out
 
 
 def _face_budget(args) -> int | None:
     budget = args.budget_faces
-    if budget is None and os.environ.get(ENV_FACE_BUDGET):
-        budget = int(os.environ[ENV_FACE_BUDGET])
+    if budget is None and (raw := os.environ.get(ENV_FACE_BUDGET)):
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise _UsageError(f"{ENV_FACE_BUDGET} must be an integer, got {raw!r}") from None
     if budget is not None and budget < 0:
         raise _UsageError(f"face budget must be at least 0, got {budget}")
     return budget
@@ -273,7 +280,7 @@ def _cmd_verify(args) -> int:
     for flag in GRID_FLAGS:
         raw = getattr(args, flag)
         if raw is not None:
-            overrides[flag] = _parse_range(raw)
+            overrides[flag] = _parse_range(flag, raw)
     if args.count is not None:
         overrides["count"] = args.count
     try:

@@ -214,16 +214,21 @@ def _face_polynomial(keep, last, budget):
     The split I(S) = I(S - v) + x I(S - N[v]) on the lowest vertex v of S,
     unrolled along S - v: I(S) = 1 + x sum_v I(S_v), S_v the vertices of S
     above v not adjacent to it, memoised on (S, size cap <= |S|).  A
-    polynomial is one int of (len(keep)+1)-bit fields, so x is a shift.  An
-    entry (S, cap) is fixed by the face T + min S, T the vertices taken on
-    the way (S is every vertex above max T not adjacent to T), so the memo
-    never holds more entries than there are faces: the budget trips once
-    it does, or once the faces counted exceed it, at the root or at any
-    entry below it (each set such an entry counts, joined with T, is a
-    face), so a wide, shallow count stops early too.  A call that has taken d
-    vertices proves 2^d - 1 faces, all below the size cap, so the budget
-    also trips once 2^d - 1 exceeds it, which bounds the recursion depth by
-    log2(budget + 1).
+    polynomial is one int of (len(keep)+1)-bit fields, so x is a shift.
+    The sum runs from the top vertex of S down: at vertex u it has done,
+    the vertices of S above u, and acc, the sum of their terms, each cut at
+    cap - 1.  S_v depends only on S above v, so those terms are I(done)'s
+    own and 1 + x acc is I(done) cut at cap; where u has no neighbour in
+    done, S_u = done and its term is that, cut at cap - 1, with no call and
+    no memo entry.  An entry (S, cap) is fixed by the face T + min S, T the
+    vertices taken on the way (S is every vertex above max T not adjacent
+    to T), so the memo never holds more entries than there are faces: the
+    budget trips once it does, or once the faces counted exceed it, at the
+    root or at any entry below it (each set such an entry counts, joined
+    with T, is a face), so a wide, shallow count stops early too.  A call
+    that has taken d vertices proves 2^d - 1 faces, all below the size cap,
+    so the budget also trips once 2^d - 1 exceeds it, which bounds the
+    recursion depth by log2(budget + 1).
     """
     w = len(keep) + 1
     ones = (1 << w) - 1     # p % ones sums p's fields: they total < 2^n < ones
@@ -235,15 +240,19 @@ def _face_polynomial(keep, last, budget):
         if p is None:
             if d >= deep:
                 _check_budget(budget + 1, budget)
-            p, rest = 1, s
+            acc, rest, trunc = 0, s, (1 << w * cap) - 1
             while rest:
-                low = rest & -rest
-                rest ^= low
-                t = rest & keep[low.bit_length() - 1]
-                n = t.bit_count()
-                c = cap - 1 if cap <= n else n
-                p += (poly(t, c, d + 1) if c > 1 else 1 + (n << w)) << w
-            memo[key] = p
+                u = rest.bit_length() - 1
+                done = s ^ rest     # the vertices of s above u
+                rest ^= 1 << u
+                t = done & keep[u]
+                if t == done:       # I(done) cut at cap, masked to cap - 1
+                    acc += (1 + (acc << w)) & trunc
+                else:
+                    n = t.bit_count()
+                    c = cap - 1 if cap <= n else n
+                    acc += poly(t, c, d + 1) if c > 1 else 1 + (n << w)
+            memo[key] = p = 1 + (acc << w)
             if len(memo) > budget:
                 _check_budget(len(memo), budget)
             if d and p % ones > budget:     # T + each set p counts is a face

@@ -174,6 +174,20 @@ def test_env_var_budget(monkeypatch, capsys):
     assert (code, out) == (3, "") and "face budget must be at least 0, got -1" in err
 
 
+def test_non_integer_env_budget_is_a_usage_error_that_names_the_variable(monkeypatch, capsys):
+    for raw in ("abc", " ", "1e6"):
+        monkeypatch.setenv("INDTOPO_FACE_BUDGET", raw)
+        for argv in (("betti", "product", "3", "3"), ("morse", "product", "3", "3"),
+                     ("verify", "product", "--m", "2", "--n", "2")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), (raw, argv, err)
+            assert f"error: INDTOPO_FACE_BUDGET must be an integer, got {raw!r}" in err, err
+    # the flag still wins, and an empty variable is no budget at all
+    assert run(capsys, "betti", "product", "3", "3", "--budget-faces", "100000")[0] == 0
+    monkeypatch.setenv("INDTOPO_FACE_BUDGET", "")
+    assert run(capsys, "betti", "product", "3", "3")[0] == 0
+
+
 # -- morse ------------------------------------------------------------------
 
 def test_morse_product_report(capsys):
@@ -394,6 +408,17 @@ def test_verify_unpublished_table1_row_is_a_usage_error(capsys):
     for argv in (("table1", "--n", "7"), ("conjecture", "--n", "9")):
         code, _, err = run(capsys, "verify", *argv)
         assert code == 3 and "n = 2..6" in err, (argv, err)
+
+
+def test_verify_non_integer_range_is_a_usage_error_that_names_the_flag(capsys):
+    for argv in (("table1", "--n", "x"), ("table1", "--n", "2..x"),
+                 ("product", "--m", "3,,4"), ("product", "--n", "")):
+        code, out, err = run(capsys, "verify", *argv)
+        flag, text = argv[1:]
+        assert (code, out) == (3, ""), (argv, err)
+        assert f"error: {flag} takes integers, ranges LO..HI or a comma list of them, " \
+               f"got {text!r}" in err, err
+        assert "invalid literal" not in err, err
 
 
 def test_verify_empty_suite_is_a_usage_error(capsys):

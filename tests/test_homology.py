@@ -14,8 +14,10 @@ import pytest
 import oracles
 from indtopo import graphs as gr
 from indtopo.complexes import (
+    DEFAULT_FACE_BUDGET,
     FaceBudgetError,
     _classified_skeleton,
+    _enumerate_independent,
     _face_polynomial,
     _independence_masks,
     _walk_order,
@@ -844,25 +846,55 @@ def test_face_polynomial_counts_the_brute_force_f_vector():
     assert calls > 9_000
 
 
-def test_face_polynomial_meets_the_euler_characteristic_of_each_closed_form():
-    """The reduced Euler characteristic read off the f-polynomial equals
-    sum_d (-1)^d b_d of the predicted wedge, for every family instance of
-    the default suites (127 of them) and for K_2 x K_3 x K_n, n <= 20: a
-    check that shares nothing with the type rules but their Betti numbers."""
-    from indtopo.families import FamilySpec, build_graph
-    from indtopo.homotopy import predict
+def _suite_family_specs(top_n):
+    """The 127 family instances of the default suites, then K_2 x K_3 x K_n
+    for n = 2..top_n."""
+    from indtopo.families import FamilySpec
     from indtopo.verify import SUITES
 
     specs = [FamilySpec(*args) for _, jobs, _ in SUITES.values()
              for kind, args, _ in jobs({"seed": 7, "face_budget": None})
              if kind in ("family", "family_int")]
     assert len(specs) == 127
-    specs += [FamilySpec("conjecture_k2k3kn", (n,)) for n in range(2, 21)]
-    for spec in specs:
+    return specs + [FamilySpec("conjecture_k2k3kn", (n,)) for n in range(2, top_n + 1)]
+
+
+def test_face_polynomial_meets_the_euler_characteristic_of_each_closed_form():
+    """The reduced Euler characteristic read off the f-polynomial equals
+    sum_d (-1)^d b_d of the predicted wedge, for every family instance of
+    the default suites (127 of them) and for K_2 x K_3 x K_n, n <= 20: a
+    check that shares nothing with the type rules but their Betti numbers."""
+    from indtopo.families import build_graph
+    from indtopo.homotopy import predict
+
+    for spec in _suite_family_specs(20):
         counts = _face_polynomial(*_polynomial_args(build_graph(spec), None, 10 ** 40))
         euler = sum(c if k % 2 else -c for k, c in enumerate(counts))   # k = d + 1
         betti = predict(spec).homotopy.betti()
         assert euler == sum(-b if d % 2 else b for d, b in betti.items()), spec
+
+
+def test_face_polynomial_counts_the_enumerated_faces_past_the_oracle():
+    """Past the subset sweep's 12 vertices, on the 127 family instances of
+    the default suites and K_2 x K_3 x K_n, n <= 8 (up to 48 vertices), the
+    count at each size cap 1..7 is the first cap + 1 entries of the
+    uncapped count and the enumerator's face count of each size (every one
+    of these skeletons fits the default budget).  A budget of exactly its
+    nonempty faces never trips, and one less trips with the budget message."""
+    from indtopo.families import build_graph
+
+    for spec in _suite_family_specs(8):
+        keep, n, _ = _polynomial_args(build_graph(spec), None, None)
+        whole = _face_polynomial(keep, n, 10 ** 40) + [0] * 7
+        sizes = [len(fs) for fs in _enumerate_independent(keep, 7)]
+        assert sum(sizes) - 1 <= DEFAULT_FACE_BUDGET, spec
+        for cap in range(1, 8):
+            faces = sum(sizes[:cap + 1]) - 1
+            assert _face_polynomial(keep, cap, faces) == whole[:cap + 1] == sizes[:cap + 1], \
+                (spec, cap)
+            with pytest.raises(FaceBudgetError,
+                               match=f"^face budget exceeded: {faces} > {faces - 1}$"):
+                _face_polynomial(keep, cap, faces - 1)
 
 
 def test_betti_routes_trip_the_face_budget_before_walking():
@@ -934,10 +966,10 @@ class _CountingReads(list):
 
 def test_wide_face_count_trips_at_the_first_entry_over_the_budget():
     """Up to size 4, Ind(P_300) has about 3 * 10^8 faces, yet its count is
-    shallow and never reaches the depth bound.  The first memo entry below
-    the root counts over 10^6 sets, each a face with the vertex taken, so a
-    budget of 10^6 trips there, after under a quarter of the reads of
-    ``keep`` that the whole count makes."""
+    shallow and never reaches the depth bound.  Below the root, the first
+    memo entry to count over 10^6 sets, each a face with the vertices
+    taken, trips a budget of 10^6 there, after under a quarter of the
+    reads of ``keep`` that the whole count makes."""
     G = gr.path(300)
     keep = _polynomial_args(G, 4, None)[0]
     whole = _CountingReads(keep)
@@ -950,7 +982,7 @@ def test_wide_face_count_trips_at_the_first_entry_over_the_budget():
 
 def test_table1_window_stores_only_the_top_columns_it_builds():
     """The 25,002 faces of Ind(K_2 x K_3 x K_5) up to dimension 5 are
-    counted in 1,119 calls of the f-polynomial on G's own masks; the window
+    counted in 437 calls of the f-polynomial on G's own masks; the window
     (2, 4) walks 119 in the walk's order (403 in G's) and stores only the
     case-3 ones whose columns it may build, 68 (604 in G's); the verify
     record still counts every face of dimensions 1..5."""
@@ -960,7 +992,7 @@ def test_table1_window_stores_only_the_top_columns_it_builds():
     calls = Counter()
     columns, counts, _ = _profiled(partial(_classified_skeleton, G, 5, None), calls)
     assert sum(counts) == 25_002 and counts[6] == 11_245
-    assert calls["poly"] <= 1_119 and calls["visit"] <= 130
+    assert calls["poly"] <= 450 and calls["visit"] <= 130
     assert sum(map(len, columns.values())) <= 100
     rec = check_table1_row(5)
     assert rec.match and rec.faces == 24_971
@@ -980,14 +1012,16 @@ def test_walk_visits_grow_with_the_case3_faces_not_the_complex():
     vertex free for the rest and adjacent to it, is empty, as no face below
     it is case 3: the K_2 x K_3 x K_15 window (2, 4) keeps 658 faces of
     21,708,933 in dimensions 1..5 in at most 950 visits (26,565 without
-    the rule), and graph_betti of gadget 6 7 makes at most 560 (32,681)."""
+    the rule), and graph_betti of gadget 6 7 makes at most 560 (32,681).
+    The window's count makes at most 12,500 f-polynomial calls (11,797;
+    26,544 summing the children from the lowest vertex up)."""
     from indtopo.families import FamilySpec, build_graph
 
     calls = Counter()
     columns, counts, _ = _profiled(partial(_classified_skeleton, _table1_graph(15), 5, None),
                                    calls)
     assert sum(map(len, columns.values())) == 658 and sum(counts[2:]) == 21_708_933
-    assert calls["visit"] <= 950
+    assert calls["visit"] <= 950 and calls["poly"] <= 12_500
     calls.clear()
     got = _profiled(partial(graph_betti, build_graph(FamilySpec("gadget", (6, 7)))), calls)
     assert got.nonzero() == {4: 125} and calls["visit"] <= 560
