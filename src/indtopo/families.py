@@ -176,16 +176,23 @@ class FamilySpec:
     params: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if self.family not in FAMILIES:
+        fam = FAMILIES.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"known: {', '.join(sorted(FAMILIES))}")
-        fam = FAMILIES[self.family]
-        hint = f"{' '.join(fam.params)} ({fam.hint})"
-        if len(self.params) != len(fam.params):
-            raise ValueError(f"{self.family} takes {len(fam.params)} parameter(s): {hint}")
-        if any(p < least for p, least in zip(self.params, fam.domain.values())):
-            raise ValueError(f"{self.family} parameters out of range: {hint}")
+        try:  # through str(), so a bool, float or None fails instead of coercing
+            params = tuple(int(str(p)) for p in self.params)
+        except (TypeError, ValueError):
+            problem = "parameters must be integers"
+        else:
+            object.__setattr__(self, "params", params)
+            if len(params) != len(fam.params):
+                problem = f"takes {len(fam.params)} parameter(s)"
+            elif any(p < least for p, least in zip(params, fam.domain.values())):
+                problem = "parameters out of range"
+            else:
+                return
+        raise ValueError(f"{self.family} {problem}: {' '.join(fam.params)} ({fam.hint})")
 
     def describe(self) -> str:
         return " ".join([self.family, *map(str, self.params)])
@@ -200,7 +207,5 @@ def random_graph(n: int, rng: Random, p: float = 0.5) -> Graph:
     """Labeled random graph on vertices 1..n; each pair is an edge with probability p."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    verts = list(range(1, n + 1))
-    edges = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]
-             if rng.random() < p]
-    return Graph(verts, edges)
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    return Graph._from_edges(range(1, n + 1), edges)

@@ -89,6 +89,19 @@ def parse_labels(text: str) -> list:
     return labels
 
 
+def _masks(vs, edges, loops):
+    """The masks of the labels ``vs`` (in canonical order) read off the listed
+    edges and loops, with no checks: the work of every entry from labels."""
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    adj = dict.fromkeys(vs, 0)
+    for u, v in edges:
+        adj[u] |= bit[v]
+        adj[v] |= bit[u]
+    for v in loops:
+        adj[v] |= bit[v]
+    return adj.values()
+
+
 class Graph:
     """Immutable labeled graph held as one adjacency bitmask per vertex.
 
@@ -104,41 +117,49 @@ class Graph:
         by_render = {render_label(v): v for v in verts}
         if len(by_render) != len(verts):
             raise ValueError("duplicate vertex labels (after rendering)")
-        vs = tuple(by_render[r] for r in sorted(by_render))
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
+        known = set(verts)
+        edges, loops = list(edges), list(loops)
         for e in edges:
             u, v = e
-            i, j = pos.get(u), pos.get(v)
-            if i is None or j is None:
+            if u not in known or v not in known:
                 raise ValueError(f"edge endpoint not a vertex: {e!r}")
-            if i == j:
+            if u == v:
                 raise ValueError(f"self-pair {e!r} in edge list; loops go in loops=")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
         for v in loops:
-            if v not in pos:
+            if v not in known:
                 raise ValueError(f"loop at non-vertex: {v!r}")
-            adj[pos[v]] |= 1 << pos[v]
-        self._fill(vs, adj, name, pos)
+        vs = [by_render[r] for r in sorted(by_render)]
+        self._fill(vs, _masks(vs, edges, loops), name)
 
     @classmethod
     def _from_masks(cls, vertices, adj, name=None) -> "Graph":
         """Trusted entry: vertices in canonical order and their symmetric masks."""
         G = object.__new__(cls)
-        G._fill(tuple(vertices), adj, name, None)
+        G._fill(vertices, adj, name)
         return G
 
-    def _fill(self, vertices, adj, name, index):
-        self.vertices, self._adj, self.name = vertices, tuple(adj), name
-        self._looped = sum(1 << i for i, a in enumerate(adj) if a >> i & 1)
-        self._index = index or {v: i for i, v in enumerate(vertices)}
-        self._edges = None
+    @classmethod
+    def _from_edges(cls, labels, edges, loops=(), name=None) -> "Graph":
+        """Trusted entry: the package's own int and identifier labels (each renders
+        as str() does), in any order, each edge listed once."""
+        vs = sorted(labels, key=str)
+        return cls._from_masks(vs, _masks(vs, edges, loops), name)
+
+    def _fill(self, vertices, adj, name):
+        self.vertices, self._adj, self.name = tuple(vertices), tuple(adj), name
+        self._looped = sum(1 << i for i, a in enumerate(self._adj) if a >> i & 1)
+        self._index = self._edges = None
+
+    def _positions(self) -> dict:
+        """Label -> position in the canonical order, built on the first lookup."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vertices)}
+        return self._index
 
     def _at(self, v) -> int:
         """The position of vertex v in the canonical order."""
         try:
-            return self._index[v]
+            return self._positions()[v]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"not a vertex: {v!r}") from None
 
@@ -170,7 +191,7 @@ class Graph:
 
     def __contains__(self, label) -> bool:
         try:
-            return label in self._index
+            return label in self._positions()
         except TypeError:  # an unhashable label is no vertex
             return False
 
@@ -284,15 +305,16 @@ def complete(n: int) -> Graph:
     """Complete graph on vertices 1..n."""
     if n < 1:
         raise ValueError(f"complete(n) needs n >= 1, got {n}")
-    vs = range(1, n + 1)
-    return Graph(vs, [(i, j) for i in vs for j in vs if i < j], name=f"K{n}")
+    full = (1 << n) - 1
+    return Graph._from_masks(sorted(range(1, n + 1), key=str),
+                             [full ^ 1 << i for i in range(n)], f"K{n}")
 
 
 def path(n: int) -> Graph:
     """Path on vertices 1..n."""
     if n < 1:
         raise ValueError(f"path(n) needs n >= 1, got {n}")
-    return Graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)], name=f"P{n}")
+    return Graph._from_edges(range(1, n + 1), [(i, i + 1) for i in range(1, n)], name=f"P{n}")
 
 
 def cycle(n: int) -> Graph:
@@ -300,14 +322,14 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle(n) needs n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(range(1, n + 1), edges, name=f"C{n}")
+    return Graph._from_edges(range(1, n + 1), edges, name=f"C{n}")
 
 
 def looped_path(r: int) -> Graph:
     """Path on vertices 0..r with a loop at 0; looped_path(0) is one looped vertex."""
     if r < 0:
         raise ValueError(f"looped_path(r) needs r >= 0, got {r}")
-    return Graph(range(r + 1), [(i, i + 1) for i in range(r)], loops=[0], name=f"L{r}")
+    return Graph._from_edges(range(r + 1), [(i, i + 1) for i in range(r)], [0], f"L{r}")
 
 
 def categorical_product(G: Graph, H: Graph) -> Graph:
@@ -318,9 +340,10 @@ def categorical_product(G: Graph, H: Graph) -> Graph:
     # the pairs (a, b) do, as a rendering is a proper prefix of another only
     # where a letter or digit follows, and those sort after "," and ")".
     # N((g, h)) is N(h) in the row of each g' in N(g): the mask of N(g) spread
-    # to one bit per row, times N(h), a product that never carries.
-    width = len(H.vertices)
-    rows = [sum(1 << j * width for j in bits(a)) for a in G._adj]
+    # to one bit per row (its binary digits |H| - 1 zeros apart), times N(h),
+    # a product that never carries.
+    gap = "0" * (len(H.vertices) - 1)
+    rows = [int(gap.join(bin(a)[2:]), 2) for a in G._adj]
     name = f"{G.name}x{H.name}" if G.name and H.name else None
     return Graph._from_masks([(g, h) for g in G.vertices for h in H.vertices],
                              [row * b for row in rows for b in H._adj], name)
@@ -377,18 +400,15 @@ def cycle_ladder(n: int, i: int) -> Graph:
         raise ValueError(f"cycle_ladder needs n >= 3, got {n}")
     if i < 0:
         raise ValueError(f"cycle_ladder needs i >= 0, got {i}")
-    if i == 0:
-        g = cycle(n)
-        return Graph._from_masks(g.vertices, g._adj, f"C{n}^0")
+    # the rails 2, x_1, ..., x_i, 1 and n, y_1, ..., y_i, 1 stand in for the
+    # edges (1,2) and (1,n) of the cycle, joined by the rungs (x_k, y_k)
     xs = [f"x{k}" for k in range(1, i + 1)]
     ys = [f"y{k}" for k in range(1, i + 1)]
-    verts = list(range(1, n + 1)) + xs + ys
-    edges = [(a, a + 1) for a in range(2, n)]  # cycle minus (1,2) and (1,n)
-    edges += [(xs[k], ys[k]) for k in range(i)]
-    edges += [(xs[k], xs[k + 1]) for k in range(i - 1)]
-    edges += [(ys[k], ys[k + 1]) for k in range(i - 1)]
-    edges += [(1, xs[-1]), (1, ys[-1]), (2, xs[0]), (n, ys[0])]
-    return Graph(verts, edges, name=f"C{n}^{i}")
+    edges = [(a, a + 1) for a in range(2, n)] + list(zip(xs, ys))
+    for rail in ([2, *xs, 1], [n, *ys, 1]):
+        edges += zip(rail, rail[1:])
+    verts = [*range(1, n + 1), *xs, *ys]
+    return Graph._from_edges(verts, edges, name=f"C{n}^{i}")
 
 
 def _fresh_labels(G: Graph, bases):

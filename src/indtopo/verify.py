@@ -499,8 +499,9 @@ def _jobs_morse_homology(opts):
         total = 1 << len(pairs)
         # built lazily, so a sampled graph's draws come before its order's shuffle
         if used + total <= cap * 0.6 or total <= 1024:
-            graphs = (gr.Graph(range(1, n + 1), [p for i, p in enumerate(pairs) if mask >> i & 1])
-                      for mask in range(total))
+            graphs = (gr.Graph._from_edges(
+                range(1, n + 1), [p for i, p in enumerate(pairs) if mask >> i & 1])
+                for mask in range(total))
         else:
             graphs = (random_graph(n, rng) for _ in range(max(cap - used, 100)))
         batch = []

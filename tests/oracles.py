@@ -12,14 +12,16 @@ rendered label strings, the reduction lemmas from Graph surgery that
 builds a new graph at every step, and reduce()'s rule searches on masks
 from trying one candidate vertex, pair or apex at a time.  Products,
 Mycielskians and gadgets are built from label pairs and label edge lists
-through the validating Graph constructor, and the crossing and triangle
-searches walk label sets.
+through the validating Graph constructor, as are complete graphs, paths,
+cycles, looped paths, cycle ladders, every named family and the seeded random
+graphs, and the crossing and triangle searches walk label sets.
 Nothing below imports library internals beyond the Graph container, the
 label renderer and the homotopy-type algebra (the values reduce() returns),
 so a bug in the fast code paths cannot hide here.
 """
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -506,6 +508,62 @@ def reduce_by_surgery(G: Graph, budget: int = 10_000):
 
 # -- graph builders on labels -----------------------------------------------------
 
+def complete_by_labels(n: int) -> Graph:
+    return Graph(range(1, n + 1), itertools.combinations(range(1, n + 1), 2), name=f"K{n}")
+
+
+def path_by_labels(n: int) -> Graph:
+    return Graph(range(1, n + 1), zip(range(1, n), range(2, n + 1)), name=f"P{n}")
+
+
+def cycle_by_labels(n: int, name=None) -> Graph:
+    return Graph(range(1, n + 1), [*zip(range(1, n), range(2, n + 1)), (n, 1)],
+                 name=name or f"C{n}")
+
+
+def looped_path_by_labels(r: int) -> Graph:
+    return Graph(range(r + 1), zip(range(r), range(1, r + 1)), loops=[0], name=f"L{r}")
+
+
+def cycle_ladder_by_labels(n: int, i: int) -> Graph:
+    """C_n less the edges (1,2) and (1,n), with the rungs xk - yk, the rails
+    x1 - ... - xi and y1 - ... - yi, and their ends tied to 2, n and 1."""
+    if i == 0:
+        return cycle_by_labels(n, f"C{n}^0")
+    xs, ys = [f"x{k}" for k in range(1, i + 1)], [f"y{k}" for k in range(1, i + 1)]
+    edges = [(a, a + 1) for a in range(2, n)] + [(xs[k], ys[k]) for k in range(i)]
+    edges += [(xs[k], xs[k + 1]) for k in range(i - 1)]
+    edges += [(ys[k], ys[k + 1]) for k in range(i - 1)]
+    edges += [(2, xs[0]), (n, ys[0]), (xs[-1], 1), (ys[-1], 1)]
+    return Graph([*range(1, n + 1), *xs, *ys], edges, name=f"C{n}^{i}")
+
+
+def family_by_labels(family: str, params) -> Graph:
+    """The named family instance, each factor and quotient built on labels."""
+    def product(*factors):
+        return functools.reduce(categorical_product_by_pairs, factors)
+
+    K = complete_by_labels
+    builders = {
+        "product": lambda m, n: product(K(m), K(n)),
+        "multi_k2_product": lambda r, n: product(*[K(2)] * (r - 1), K(n)),
+        "kn_lr": lambda n, r: product(K(n), looped_path_by_labels(r)),
+        "gadget": lambda n, t: tower_gadget_by_labels(n, 1, t),
+        "mycielskian": lambda n, r: mycielskian_by_quotient(K(n), r),
+        "path": path_by_labels,
+        "cycle": cycle_by_labels,
+        "cycle_ladder": cycle_ladder_by_labels,
+        "conjecture_k2k3kn": lambda n: product(K(2), K(3), K(n)),
+    }
+    return builders[family](*params)
+
+
+def random_graph_by_labels(n: int, rng, p: float = 0.5) -> Graph:
+    """Vertices 1..n; the pairs (u, v), u < v, drawn in turn, each an edge with probability p."""
+    verts = range(1, n + 1)
+    return Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+
+
 def categorical_product_by_pairs(G: Graph, H: Graph) -> Graph:
     """G x H from every pair of label pairs: (g,h) ~ (g',h') iff g ~ g' and h ~ h'."""
     verts = [(g, h) for g in G.vertices for h in H.vertices]
@@ -531,8 +589,7 @@ def mycielskian_by_quotient(G: Graph, r: int) -> Graph:
 
 def tower_gadget_by_labels(n: int, i: int, j: int) -> Graph:
     """Levels below j of the level-(j+1) Mycielskian of K_n, plus (i, j), on labels."""
-    kn = Graph(range(1, n + 1), itertools.combinations(range(1, n + 1), 2), name=f"K{n}")
-    tower = mycielskian_by_quotient(kn, j + 1)
+    tower = mycielskian_by_quotient(complete_by_labels(n), j + 1)
     keep = {v for v in tower.vertices if v != "w" and v[1] < j} | {(i, j)}
     return Graph(keep, [e for e in tower.edges if keep.issuperset(e)],
                  name=f"gadget(n={n},i={i},t={j})")

@@ -43,6 +43,22 @@ def test_spec_coerces_and_describes():
     assert s.describe() == "kn_lr 3 2"
 
 
+@pytest.mark.parametrize("params", [(2.7,), (3.0,), (True,), (None,), ("2.7",), ("x",), ([3],)])
+def test_spec_rejects_parameters_that_are_not_integers(params):
+    """No truncation or coercion: P2 from 2.7 and P1 from True were the old bugs."""
+    with pytest.raises(ValueError, match=r"\Apath parameters must be integers: n \(n >= 1\)\Z"):
+        FamilySpec("path", params)
+    with pytest.raises(ValueError, match="product parameters must be integers: m n"):
+        FamilySpec("product", (3, *params))
+
+
+def test_spec_errors_name_the_family_and_its_hint():
+    with pytest.raises(ValueError, match=r"\Aproduct takes 2 parameter\(s\): m n \(complete"):
+        FamilySpec("product", (3,))
+    with pytest.raises(ValueError, match=r"\Acycle parameters out of range: n \(n >= 3\)\Z"):
+        FamilySpec("cycle", ("2",))
+
+
 def test_build_graph_counts():
     assert build_graph(FamilySpec("product", (3, 4))).vertex_count == 12
     assert build_graph(FamilySpec("multi_k2_product", (3, 3))).vertex_count == 12

@@ -3,14 +3,17 @@
 import io
 import itertools
 import json
+import pickle
 import random
+import re
 from functools import reduce
 
 import pytest
 
 import oracles
 from indtopo import graphs as gr
-from indtopo.verify import _find_crossing, _find_triangle
+from indtopo.families import FamilySpec, build_graph, random_graph
+from indtopo.verify import SUITES, _find_crossing, _find_triangle
 
 
 # -- vertex labels -----------------------------------------------------------
@@ -203,6 +206,23 @@ def test_queries_on_non_vertices():
             query()
 
 
+def test_label_index_is_built_on_the_first_lookup():
+    """A graph made from masks answers its first lookup, whatever it is, as a
+    validated one does, and keeps doing so after a pickled round trip."""
+    fresh = gr.complete(3)
+    assert fresh._index is None
+    assert [1] not in fresh
+    for lookup, label in ((gr.complete(3)._at, [1]), (gr.complete(3).neighbors, 99)):
+        with pytest.raises(ValueError, match=rf"not a vertex: {re.escape(repr(label))}"):
+            lookup(label)
+    for G in (gr.path(12), gr.Graph(range(1, 13), gr.path(12).edges, name="P12")):
+        H = pickle.loads(pickle.dumps(G))
+        assert H == G and H.vertices[:3] == (1, 10, 11)
+        assert H._at(2) == 4 and H.neighbors(10) == {9, 11} and 13 not in H
+        with pytest.raises(ValueError, match="not a vertex: 13"):
+            H.has_edge(1, 13)
+
+
 def _random_looped_graph(rng, name=None):
     by_render = {}
     for _ in range(rng.randint(1, 6)):
@@ -270,6 +290,50 @@ def test_kn_lr_mycielskians_and_gadgets_match_the_label_oracles(n):
     if n >= 3:
         for i, j in itertools.product(range(1, n + 1), range(5)):
             assert_same_graph(gr.tower_gadget(n, i, j), oracles.tower_gadget_by_labels(n, i, j))
+
+
+@pytest.mark.parametrize("n", range(1, 13))     # from n = 10 on, "10" renders before "2"
+def test_family_constructors_match_the_label_oracles(n):
+    assert_same_graph(gr.complete(n), oracles.complete_by_labels(n))
+    assert_same_graph(gr.path(n), oracles.path_by_labels(n))
+    assert_same_graph(gr.looped_path(n), oracles.looped_path_by_labels(n))
+    if n >= 3:
+        assert_same_graph(gr.cycle(n), oracles.cycle_by_labels(n))
+        for i in range(13):
+            assert_same_graph(gr.cycle_ladder(n, i), oracles.cycle_ladder_by_labels(n, i))
+
+
+def _default_suite_specs():
+    """Every family instance the default suites build, with duplicates dropped."""
+    of_kind = {"family": None, "family_int": None, "morse_product": "product",
+               "gadget_reduce": "gadget", "table1": "conjecture_k2k3kn"}
+    specs = set()
+    for _, jobs, _ in SUITES.values():
+        for kind, args, _ in jobs({"seed": 7, "face_budget": None}):
+            if kind in of_kind:
+                specs.add(args if of_kind[kind] is None else (of_kind[kind], args))
+    return sorted(specs)
+
+
+def test_default_suite_families_match_the_label_oracles():
+    specs = _default_suite_specs()
+    assert {family for family, _ in specs} == {
+        "product", "mycielskian", "kn_lr", "gadget", "path", "cycle", "cycle_ladder",
+        "conjecture_k2k3kn"}
+    for family, params in specs:
+        assert_same_graph(build_graph(FamilySpec(family, params)),
+                          oracles.family_by_labels(family, params))
+    for params in [(2, 2), (3, 3), (4, 2), (2, 11)]:
+        assert_same_graph(build_graph(FamilySpec("multi_k2_product", params)),
+                          oracles.family_by_labels("multi_k2_product", params))
+
+
+def test_random_graphs_match_the_label_oracle():
+    """Same pairs drawn in the same order: the same graph, and the same draws used."""
+    for n, seed in itertools.product(range(13), range(50)):
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        assert_same_graph(random_graph(n, rng), oracles.random_graph_by_labels(n, want_rng))
+        assert rng.random() == want_rng.random()
 
 
 def test_mycielskians_of_random_graphs_match_the_quotient_oracle():
