@@ -14,6 +14,7 @@ from itertools import combinations
 from .graphs import Graph, bits, render_label, select_bits
 
 DEFAULT_FACE_BUDGET = 50_000_000
+_RELABEL_AT = 4    # the walk relabels from _RELABEL_AT * n^2 faces on n vertices
 
 
 class FaceBudgetError(RuntimeError):
@@ -277,13 +278,17 @@ def _walk_order(nbr):
 
     A class starts at the lowest vertex not yet ordered, v, with the
     unordered non-neighbours of v as its candidates.  It then takes the
-    candidate with the most neighbours among the candidates (the lowest on
-    ties) and drops that vertex's closed neighbourhood from them, until none
-    is left; the next class starts after it.  Each class is a maximal
+    candidate with the most neighbours among the candidates, on ties the
+    one sharing the most neighbours with the vertex just taken (then the
+    lowest), and drops that vertex's closed neighbourhood from them, until
+    none is left; the next class starts after it.  Each class is a maximal
     independent set of the vertices left; on K_2 x K_3 x K_n the first is
-    the six vertices sharing a K_n coordinate.
+    the six vertices sharing a K_n coordinate.  The second key takes the
+    near-twins of the last vertex next: at n = 3, where the two K_3 factors
+    tie most choices, lowest-index ties give an order no better than G's
+    own.
     """
-    order, rest = [], (1 << len(nbr)) - 1
+    order, rest, w = [], (1 << len(nbr)) - 1, len(nbr) + 1
     while rest:
         v = (rest & -rest).bit_length() - 1
         cand = rest
@@ -293,7 +298,13 @@ def _walk_order(nbr):
             cand &= ~(nbr[v] | 1 << v)
             if not cand:
                 break
-            v = max(bits(cand), key=lambda u: (nbr[u] & cand).bit_count())
+            last, best, c = nbr[v], -1, cand
+            while c:                # the best key, the lowest vertex on ties
+                low = c & -c
+                c ^= low
+                m = nbr[low.bit_length() - 1]
+                if (key := (m & cand).bit_count() * w + (m & last).bit_count()) > best:
+                    best, v = key, low.bit_length() - 1
     return order
 
 
@@ -314,11 +325,12 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
     the walk skips such a child.
 
     The cases depend on the vertex order, and on K_2 x K_3 x K_n far fewer
-    faces are case 3 in ``_walk_order`` than in G's own (68 against 604 up
-    to dimension 5 at n = 5, 418 against 41,008 at n = 12).  Relabelling
-    costs O(n^2) bit operations on n vertices, a loss where the walk is
-    cheap, so the walk takes that order only once the faces counted are at
-    least 8 n^2, and G's own order otherwise.
+    faces are case 3 in ``_walk_order`` than in G's own (22 against 58 up
+    to dimension 5 at n = 3, 68 against 604 at n = 5, 418 against 41,008
+    at n = 12).  Relabelling costs O(n^2) bit operations on n vertices, a
+    loss where the walk is cheap, so the walk takes that order only once
+    the faces counted are at least _RELABEL_AT n^2 = 4 n^2, and G's own
+    order otherwise.
     """
     budget = DEFAULT_FACE_BUDGET if face_budget is None else face_budget
     _, nbr = _independence_masks(G)
@@ -326,10 +338,19 @@ def _classified_skeleton(G: Graph, top: int | None, face_budget: int | None):
     keep = [full & ~m for m in nbr]
     last = len(nbr) if top is None else min(top + 1, len(nbr))  # the largest size walked
     counts = _face_polynomial(keep, last, budget)
-    if sum(counts) >= 8 * len(nbr) ** 2:
-        order = _walk_order(nbr)
-        pos = {v: i for i, v in enumerate(order)}
-        nbr = [sum(1 << pos[u] for u in bits(nbr[v])) for v in order]
+    if sum(counts) >= _RELABEL_AT * len(nbr) ** 2:
+        order, new = _walk_order(nbr), [0] * len(nbr)
+        for i, v in enumerate(order):
+            new[v] = 1 << i
+        walked = []
+        for v in order:
+            m, r = nbr[v], 0
+            while m:
+                low = m & -m
+                m ^= low
+                r |= new[low.bit_length() - 1]
+            walked.append(r)
+        nbr = walked
         keep = [full & ~m for m in nbr]
     out = [[] if nbr else [0]] + [[] for _ in range(last)]   # the empty face: case 3 if no vertex
 

@@ -120,13 +120,21 @@ class Graph:
         known = set(verts)
         edges, loops = list(edges), list(loops)
         for e in edges:
-            u, v = e
-            if u not in known or v not in known:
+            try:
+                u, v = e
+                bad = u not in known or v not in known
+            except TypeError:       # an unhashable endpoint is no vertex
+                bad = True
+            if bad:
                 raise ValueError(f"edge endpoint not a vertex: {e!r}")
             if u == v:
                 raise ValueError(f"self-pair {e!r} in edge list; loops go in loops=")
         for v in loops:
-            if v not in known:
+            try:
+                bad = v not in known
+            except TypeError:
+                bad = True
+            if bad:
                 raise ValueError(f"loop at non-vertex: {v!r}")
         vs = [by_render[r] for r in sorted(by_render)]
         self._fill(vs, _masks(vs, edges, loops), name)
@@ -460,13 +468,6 @@ def _ladder(G: Graph, v1, v2, v3, v4) -> Graph:
 
 
 # -- surgery ---------------------------------------------------------------
-
-def induced_subgraph(G: Graph, labels) -> Graph:
-    keep = 0
-    for v in labels:
-        keep |= 1 << G._at(v)
-    return masked_subgraph(G.vertices, G._adj, keep)
-
 
 def delete_vertices(G: Graph, labels) -> Graph:
     drop = 0

@@ -79,11 +79,6 @@ class HomotopyType:
         return f"<HomotopyType {self.render()}>"
 
 
-def suspend(t: HomotopyType) -> HomotopyType:
-    """Suspension shifts every sphere up one dimension; same as join with S^0."""
-    return HomotopyType({d + 1: c for d, c in t.spheres})
-
-
 def join(a: HomotopyType, b: HomotopyType) -> HomotopyType:
     """Bilinear join; S^-1 is the identity and contractible absorbs everything."""
     out = {}

@@ -27,12 +27,17 @@ import math
 from fractions import Fraction
 
 from indtopo.graphs import Graph, render_label
-from indtopo.homotopy import HomotopyType, Stuck, suspend, wedge_all
+from indtopo.homotopy import HomotopyType, Stuck, wedge_all
 
 # the 6-vertex triangulation of the real projective plane: the standard
 # torsion specimen (mod-2 sees dimensions 1 and 2, the integers see Z/2)
 RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
               (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+def suspend(t: HomotopyType) -> HomotopyType:
+    """Suspension shifts every sphere up one dimension; same as join with S^0."""
+    return HomotopyType({d + 1: c for d, c in t.spheres})
 
 
 def brute_independent_sets(G: Graph):

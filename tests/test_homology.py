@@ -16,6 +16,7 @@ from indtopo import graphs as gr
 from indtopo.complexes import (
     DEFAULT_FACE_BUDGET,
     FaceBudgetError,
+    _RELABEL_AT,
     _classified_skeleton,
     _enumerate_independent,
     _face_polynomial,
@@ -614,17 +615,34 @@ def _case3_faces(full, cases, d):
     return [f for f in full.face_masks(d) if cases[full.labels(f)] == 3]
 
 
+def _first_cofacet_cases(G):
+    return oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(G)))
+
+
+def _relabels(G, counts):
+    """Whether the walk takes _walk_order, given the faces it counted."""
+    return sum(counts) >= _RELABEL_AT * len(_independence_masks(G)[1]) ** 2
+
+
 def _check_walk(G, full, cases, top):
     """The walk up to dimension top keeps exactly the case-3 faces in every
-    dimension, and counts every face of each size up to top + 1."""
+    dimension, and counts every face of each size up to top + 1; full and
+    cases are G's.  Where the walk relabels, its faces are checked against
+    the oracle of G relabelled by _walk_order, whose masks it returns.
+    Returns whether it relabelled."""
     last = full.dim + 1 if top is None else top + 1
-    columns, counts, _ = _classified_skeleton(G, top, None)
+    columns, counts, walked = _classified_skeleton(G, top, None)
+    if relabels := _relabels(G, counts):
+        G = _walk_ordered(G)
+        full, cases = independence_complex(G), _first_cofacet_cases(G)
+    assert list(walked) == list(_independence_masks(G)[1]), (G, top)
     for d in range(-1, last):
         assert columns.get(d, []) == _case3_faces(full, cases, d), (G, top, d)
     assert set(columns) <= set(range(-1, last)), (G, top)
     sizes = counts + [0] * (last + 1 - len(counts))
     assert sizes[:last + 1] == [full.face_count(k - 1) for k in range(last + 1)], (G, top)
     assert not any(sizes[last + 1:]), (G, top)
+    return relabels
 
 
 def test_column_cases_match_the_first_cofacet_oracle():
@@ -661,15 +679,17 @@ def test_column_cases_match_the_first_cofacet_oracle():
 
 def test_window_walk_classifies_like_the_first_cofacet_oracle():
     """For every window top, the walk keeps the oracle's case-3 faces in
-    every dimension up to the top and counts the f-vector that far."""
-    seen = Counter()
+    every dimension up to the top and counts the f-vector that far, on
+    windows it walks in G's own order and on some it relabels."""
+    seen, relabels = Counter(), Counter()
     for G in _looped_graphs(401, 200, 11):
         full = independence_complex(G)
-        cases = oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(G)))
+        cases = _first_cofacet_cases(G)
         seen.update(cases.values())
         for top in range(1, full.dim + 3):
-            _check_walk(G, full, cases, top)
+            relabels[_check_walk(G, full, cases, top)] += 1
     assert min(seen[1], seen[2], seen[3]) > 100
+    assert relabels[False] >= 100 and relabels[True] >= 5, relabels
 
 
 def _relabelled(G, order):
@@ -697,8 +717,8 @@ def _rp2_suspensions(k):
 
 def _sparse_graphs(seed, count):
     """Seeded graphs of 10-14 vertices, a few looped, sparse enough that
-    many have the 8 n^2 faces on n unlooped vertices at which the walk
-    takes its own order."""
+    many have the _RELABEL_AT * n^2 faces on n unlooped vertices at which
+    the walk takes its own order."""
     return _looped_graphs(seed, count, 14, (0.05, 0.1), min_n=10)
 
 
@@ -731,11 +751,11 @@ def test_walk_in_its_own_order_keeps_the_oracle_case3_faces():
     for G in itertools.chain(_looped_graphs(503, 1500, 12), _sparse_graphs(509, 40)):
         H = _walk_ordered(G)
         full = independence_complex(H)
-        cases = oracles.column_cases(oracles.faces_by_dimension(oracles.brute_independent_sets(H)))
+        cases = _first_cofacet_cases(H)
         _check_walk(H, full, cases, None)
         nbr = _independence_masks(G)[1]
         walked = _classified_skeleton(G, None, None)[2]
-        if full.total_faces >= 8 * len(nbr) ** 2:
+        if full.total_faces >= _RELABEL_AT * len(nbr) ** 2:
             assert walked == list(H._adj), G
             relabels += bool(nbr)
         else:
@@ -749,7 +769,7 @@ def test_betti_routes_agree_on_a_graph_and_in_its_walk_order():
     and the same as betti_reduced of the stored complex: on seeded graphs
     with loops, sparse ones among them, on the RP^2 graph and its
     suspensions by up to four K_2 (torsion Z/2; the walk relabels the
-    fourth), and on K_2 x K_3 x K_n, n <= 4 (it relabels n = 4)."""
+    fourth), and on K_2 x K_3 x K_n, n <= 4 (it relabels n = 3, 4)."""
     graphs = [*_looped_graphs(601, 150, 12), *_sparse_graphs(607, 15),
               *map(_rp2_suspensions, range(5)), *map(_table1_graph, range(2, 5))]
     torsion = 0
@@ -1028,16 +1048,32 @@ def test_walk_visits_grow_with_the_case3_faces_not_the_complex():
 
 
 def test_walk_order_is_built_only_where_the_walk_dominates():
-    """The walk takes _walk_order only once the faces counted reach 8 n^2
-    on n unlooped vertices: for the table-1 windows n = 4, 5 (6,846 and
-    24,971 faces in the window, 24 and 30 vertices), not for the n = 3
-    window nor for Ind(K_7 x K_7) (1,730 faces on 49 vertices)."""
+    """The walk takes _walk_order only once the faces counted reach
+    _RELABEL_AT n^2 on n unlooped vertices (4 n^2): for the table-1 windows
+    n = 3, 4, 5 (1,558, 6,871 and 25,002 faces counted, 18, 24 and 30
+    vertices), not for the n = 2 window (324 faces on 12 vertices) nor for
+    Ind(K_7 x K_7) (1,730 faces on 49 vertices)."""
     k7k7 = gr.categorical_product(gr.complete(7), gr.complete(7))
-    for G, top, built in ((_table1_graph(4), 5, 1), (_table1_graph(5), 5, 1),
-                          (_table1_graph(3), 5, 0), (k7k7, None, 0)):
+    for G, top, built in ((_table1_graph(3), 5, 1), (_table1_graph(4), 5, 1),
+                          (_table1_graph(5), 5, 1), (_table1_graph(2), 5, 0),
+                          (k7k7, None, 0)):
         calls = Counter()
-        _profiled(partial(_classified_skeleton, G, top, None), calls)
-        assert calls["_walk_order"] == built, G
+        counts = _profiled(partial(_classified_skeleton, G, top, None), calls)[1]
+        assert calls["_walk_order"] == built == _relabels(G, counts), G
+
+
+def test_walk_order_takes_near_twins_of_the_last_vertex_next():
+    """On K_2 x K_3 x K_3 most of _walk_order's choices are ties between
+    the two K_3 factors; breaking them by the neighbours shared with the
+    vertex just taken, the n = 3 window relabels and keeps 22 case-3 faces
+    (58 in G's own order or on lowest-index ties), and n = 4, 5, 6 keep 42,
+    68 and 100.  Over Z the n = 3 row is still b_3 = 14, torsion-free."""
+    for n, kept in ((3, 22), (4, 42), (5, 68), (6, 100)):
+        calls = Counter()
+        columns = _profiled(partial(_classified_skeleton, _table1_graph(n), 5, None), calls)[0]
+        assert sum(map(len, columns.values())) == kept and calls["_walk_order"] == 1, n
+    got = graph_betti(_table1_graph(3), "int")
+    assert got.nonzero() == {3: 14} and not got.torsion and got.faces == 1_650
 
 
 def test_euler_from_betti_matches_face_count_sweep():

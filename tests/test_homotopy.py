@@ -11,10 +11,10 @@ from indtopo.homotopy import (
     HomotopyType,
     join,
     predict,
-    suspend,
     wedge,
     wedge_all,
 )
+from oracles import suspend
 
 POINT = HomotopyType.contractible()
 EMPTY = HomotopyType.empty_complex()
