@@ -181,7 +181,7 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"known: {', '.join(sorted(FAMILIES))}")
         try:  # through str(), so a bool, float or None fails instead of coercing
-            params = tuple(int(str(p)) for p in self.params)
+            params = tuple(p if type(p) is int else int(str(p)) for p in self.params)
         except (TypeError, ValueError):
             problem = "parameters must be integers"
         else:

@@ -49,7 +49,9 @@ c_(d-1) new pivots and builds no column when c_(d-1) = 0.  Over Z only
 unit pivots count: c_(d-1) of them and the apparent columns, all +-1 on
 distinct lows, then span every d-column over Q, so the rest, residual
 included, reduce to zero on them; a non-unit pivot may not stop it, as
-later columns may still change the residual's Smith form.
+later columns may still change the residual's Smith form.  A dimension
+with no case-3 column calls no kernel, and an integer reduction that
+leaves no residual computes no Smith form.
 
 Only case-3 faces are read as columns: a reduction reaching a row g with
 no pivot tests g for case 2 from G's adjacency masks and, if it is, builds
@@ -224,6 +226,8 @@ def _integer_reduce(columns, apparent=None, most=None):
                     break
                 pivots[low] = other
             _subtract(col, other, col[low] * other[low])
+    if not residual:
+        return len(units), (), units
     low = float("inf")
     while (low := max((r for col in residual for r in col if r < low), default=-1)) >= 0:
         other = pivots.get(low) or apparent and apparent(low)
@@ -334,8 +338,11 @@ def _betti_table(columns, adjacency, lo: int, hi: int, coefficients: str,
 
     ranks, torsion, cleared = {}, {}, ()
     for d in range(min(hi + 1, max(columns, default=-1)), max(lo, 0) - 1, -1):
+        if d not in columns:        # no case-3 column: r_d = 0, no pivot rows
+            cleared = ()
+            continue
         most = len(columns.get(d - 1, ()))      # r_d <= c_(d-1), as b_(d-1) >= 0
-        built = (column(f) for f in columns.get(d, ()) if f not in cleared)
+        built = (column(f) for f in columns[d] if f not in cleared)
         if coefficients == "z2":
             cleared, ranks[d] = _gf2_pivots(built, apparent, most)
             continue

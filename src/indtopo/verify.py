@@ -10,7 +10,6 @@ chew through instances; report assembly is single-threaded and deterministic.
 import itertools
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from random import Random
 
@@ -170,21 +169,26 @@ class VerificationReport:
 
 # -- shared checkers -------------------------------------------------------------
 
-@contextmanager
-def _record(**fields):
+class _record:
     """The record of one check, made from the fields known before any work and
     filled in by the ``with`` block.  A face budget that runs out in the block
     becomes the record's failure, noted in the budget's words; either way the
     record is timed."""
-    rec = InstanceRecord(**fields)
-    t0 = time.perf_counter()
-    try:
-        yield rec
-    except FaceBudgetError as e:
-        rec.note = str(e)
-        rec.budget_exhausted = True
-    finally:
-        rec.seconds = time.perf_counter() - t0
+
+    __slots__ = ("rec", "t0")
+
+    def __init__(self, **fields):
+        self.rec = InstanceRecord(**fields)
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self.rec
+
+    def __exit__(self, kind, error, tb):
+        self.rec.seconds = time.perf_counter() - self.t0
+        if budget := kind is not None and issubclass(kind, FaceBudgetError):
+            self.rec.note, self.rec.budget_exhausted = str(error), True
+        return budget
 
 
 def _auto_window(pred: HomotopyType, G) -> tuple | None:

@@ -495,6 +495,20 @@ def test_gadget_reduce_record_carries_the_stuck_kind(monkeypatch, exhausted):
     assert rec.budget_exhausted is exhausted
 
 
+def test_record_notes_a_face_budget_and_passes_other_errors_on():
+    from indtopo.complexes import _check_budget
+
+    with verify._record(instance="budget", coefficients="z2") as rec:
+        _check_budget(11, 10)
+    assert (rec.note, rec.budget_exhausted, rec.match) == (
+        "face budget exceeded: 11 > 10", True, False)
+    assert rec.seconds > 0
+    with pytest.raises(ValueError, match="not a budget"):
+        with verify._record(instance="error", coefficients="z2") as rec:
+            raise ValueError("not a budget")
+    assert rec.seconds > 0 and not rec.budget_exhausted and rec.note == ""
+
+
 def _budget_json(instance, predicted, predicted_betti, coefficients, window, note):
     return {"instance": instance, "predicted": predicted, "predicted_betti": predicted_betti,
             "computed_betti": {}, "coefficients": coefficients, "window": window,

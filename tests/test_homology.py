@@ -593,6 +593,39 @@ def test_rank_bound_changes_no_result_and_no_new_pivot(monkeypatch):
     assert saved > 1_000 and torsion >= 10
 
 
+def test_small_tables_skip_empty_dimensions_and_empty_residuals(monkeypatch):
+    """A dimension with no case-3 column calls no kernel, and an integer
+    reduction with no residual computes no Smith form: Ind(K_7 x K_7) over Z
+    enters the kernel once, at its one dimension with columns, and
+    Ind(K_2 x K_3 x K_3) twice; neither reaches a Smith form.  A residual
+    still does: RP^2 suspended keeps its Z/2."""
+    import indtopo.homology as hom
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(hom, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(hom, name, wrapper)
+
+    for name in ("smith_normal_form", "_integer_reduce", "_gf2_pivots"):
+        counted(name)
+    products = [(_table1_graph(3), "int", {3: 14}, 1_650, 2, 0),
+                (gr.categorical_product(gr.complete(7), gr.complete(7)), "int", {1: 36}, 1_730,
+                 1, 0),
+                (gr.categorical_product(gr.complete(5), gr.complete(5)), "z2", {1: 16}, 286, 0, 1)]
+    for G, coefficients, betti, faces, reduces, pivots in products:
+        calls.clear()
+        table = graph_betti(G, coefficients)
+        assert (table.nonzero(), table.torsion, table.faces) == (betti, {}, faces), G
+        assert calls == Counter(_integer_reduce=reduces, _gf2_pivots=pivots), G
+    calls.clear()
+    table = graph_betti(_rp2_suspensions(1), "int")
+    assert table.torsion == {2: (2,)} and calls["smith_normal_form"] >= 1
+
+
 def _looped_graphs(seed, count, max_n, densities=(0.2, 0.4, 0.6), min_n=1):
     rng = random.Random(seed)
     for _ in range(count):

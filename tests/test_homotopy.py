@@ -46,6 +46,10 @@ def test_construction_validates():
         HomotopyType({-1: 1, 0: 1})
     with pytest.raises(ValueError):
         HomotopyType({1.0: 1})
+    with pytest.raises(ValueError):
+        HomotopyType({1: True})
+    with pytest.raises(ValueError):
+        HomotopyType({True: 1})
 
 
 def test_construction_rejects_bools():
