@@ -140,11 +140,10 @@ class Graph:
         self._fill(vs, _masks(vs, edges, loops), name)
 
     @classmethod
-    def _from_masks(cls, vertices, adj, name=None, looped=None) -> "Graph":
-        """Trusted entry: vertices in canonical order and their symmetric masks;
-        ``looped``, the mask of looped vertices, is read off them when None."""
+    def _from_masks(cls, vertices, adj, name=None) -> "Graph":
+        """Trusted entry: vertices in canonical order and their symmetric masks."""
         G = object.__new__(cls)
-        G._fill(vertices, adj, name, looped)
+        G._fill(vertices, adj, name)
         return G
 
     @classmethod
@@ -154,10 +153,9 @@ class Graph:
         vs = sorted(labels, key=str)
         return cls._from_masks(vs, _masks(vs, edges, loops), name)
 
-    def _fill(self, vertices, adj, name, looped=None):
+    def _fill(self, vertices, adj, name):
         self.vertices, self._adj, self.name = tuple(vertices), tuple(adj), name
-        self._looped = looped if looped is not None else sum(
-            1 << i for i, a in enumerate(self._adj) if a >> i & 1)
+        self._looped = sum(1 << i for i, a in enumerate(self._adj) if a >> i & 1)
         self._index = self._edges = None
 
     def _positions(self) -> dict:
@@ -317,7 +315,7 @@ def complete(n: int) -> Graph:
         raise ValueError(f"complete(n) needs n >= 1, got {n}")
     full = (1 << n) - 1
     return Graph._from_masks(sorted(range(1, n + 1), key=str),
-                             [full ^ 1 << i for i in range(n)], f"K{n}", 0)
+                             [full ^ 1 << i for i in range(n)], f"K{n}")
 
 
 def path(n: int) -> Graph:
@@ -356,8 +354,7 @@ def categorical_product(G: Graph, H: Graph) -> Graph:
     rows = [int(gap.join(bin(a)[2:]), 2) for a in G._adj]
     name = f"{G.name}x{H.name}" if G.name and H.name else None
     return Graph._from_masks([(g, h) for g in G.vertices for h in H.vertices],
-                             [row * b for row in rows for b in H._adj], name,
-                             None if G._looped and H._looped else 0)
+                             [row * b for row in rows for b in H._adj], name)
 
 
 APEX = "w"
@@ -382,7 +379,7 @@ def generalized_mycielskian(G: Graph, r: int) -> Graph:
         adj[k] |= apex
     adj.append(sum(1 << k for k in top))
     name = f"M{r}({G.name})" if G.name else None
-    return Graph._from_masks(levels.vertices + (APEX,), adj, name, levels._looped)
+    return Graph._from_masks(levels.vertices + (APEX,), adj, name)
 
 
 def tower_gadget(n: int, i: int, j: int) -> Graph:

@@ -27,8 +27,7 @@ class HomotopyType:
         items = dict(spheres)
         clean = {}
         for d, c in items.items():
-            if not (type(d) is int and type(c) is int or all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in (d, c))):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (d, c)):
                 raise ValueError(f"bad sphere entry {d!r}: {c!r}")
             if c < 0:
                 raise ValueError(f"negative multiplicity for S^{d}")

@@ -37,6 +37,10 @@ def test_summary_of_fixed_pairs():
     # "higher is better" flips the sign: the same change is then a loss
     s = summarize(parent, change, better="higher")
     assert s["wins"] == 0 and s["gain"] < 0 and not s["claim"]
+    # a change that fails a larger share of operations claims nothing
+    assert summarize(parent, change, failed=(0.0, 0.0))["claim"]
+    assert summarize(parent, change, failed=(0.1, 0.1))["claim"]
+    assert not summarize(parent, change, failed=(0.0, 0.01))["claim"]
     # a tie is no win, and one pair has no spread
     s = summarize([2.0], [2.0])
     assert (s["wins"], s["parent"]["quartiles"], s["parent_iqr"], s["claim"]) == (
