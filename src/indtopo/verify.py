@@ -10,7 +10,7 @@ chew through instances; report assembly is single-threaded and deterministic.
 import itertools
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 
 from . import graphs as gr
@@ -136,15 +136,18 @@ class VerificationReport:
         }
 
     def csv_rows(self):
+        import csv   # here, so that importing the package does not pay for it
+        from types import SimpleNamespace
+
         rows = ["suite,instance,predicted,computed,coefficients,window,match,conjectural"]
+        # the writer makes one write() call per row, and quotes fields that need it
+        writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="")
         for s in self.suites:
             for r in s.records:
                 window = f"{r.window[0]}..{r.window[1]}" if r.window else "full"
                 computed = ";".join(f"{d}:{v}" for d, v in sorted(r.computed_betti.items()))
-                rows.append(",".join([
-                    s.name, r.instance, str(r.predicted), computed or "0",
-                    r.coefficients, window, str(r.match), str(r.conjectural),
-                ]))
+                writer.writerow([s.name, r.instance, str(r.predicted), computed or "0",
+                                 r.coefficients, window, r.match, r.conjectural])
         return rows
 
     def render_table(self) -> str:
@@ -235,8 +238,11 @@ def check_family_instance(family: str, params: tuple, coefficients: str = "z2",
     G = build_graph(spec)
     if window == "auto":
         window = _auto_window(pr.homotopy, G) if coefficients == "z2" else None
-    return _check_betti(spec.describe(), pr.homotopy, G, coefficients, window,
-                        face_budget, pr.conjectural)
+    rec = _check_betti(spec.describe(), pr.homotopy, G, coefficients, window,
+                       face_budget, pr.conjectural)
+    if rec.conjectural and not rec.note:
+        rec.note = "evidence only; never gates the exit code unless asked"
+    return rec
 
 
 def check_family_int(family: str, params: tuple,
@@ -296,9 +302,9 @@ def check_gadget_reduce(n: int, t: int) -> InstanceRecord:
     with _record(instance=f"reduce gadget {n} {t}", predicted="point", predicted_betti={},
                  coefficients="reduction") as rec:
         result, trace = reduce_graph(build_graph(FamilySpec("gadget", (n, t))))
-        rec.match = isinstance(result, HomotopyType) and result.is_contractible
-        rec.computed_betti = {} if rec.match else {"result": str(result)}
         stuck = isinstance(result, Stuck)
+        rec.computed_betti = {} if stuck else result.betti()
+        rec.match = not stuck and result.is_contractible
         rec.note = f"stuck: {result.reason}" if stuck else f"{len(trace)} top-level steps"
         rec.budget_exhausted = stuck and result.budget_exhausted
     return rec
@@ -521,7 +527,8 @@ def _jobs_morse_homology(opts):
 
 
 def _jobs_conjecture(opts):
-    return [("table1", (n,), {"kind": "window", "face_budget": opts.get("face_budget")})
+    return [("family", ("conjecture_k2k3kn", (n,)),
+             {"window": TABLE1_WINDOW, "face_budget": opts.get("face_budget")})
             for n in _published_ns(_ints(opts.get("n"), TABLE1_ROWS))]
 
 
@@ -566,22 +573,13 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
     jobs = min(jobs, os.cpu_count() or 1)
 
     # every job list is built, and so every usage error raised, before any
-    # job runs; all the call's jobs then run as one list.  Table-1 rows are the
-    # only jobs two suites ask for, so each runs once and may fill two slots.
-    todo, slot_of, plan = [], {}, []
+    # job runs; all the call's jobs then run as one list
+    plan = []
     for name in names:
-        job_list = SUITES[name][1](opts)
-        if not job_list:
+        if not (job_list := SUITES[name][1](opts)):
             raise ValueError(f"suite {name!r} has no instances for these parameters")
-        slots = []
-        for job in job_list:
-            # a table-1 row is keyed by n and kind; any other job is its own key
-            key = (job[1], job[2]["kind"]) if job[0] == "table1" else len(todo)
-            if key not in slot_of:
-                slot_of[key] = len(todo)
-                todo.append(job)
-            slots.append(slot_of[key])
-        plan.append((name, slots))
+        plan.append((name, job_list))
+    todo = [job for _, job_list in plan for job in job_list]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -590,20 +588,7 @@ def run_suites(names, seed: int = 7, jobs: int = 1,
     else:
         done = [_run_job(j) for j in todo]
 
-    results = []
-    for name, slots in plan:
-        records = [done[i] for i in slots]
-        if name == "conjecture":
-            records = [_conjecture_from_table1(todo[i][1][0], done[i]) for i in slots]
-        results.append(SuiteResult(name, SUITES[name][0], records))
+    done = iter(done)
+    results = [SuiteResult(name, SUITES[name][0], [next(done) for _ in job_list])
+               for name, job_list in plan]
     return VerificationReport(results, seed, strict_conjectures)
-
-
-def _conjecture_from_table1(n: int, rec: InstanceRecord) -> InstanceRecord:
-    """Re-badge the published-row record of K_2 x K_3 x K_n as conjecture evidence."""
-    pred = predict(FamilySpec("conjecture_k2k3kn", (n,))).homotopy
-    match = rec.match and all(rec.computed_betti.get(d, 0) == c for d, c in pred.betti().items())
-    return replace(rec, instance=f"conjecture_k2k3kn {n}", predicted=pred.render(),
-                   predicted_betti=pred.betti(), match=match, conjectural=True,
-                   note=rec.note if rec.budget_exhausted
-                   else "evidence only; never gates the exit code unless asked")

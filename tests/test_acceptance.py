@@ -7,7 +7,9 @@ Run with `pytest -v tests/test_acceptance.py` for a pass/fail line per
 criterion, or `indtopo verify all` for the same checks outside pytest.
 """
 
+import csv
 import hashlib
+import io
 import json
 import re
 
@@ -20,11 +22,7 @@ _RESULTS = {}
 
 def _suite(name):
     if name not in _RESULTS:
-        # table1 and conjecture share their heavy windowed computations
-        group = ["table1", "conjecture"] if name in ("table1", "conjecture") else [name]
-        report = run_suites(group, seed=SEED)
-        for s in report.suites:
-            _RESULTS[s.name] = s
+        _RESULTS[name] = run_suites([name], seed=SEED).suites[0]
     return _RESULTS[name]
 
 
@@ -174,3 +172,16 @@ def test_verify_all_json_bytes_are_pinned():
         f"verify all JSON is now {got}: diff `indtopo verify all --deterministic "
         f"--format json` against the parent commit's output; if a record changed on "
         f"purpose, update the hash and length here and say so in CHANGES.md")
+
+
+def test_verify_all_csv_rows_parse_to_eight_fields():
+    """Free text such as `wedge(4, S^3)` or `at (1, 2, 3, 4)` is quoted, so
+    every row of `indtopo verify all --format csv` reads back as 8 fields and
+    the instance column is the JSON's instance names."""
+    report = VerificationReport([_suite(name) for name in SUITES], SEED)
+    rows = list(csv.reader(io.StringIO("\n".join(report.csv_rows()))))
+    assert rows[0] == ["suite", "instance", "predicted", "computed", "coefficients",
+                       "window", "match", "conjectural"]
+    assert {len(row) for row in rows} == {8}
+    assert [row[1] for row in rows[1:]] == [
+        r["instance"] for s in report.to_json_dict()["suites"] for r in s["records"]]

@@ -389,8 +389,10 @@ def test_conjecture_records_do_not_depend_on_the_suites_beside_them():
         "conjecture_k2k3kn 3", "conjecture_k2k3kn 2", "conjecture_k2k3kn 2"]
 
 
-@pytest.mark.parametrize("names", [["conjecture", "table1"], ["table1", "conjecture"]])
+@pytest.mark.parametrize("names", [["conjecture", "table1"], ["table1", "conjecture"],
+                                   ["conjecture"]])
 def test_each_table1_row_runs_once_per_call(monkeypatch, names):
+    """Only the table1 suite runs table-1 rows; conjecture checks its own."""
     calls = []
 
     def counting(n, kind="window", face_budget=None):
@@ -399,9 +401,17 @@ def test_each_table1_row_runs_once_per_call(monkeypatch, names):
 
     monkeypatch.setitem(verify._JOB_KINDS, "table1", counting)
     report = verify.run_suites(names, overrides={"n": [2, 3]})
-    assert sorted(calls) == [(2, "int"), (2, "window"), (3, "int"), (3, "window")]
+    assert sorted(calls) == ([(2, "int"), (2, "window"), (3, "int"), (3, "window")]
+                             if "table1" in names else [])
     assert [len(s.records) for s in report.suites] == [2 if s == "conjecture" else 4
                                                        for s in names]
+
+
+def test_conjecture_records_are_the_family_checks_of_k2k3kn():
+    suite, = verify.run_suites(["conjecture"]).suites
+    assert [r.to_json_dict(deterministic=True) for r in suite.records] == [
+        check_family_instance("conjecture_k2k3kn", (n,), window=(2, 4)
+                              ).to_json_dict(deterministic=True) for n in range(2, 7)]
 
 
 def test_verify_unpublished_table1_row_is_a_usage_error(capsys):
@@ -493,6 +503,15 @@ def test_gadget_reduce_record_carries_the_stuck_kind(monkeypatch, exhausted):
     rec = verify.check_gadget_reduce(3, 3)
     assert not rec.match and rec.note == "stuck: budget exhausted"
     assert rec.budget_exhausted is exhausted
+    assert rec.computed_betti == {}
+
+
+def test_gadget_reduce_record_holds_the_betti_numbers_of_a_type(monkeypatch):
+    from indtopo.homotopy import HomotopyType
+
+    monkeypatch.setattr(verify, "reduce_graph", lambda G: (HomotopyType.sphere(1), []))
+    rec = verify.check_gadget_reduce(3, 3)
+    assert (rec.computed_betti, rec.match, rec.note) == ({1: 1}, False, "0 top-level steps")
 
 
 def test_record_notes_a_face_budget_and_passes_other_errors_on():

@@ -900,22 +900,23 @@ def test_face_polynomial_counts_the_brute_force_f_vector():
 
 
 def _suite_family_specs(top_n):
-    """The 127 family instances of the default suites, then K_2 x K_3 x K_n
-    for n = 2..top_n."""
+    """The 132 family instances of the default suites, then K_2 x K_3 x K_n
+    for n = 2..top_n, each spec once."""
     from indtopo.families import FamilySpec
     from indtopo.verify import SUITES
 
     specs = [FamilySpec(*args) for _, jobs, _ in SUITES.values()
              for kind, args, _ in jobs({"seed": 7, "face_budget": None})
              if kind in ("family", "family_int")]
-    assert len(specs) == 127
-    return specs + [FamilySpec("conjecture_k2k3kn", (n,)) for n in range(2, top_n + 1)]
+    assert len(specs) == 132
+    return list(dict.fromkeys(
+        specs + [FamilySpec("conjecture_k2k3kn", (n,)) for n in range(2, top_n + 1)]))
 
 
 def test_face_polynomial_meets_the_euler_characteristic_of_each_closed_form():
     """The reduced Euler characteristic read off the f-polynomial equals
     sum_d (-1)^d b_d of the predicted wedge, for every family instance of
-    the default suites (127 of them) and for K_2 x K_3 x K_n, n <= 20: a
+    the default suites (132 of them) and for K_2 x K_3 x K_n, n <= 20: a
     check that shares nothing with the type rules but their Betti numbers."""
     from indtopo.families import build_graph
     from indtopo.homotopy import predict
@@ -928,7 +929,7 @@ def test_face_polynomial_meets_the_euler_characteristic_of_each_closed_form():
 
 
 def test_face_polynomial_counts_the_enumerated_faces_past_the_oracle():
-    """Past the subset sweep's 12 vertices, on the 127 family instances of
+    """Past the subset sweep's 12 vertices, on the 132 family instances of
     the default suites and K_2 x K_3 x K_n, n <= 8 (up to 48 vertices), the
     count at each size cap 1..7 is the first cap + 1 entries of the
     uncapped count and the enumerator's face count of each size (every one
