@@ -28,7 +28,8 @@ zz = betti_reduced(RP2, coefficients="int")
 print("RP^2 mod 2:", z2.nonzero(), "| integer:", zz.nonzero(), "| torsion:", zz.torsion)
 
 # windowed homology computes a Betti range without the full complex.
-# Here: dimension 2..4 of a three-factor product, mod 2 only.
+# Here: dimension 2..4 of a three-factor product, mod 2; graph_betti(G,
+# "int", window=(2, 4)) gives the same window over Z.
 G = gr.categorical_product(gr.categorical_product(gr.complete(2), gr.complete(3)),
                            gr.complete(4))
 table = betti_window(G, 2, 4)

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from . import graphs as gr
 from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph
-from .homology import betti_window, graph_betti
+from .homology import graph_betti
 from .homotopy import Stuck, reduce as reduce_graph
 from .morse import _wedge_from_critical, element_matching, verify_acyclic
 from .verify import SUITES, run_suites
@@ -56,9 +56,9 @@ def _build_parser() -> _Parser:
                            help=f"face-count guard (default {ENV_FACE_BUDGET} or library default)")
         if with_homology:
             p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"),
-                           help="restrict homology to dimensions LO..HI (mod-2)")
+                           help="restrict homology to dimensions LO..HI")
             p.add_argument("--coeff", choices=("z2", "int"), default="z2",
-                           help="coefficients for full-range homology")
+                           help="coefficient ring (default z2)")
 
     def add_spec(p):
         p.add_argument("family", nargs="?", help="family name: " + ", ".join(FAMILIES))
@@ -175,14 +175,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_betti(args) -> int:
     name, G, _ = _instance_from_args(args)
-    budget = _face_budget(args)
-    if args.window:
-        lo, hi = args.window
-        if args.coeff != "z2":
-            raise _UsageError("windowed homology is mod-2 only")
-        table = betti_window(G, lo, hi, face_budget=budget)
-    else:
-        table = graph_betti(G, args.coeff, budget)
+    table = graph_betti(G, args.coeff, _face_budget(args),
+                        tuple(args.window) if args.window else None)
     if args.format == "json":
         out = table.to_json_dict()
         out["instance"] = name

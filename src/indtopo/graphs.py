@@ -521,6 +521,11 @@ def graph_from_json_dict(d: dict) -> Graph:
     for key in ("vertices", "edges", "loops"):
         if not isinstance(d.get(key, []), list):
             raise ValueError(f"graph field {key!r} is not a list")
+    for e in d.get("edges", []):
+        if not (isinstance(e, list) and len(e) == 2):
+            raise ValueError(f"graph edge {e!r} is not a list of two labels")
+    if not isinstance(d.get("name", ""), str):
+        raise ValueError(f"graph name {d['name']!r} is not a string")
     return Graph(
         [_decode_label(v) for v in d["vertices"]],
         [(_decode_label(u), _decode_label(v)) for u, v in d.get("edges", [])],

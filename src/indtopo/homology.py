@@ -55,7 +55,7 @@ leaves no residual computes no Smith form.
 
 Only case-3 faces are read as columns: a reduction reaching a row g with
 no pivot tests g for case 2 from G's adjacency masks and, if it is, builds
-g + u as the row's pivot.  ``graph_betti`` and ``betti_window`` run on
+g + u as the row's pivot.  ``graph_betti`` runs on
 ``complexes._classified_skeleton``: it counts every face from the memoised
 f-polynomial first, so the face budget trips before any walk, then walks
 only the subtrees that can hold case-3 faces and keeps those.
@@ -366,29 +366,30 @@ def betti_reduced(K: SimplicialComplex, coefficients: str = "z2") -> BettiTable:
     return _betti_table(K._faces, None, -1, K.dim, coefficients)
 
 
-def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None) -> BettiTable:
-    """Full-range reduced Betti numbers of Ind(G) over "z2" or "int".
+def graph_betti(G, coefficients: str = "z2", face_budget: int | None = None,
+                window: tuple | None = None) -> BettiTable:
+    """Reduced Betti numbers of Ind(G) over "z2" or "int": full range, or
+    dimensions lo..hi only for ``window`` = (lo, hi).
 
-    Ind(G)'s faces are counted, then its case-3 faces walked and kept;
-    ``faces`` counts every face, the empty face included.
+    Ind(G)'s faces (in a window, up to dimension hi + 1) are counted, then
+    its case-3 faces walked and kept; ``faces`` counts dimensions
+    lo - 1..hi + 1, on the full range every face, the empty face included.
     """
     _check_coefficients(coefficients)
-    columns, counts, adjacency = _classified_skeleton(G, None, face_budget)
-    top = max(k for k, c in enumerate(counts) if c) - 1
-    table = _betti_table(columns, adjacency, -1, top, coefficients)
-    table.faces = sum(counts)
+    if window is not None:
+        lo, hi = window
+        if lo < 0 or hi < lo:
+            raise ValueError(f"bad window ({lo}, {hi})")
+    columns, counts, adjacency = _classified_skeleton(
+        G, None if window is None else hi + 1, face_budget)
+    if window is None:
+        lo, hi = -1, max(k for k, c in enumerate(counts) if c) - 1
+    table = _betti_table(columns, adjacency, lo, hi, coefficients, window)
+    table.faces = sum(counts[max(lo, 0):hi + 3])
     return table
 
 
 def betti_window(G, d_lo: int, d_hi: int, face_budget: int | None = None) -> BettiTable:
-    """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only.
-
-    Ind(G)'s faces up to dimension d_hi + 1 are counted, then its case-3
-    ones walked and kept; ``faces`` counts dimensions d_lo - 1..d_hi + 1.
-    """
-    if d_lo < 0 or d_hi < d_lo:
-        raise ValueError(f"bad window ({d_lo}, {d_hi})")
-    columns, counts, adjacency = _classified_skeleton(G, d_hi + 1, face_budget)
-    table = _betti_table(columns, adjacency, d_lo, d_hi, "z2", (d_lo, d_hi))
-    table.faces = sum(counts[d_lo:d_hi + 3])
-    return table
+    """Mod-2 reduced Betti numbers of Ind(G) for dimensions d_lo..d_hi only;
+    ``graph_betti`` takes a window in either ring."""
+    return graph_betti(G, "z2", face_budget, (d_lo, d_hi))

@@ -16,7 +16,7 @@ from random import Random
 from . import graphs as gr
 from .complexes import FaceBudgetError, independence_complex
 from .families import FAMILIES, FamilySpec, build_graph, random_graph
-from .homology import betti_reduced, betti_window, graph_betti
+from .homology import betti_reduced, graph_betti
 from .homotopy import HomotopyType, Stuck, predict, reduce as reduce_graph
 from .morse import element_matching, product_matching_order, verify_acyclic
 
@@ -205,19 +205,14 @@ def _auto_window(pred: HomotopyType, G) -> tuple | None:
 def _check_betti(instance: str, expected: HomotopyType, G, coefficients: str,
                  window: tuple | None, face_budget: int | None,
                  conjectural: bool) -> InstanceRecord:
-    """Compare the Betti numbers of Ind(G), full-range or in a window, with a homotopy type."""
-    if window is not None and coefficients != "z2":
-        raise ValueError("windowed homology is mod-2 only")
+    """Compare the Betti numbers of Ind(G), full-range or in a window, with a
+    homotopy type; a window keeps its zeros in ``computed_betti``."""
     want = expected.betti()
     with _record(instance=instance, coefficients=coefficients, predicted=expected.render(),
                  predicted_betti=want, window=None if window is None else tuple(window),
                  conjectural=conjectural) as rec:
-        if window is None:
-            bt = graph_betti(G, coefficients, face_budget)
-            rec.computed_betti = bt.nonzero()
-        else:
-            bt = betti_window(G, *window, face_budget=face_budget)
-            rec.computed_betti = dict(bt.betti)
+        bt = graph_betti(G, coefficients, face_budget, rec.window)
+        rec.computed_betti = bt.nonzero() if window is None else dict(bt.betti)
         rec.faces = bt.faces
         rec.torsion = dict(bt.torsion)
         rec.match = bt.matches(want) and not rec.torsion
@@ -231,7 +226,8 @@ def check_family_instance(family: str, params: tuple, coefficients: str = "z2",
                           face_budget: int | None = None) -> InstanceRecord:
     """Compare the closed-form prediction with computed homology for one instance.
 
-    Windows are mod-2 only: "auto" means full range for integer coefficients.
+    A window works in either ring; "auto" picks one for mod-2 coefficients
+    only, and means full range over Z.
     """
     spec = FamilySpec(family, params)
     pr = predict(spec)

@@ -123,6 +123,17 @@ def test_one_face_guard_per_route():
     assert charging == {"_face_polynomial", "from_facets"}
 
 
+def test_one_betti_entry_for_ind_g():
+    """In homology, only graph_betti walks Ind(G): betti_window and every
+    other route reach the walk through it."""
+    tree = ast.parse((PACKAGE / "homology.py").read_text())
+    callers = {top.name for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_classified_skeleton"}
+    assert callers == {"graph_betti"}
+
+
 def test_reduce_is_one_loop_without_recursion():
     """homotopy.reduce defines no nested function or lambda and never calls
     itself: its pieces wait on an explicit stack."""

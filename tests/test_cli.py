@@ -127,10 +127,13 @@ def test_betti_integer_coefficients(capsys):
     assert json.loads(out)["betti"]["1"] == 2
 
 
-def test_betti_window_is_mod2_only(capsys):
-    code, _, err = run(capsys, "betti", "product", "3", "3",
+def test_betti_window_over_the_integers(capsys):
+    code, out, _ = run(capsys, "betti", "product", "3", "3",
                        "--window", "1", "2", "--coeff", "int")
-    assert code == 3 and "mod-2" in err
+    assert code == 0
+    d = json.loads(out)
+    assert d["betti"] == {"1": 4, "2": 0} and d["window"] == [1, 2]
+    assert d["coefficients"] == "int" and d["torsion"] == {}
 
 
 def test_betti_from_file(tmp_path, capsys):
@@ -658,16 +661,17 @@ def test_unexpected_torsion_fails_the_record(monkeypatch):
     the torsion and says why."""
     from indtopo.homology import BettiTable
 
-    monkeypatch.setattr(verify, "graph_betti", lambda G, coefficients, face_budget:
-                        BettiTable({1: 4}, coefficients, {0: [2]}, faces=16))
+    monkeypatch.setattr(verify, "graph_betti", lambda G, coefficients, face_budget, window:
+                        BettiTable({1: 4}, coefficients, {0: [2]}, window, faces=16))
     rec = check_family_int("product", (3, 3))
     assert rec.computed_betti == {1: 4} and rec.torsion == {0: [2]}
     assert not rec.match and not rec.budget_exhausted and rec.note == "unexpected torsion"
 
 
-def test_windowed_checks_refuse_integer_coefficients():
-    with pytest.raises(ValueError, match="windowed homology is mod-2 only"):
-        check_family_instance("path", (21,), coefficients="int", window=(5, 7))
+def test_windowed_integer_check_keeps_the_window_zeros():
+    rec = check_family_instance("path", (21,), coefficients="int", window=(5, 7))
+    assert rec.window == (5, 7) and rec.coefficients == "int"
+    assert rec.computed_betti == {5: 0, 6: 1, 7: 0} and rec.torsion == {} and rec.match
 
 
 @pytest.mark.parametrize("n, row", [(4, 30), (5, 52)])
@@ -792,6 +796,9 @@ MALFORMED_GRAPH_FILES = {
     "list.json": "[1, 2]",
     "no_vertices.json": '{"edges": []}',
     "short_edge.json": '{"vertices": [1, 2], "edges": [[1]]}',
+    "scalar_edge.json": '{"vertices": [1, 2], "edges": [1]}',
+    "long_edge.json": '{"vertices": [1, 2], "edges": [[1, 2, 3]]}',
+    "list_name.json": '{"vertices": [1, 2], "name": ["x"]}',
 }
 
 

@@ -826,6 +826,31 @@ def test_betti_routes_agree_on_a_graph_and_in_its_walk_order():
     assert torsion >= 5
 
 
+def test_integer_windows_cut_the_full_range_table():
+    """graph_betti over Z in a window (lo, hi), lo 0..3 and hi up to lo + 2,
+    gives the full-range integer table's Betti numbers and torsion in dims
+    lo..hi, and betti_window's face count, on seeded graphs with loops; and
+    in every window of the RP^2 graph and its suspensions by up to two K_2,
+    whose Z/2 sits inside, at either edge of, or outside the window."""
+    def check(G, windows):
+        full = graph_betti(G, "int")
+        for lo, hi in windows:
+            win = graph_betti(G, "int", None, (lo, hi))
+            assert win.betti == {d: full.betti.get(d, 0) for d in range(lo, hi + 1)}, (G, lo, hi)
+            assert win.torsion == {d: t for d, t in full.torsion.items() if lo <= d <= hi}, \
+                (G, lo, hi)
+            assert win.faces == betti_window(G, lo, hi).faces, (G, lo, hi)
+        return bool(full.torsion)
+
+    small = [(lo, hi) for lo in range(4) for hi in range(lo, lo + 3)]
+    for G in _looped_graphs(709, 200, 11):
+        check(G, small)
+    for k in range(3):
+        G = _rp2_suspensions(k)
+        top = independence_complex(G).dim + 1
+        assert check(G, [(lo, hi) for lo in range(top + 1) for hi in range(lo, top + 1)])
+
+
 def _budget_outcome(build, budget):
     try:
         build(budget)

@@ -61,7 +61,11 @@ def test_graph_json_rejects_malformed_documents():
     for doc, message in (([1, 2], "an object"), ("g", "an object"), ({"edges": []}, "vertices"),
                          ({"vertices": 5}, "'vertices' is not a list"),
                          ({"vertices": [1], "edges": {}}, "'edges' is not a list"),
-                         ({"vertices": [1], "loops": "1"}, "'loops' is not a list")):
+                         ({"vertices": [1], "loops": "1"}, "'loops' is not a list"),
+                         ({"vertices": [1, 2], "edges": [1]}, r"edge 1 is not a list of two"),
+                         ({"vertices": [1, 2], "edges": [[1, 2, 3]]},
+                          r"edge \[1, 2, 3\] is not a list of two"),
+                         ({"vertices": [1], "name": ["x"]}, r"name \['x'\] is not a string")):
         with pytest.raises(ValueError, match=message):
             gr.graph_from_json_dict(doc)
 
